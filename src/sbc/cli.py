@@ -10,9 +10,11 @@ error, 2 malformed container or input, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+import tempfile
 import time
 from typing import List, Optional, Sequence
 
@@ -20,7 +22,6 @@ from . import adversary as adv
 from . import entropy as ent
 from . import pipelines as pl
 from . import stream_bwt as sbwt
-from . import stream_st as sst
 from . import transforms as tr
 from .machine import (
     BudgetExceededError,
@@ -29,17 +30,10 @@ from .machine import (
     Machine,
     MachineConfig,
     MachineError,
+    MachineLedger,
     ModelKind,
 )
 
-_MODELS = {m.value: m for m in ModelKind}
-_PIPELINES = {
-    "bwt-mtf-rle-ac": pl.PipelineId.BWT_MTF_RLE_AC,
-    "bwt-dc-ac": pl.PipelineId.BWT_DC_AC,
-    "st-dc-ac": pl.PipelineId.ST_DC_AC,
-    "block-kth": pl.PipelineId.BLOCK_KTH,
-    "kth-order": pl.PipelineId.KTH_ORDER,
-}
 _DEFAULT_BUDGET = 1 << 40
 
 
@@ -64,10 +58,18 @@ def _write_output(path: Optional[str], data: bytes) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _ranks_of(data: bytes, sigma: Optional[int]):
@@ -107,9 +109,7 @@ def _machine_for(args, model: ModelKind, input_data: bytes, work_tapes: int = 0)
 
 
 def _ledger_payload(machine: Optional[Machine]) -> dict:
-    if machine is None:
-        return {"passes": 0, "sort_passes": 0, "peak_memory_bits": 0, "total_output_bits": 0}
-    led = machine.ledger()
+    led = machine.ledger() if machine is not None else MachineLedger()
     return {
         "passes": led.passes,
         "sort_passes": led.sort_passes,
@@ -124,75 +124,21 @@ def _ledger_payload(machine: Optional[Machine]) -> dict:
 def _cmd_compress(args) -> int:
     data = _read_input(args.input)
     ranks, sigma, alphabet = _ranks_of(data, args.sigma)
-    model = _MODELS[args.model] if args.model else None
-    machine = None
-    name = args.pipeline
-    if name == "bwt-mtf-rle-ac":
-        if model is None:
-            container = pl.encode_bwt_mtf_rle_ac(ranks, sigma, alphabet)
-        elif model is ModelKind.STANDARD:
-            body = tr.bwt(ranks, sigma)
-            machine = _machine_for(args, model, bytes(c + 1 for c in body))
-            payload = pl.mtf_rle_ac_encode_stream(machine, sigma)
-            header = pl.ContainerHeader(pl.PipelineId.BWT_MTF_RLE_AC, sigma, pl.K_AUTO,
-                                        len(ranks), 0, 8 * len(payload))
-            container = pl.build_container(header, alphabet, payload)
-        else:
-            raise CapabilityError("bwt-mtf-rle-ac streams on the standard model")
-    elif name == "bwt-dc-ac":
-        if model is None:
-            container = pl.encode_bwt_dc_ac(ranks, sigma, alphabet)
-        elif model is ModelKind.READ_WRITE:
-            body = tr.bwt(ranks, sigma)
-            machine = _machine_for(args, model, bytes(c + 1 for c in body), work_tapes=1)
-            payload = pl.dc_ac_encode_stream(machine, sigma)
-            header = pl.ContainerHeader(pl.PipelineId.BWT_DC_AC, sigma, pl.K_AUTO,
-                                        len(ranks), 0, 8 * len(payload))
-            container = pl.build_container(header, alphabet, payload)
-        else:
-            raise CapabilityError("bwt-dc-ac streams on the read-write model")
-    elif name == "st-dc-ac":
-        k_max = args.k if args.k is not None else min(4, max(1, len(ranks)).bit_length())
-        if model is None:
-            container = pl.encode_st_dc_ac(ranks, sigma, k_max, alphabet)
-        elif model is ModelKind.STREAM_SORT:
-            machine = _machine_for(args, model, b"")
-            container = sst.streamsort_st_best_k(ranks, k_max, machine=machine,
-                                                 sigma=sigma, alphabet=alphabet)
-        else:
-            raise CapabilityError("st-dc-ac streams on the streamsort model")
-    elif name == "block-kth":
-        plan = pl.BlockPlan.for_length(len(ranks), args.c, args.epsilon) if ranks else None
-        if model is None:
-            container = (pl.block_encode(ranks, sigma, plan, alphabet=alphabet)
-                         if plan else _empty_block_container(sigma, alphabet))
-        elif model is ModelKind.STANDARD:
-            machine = _machine_for(args, model, bytes(ranks))
-            container = (pl.block_encode(ranks, sigma, plan, machine=machine, alphabet=alphabet)
-                         if plan else _empty_block_container(sigma, alphabet))
-        else:
-            raise CapabilityError("block-kth streams on the standard model")
-    elif name == "kth-order":
-        k = args.k if args.k is not None else 2
-        if model is None:
-            container = pl.encode_kth_order(ranks, sigma, k, alphabet)
-        elif model is ModelKind.STANDARD:
-            machine = _machine_for(args, model, bytes(ranks))
-            container = pl.encode_kth_order(ranks, sigma, k, alphabet, machine=machine)
-        else:
-            raise CapabilityError("kth-order streams on the standard model")
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown pipeline {name}")
+    entry = pl.PIPELINES[args.pipeline]
+    new_machine = None
+    if args.model:
+        entry.check_model(ModelKind(args.model))
+        new_machine = functools.partial(_machine_for, args, entry.model,
+                                        work_tapes=entry.work_tapes)
+    k = args.k if args.k is not None else entry.default_k(len(ranks))
+    container, machine = entry.encode(ranks, sigma, alphabet, k, args.c, args.epsilon,
+                                      new_machine)
     _write_output(args.output, container)
-    report = {"pipeline": name, "n": len(ranks), "sigma": sigma, "size_bits": 8 * len(container)}
+    report = {"pipeline": entry.name, "n": len(ranks), "sigma": sigma,
+              "size_bits": 8 * len(container)}
     report.update(_ledger_payload(machine))
     _emit_json(args, report)
     return 0
-
-
-def _empty_block_container(sigma: int, alphabet: bytes) -> bytes:
-    header = pl.ContainerHeader(pl.PipelineId.BLOCK_KTH, sigma, pl.K_AUTO, 0, 0, 0)
-    return pl.build_container(header, alphabet, b"")
 
 
 def _cmd_decompress(args) -> int:
@@ -201,7 +147,7 @@ def _cmd_decompress(args) -> int:
     out = bytes(alphabet[r] for r in ranks)
     _write_output(args.output, out)
     _emit_json(args, {
-        "pipeline": header.pipeline.name.lower().replace("_", "-"),
+        "pipeline": pl.PIPELINES_BY_ID[header.pipeline].name,
         "n": header.n, "sigma": header.sigma, "size_bits": 8 * len(data),
     })
     return 0
@@ -346,51 +292,17 @@ _BENCH_COLUMNS = [
 
 def _bench_cell(data: bytes, pipeline: str, k: int, c: float, epsilon: float) -> dict:
     ranks, sigma, alphabet = _ranks_of(data, None)
+    entry = pl.PIPELINES[pipeline]
+    new_machine = functools.partial(
+        Machine, MachineConfig(entry.model, _DEFAULT_BUDGET, work_tapes=entry.work_tapes))
     started = time.perf_counter()
-    machine: Optional[Machine] = None
-    if pipeline == "bwt-mtf-rle-ac":
-        body = tr.bwt(ranks, sigma)
-        machine = Machine(MachineConfig(ModelKind.STANDARD, _DEFAULT_BUDGET),
-                          bytes(x + 1 for x in body))
-        payload = pl.mtf_rle_ac_encode_stream(machine, sigma)
-        size_bits = 8 * len(pl.build_container(
-            pl.ContainerHeader(pl.PipelineId.BWT_MTF_RLE_AC, sigma, pl.K_AUTO,
-                               len(ranks), 0, 8 * len(payload)), alphabet, payload))
-        model = "standard"
-    elif pipeline == "bwt-dc-ac":
-        body = tr.bwt(ranks, sigma)
-        machine = Machine(MachineConfig(ModelKind.READ_WRITE, _DEFAULT_BUDGET, work_tapes=1),
-                          bytes(x + 1 for x in body))
-        payload = pl.dc_ac_encode_stream(machine, sigma)
-        size_bits = 8 * len(pl.build_container(
-            pl.ContainerHeader(pl.PipelineId.BWT_DC_AC, sigma, pl.K_AUTO,
-                               len(ranks), 0, 8 * len(payload)), alphabet, payload))
-        model = "readwrite"
-    elif pipeline == "st-dc-ac":
-        machine = Machine(MachineConfig(ModelKind.STREAM_SORT, _DEFAULT_BUDGET))
-        container = sst.streamsort_st_best_k(ranks, k, machine=machine,
-                                             sigma=sigma, alphabet=alphabet)
-        size_bits = 8 * len(container)
-        model = "streamsort"
-    elif pipeline == "block-kth":
-        machine = Machine(MachineConfig(ModelKind.STANDARD, _DEFAULT_BUDGET), bytes(ranks))
-        plan = pl.BlockPlan.for_length(len(ranks), c, epsilon)
-        container = pl.block_encode(ranks, sigma, plan, machine=machine, alphabet=alphabet)
-        size_bits = 8 * len(container)
-        model = "standard"
-    elif pipeline == "kth-order":
-        machine = Machine(MachineConfig(ModelKind.STANDARD, _DEFAULT_BUDGET), bytes(ranks))
-        container = pl.encode_kth_order(ranks, sigma, k, alphabet, machine=machine)
-        size_bits = 8 * len(container)
-        model = "standard"
-    else:
-        raise _UsageError(f"unknown pipeline {pipeline}")
+    container, machine = entry.encode(ranks, sigma, alphabet, k, c, epsilon, new_machine)
     wall = time.perf_counter() - started
     led = machine.ledger()
     row = {
-        "pipeline": pipeline, "k": k, "c": c, "epsilon": epsilon, "model": model,
+        "pipeline": pipeline, "k": k, "c": c, "epsilon": epsilon, "model": entry.model.value,
         "n": len(ranks), "sigma": sigma,
-        "size_bits": size_bits, "passes": led.passes, "sort_passes": led.sort_passes,
+        "size_bits": 8 * len(container), "passes": led.passes, "sort_passes": led.sort_passes,
         "peak_mem_bits": led.peak_memory_bits, "wall_time": f"{wall:.6f}",
     }
     for kk in range(5):
@@ -401,7 +313,7 @@ def _bench_cell(data: bytes, pipeline: str, k: int, c: float, epsilon: float) ->
 def _cmd_bench(args) -> int:
     pipelines = args.pipelines.split(",")
     for name in pipelines:
-        if name not in _PIPELINES:
+        if name not in pl.PIPELINES:
             raise _UsageError(f"unknown pipeline {name}")
     try:
         files = sorted(
@@ -436,6 +348,13 @@ def _cmd_bench(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sbc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="compress a byte stream into a container")
     add_io(p)
-    p.add_argument("--pipeline", choices=sorted(_PIPELINES), default="bwt-dc-ac")
+    p.add_argument("--pipeline", choices=sorted(pl.PIPELINES), default="bwt-dc-ac")
     p.add_argument("--k", type=int, default=None,
                    help="context length (kth-order) or maximum context length (st-dc-ac)")
     p.add_argument("--c", type=float, default=0.5, help="memory exponent for block-kth")
     p.add_argument("--epsilon", type=float, default=0.25, help="redundancy exponent for block-kth")
-    p.add_argument("--memory-budget-bits", type=int, default=None)
-    p.add_argument("--model", choices=sorted(_MODELS), default=None,
+    p.add_argument("--memory-budget-bits", type=positive_int, default=None)
+    p.add_argument("--model", choices=sorted(m.value for m in ModelKind), default=None,
                    help="run the streaming variant on this machine model")
     p.add_argument("--sigma", type=int, default=None,
                    help="declare the alphabet size instead of inferring it")
@@ -481,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--algo", choices=["rw-bwt", "rw-unbwt", "rw-sa", "sort-chars", "sort-numbers"],
                    required=True)
-    p.add_argument("--memory-budget-bits", type=int, default=None)
+    p.add_argument("--memory-budget-bits", type=positive_int, default=None)
 
     p = sub.add_parser("adversary", help="emit covering-sequence powers or run the experiment")
     add_io(p, with_input=False)

@@ -27,9 +27,15 @@ _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
 
-def _charge(machine, bits: int) -> None:
-    if machine is not None:
+def _ceil_log2(x: int) -> int:
+    return (x - 1).bit_length() if x > 1 else 0
+
+
+def _charge(machine, bits: int) -> int:
+    """Charge bits to machine when there is one; returns bits for the release."""
+    if machine is not None and bits:
         machine.charge_memory(bits)
+    return bits
 
 
 class FreqModel:
@@ -228,7 +234,7 @@ class ContextModelBank:
         if model is None:
             model = FreqModel(self.sigma)
             self.models[ctx] = model
-            key_bits = self.k * max(1, (max(self.sigma, 2) - 1).bit_length())
+            key_bits = self.k * max(1, _ceil_log2(max(self.sigma, 2)))
             _charge(self.machine, model.state_bits() + key_bits)
         return model
 

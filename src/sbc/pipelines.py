@@ -22,12 +22,21 @@ doubles every time it is consumed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .coders import FreqModel, SymbolDecoder, SymbolEncoder, kth_order_decode, kth_order_encode
-from .machine import INPUT, Machine
+from .coders import (
+    FreqModel,
+    SymbolDecoder,
+    SymbolEncoder,
+    _ceil_log2,
+    _charge,
+    kth_order_decode,
+    kth_order_encode,
+)
+from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind
 from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, st
 
 
@@ -45,9 +54,6 @@ class PipelineId(enum.IntEnum):
 
 K_AUTO = 255
 MAGIC = b"SBC1"
-
-#: Pipelines with no decode procedure (the length-k sort is one-way).
-ENCODE_ONLY = frozenset({PipelineId.ST_DC_AC})
 
 
 def write_varint(value: int) -> bytes:
@@ -139,18 +145,18 @@ def parse_container(data: bytes) -> Tuple[ContainerHeader, bytes, bytes]:
     return header, alphabet, payload
 
 
-def _identity_alphabet(sigma: int) -> bytes:
-    return bytes(range(sigma))
+def _container(pipeline: PipelineId, sigma: int, k: int, n: int, payload: bytes,
+               alphabet: Optional[bytes], block_len: int = 0) -> bytes:
+    """Frame payload; a missing alphabet table means the identity ranks."""
+    header = ContainerHeader(pipeline, sigma, k, n, block_len, 8 * len(payload))
+    return build_container(header, alphabet or bytes(range(sigma)), payload)
 
 
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length() if x > 1 else 0
-
-
-def _charge(machine: Optional[Machine], bits: int) -> int:
-    if machine is not None and bits:
-        machine.charge_memory(bits)
-    return bits
+def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes]:
+    """The shortest payload_for(k) over k = 0..k_max; the smallest k wins ties."""
+    if not 0 <= k_max < K_AUTO:
+        raise ValueError("k_max must be in 0..254")
+    return min(((k, payload_for(k)) for k in range(k_max + 1)), key=lambda kp: len(kp[1]))
 
 
 def _release(machine: Optional[Machine], bits: int) -> None:
@@ -200,8 +206,6 @@ def _mtf_rle_ac_payload(symbols: Iterable[int], sigma_total: int, machine=None) 
 
 
 def _mtf_rle_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
-    if count == 0:
-        return []
     sym_model = FreqModel(sigma_total)
     run_model = FreqModel(2)
     dec = SymbolDecoder(payload)
@@ -237,26 +241,30 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
 # -- distance coding + adaptive payload ------------------------------------
 
 
-def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None) -> bytes:
+def _dc_ac_code(first: Iterable[Optional[int]], gaps: Iterable[int]) -> bytes:
     """First-occurrence table then per-run gaps, all delta-coded adaptively."""
-    n = len(body_shifted)
+    enc = SymbolEncoder()
     fo_model = FreqModel(2)
     gap_model = FreqModel(2)
+    for pos in first:
+        enc.put_delta(fo_model, 1 if pos is None else pos + 2)
+    for gap in gaps:
+        enc.put_delta(gap_model, gap + 1)
+    return enc.finish()
+
+
+def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None) -> bytes:
+    n = len(body_shifted)
     charged = _charge(
         machine,
-        fo_model.state_bits() + gap_model.state_bits()
+        2 * FreqModel(2).state_bits()  # the two models of _dc_ac_code
         + sigma_total * _ceil_log2(n + 2)  # last-occurrence register per symbol
         + 2 * _ceil_log2(n + 2) + 128,
     )
     stream = dc_encode(body_shifted, alphabet=range(sigma_total))
-    enc = SymbolEncoder()
-    for sym in range(sigma_total):
-        pos = stream.first_occurrence[sym]
-        enc.put_delta(fo_model, 1 if pos is None else pos + 2)
-    for gap in stream.gaps:
-        enc.put_delta(gap_model, gap + 1)
+    payload = _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)), stream.gaps)
     _release(machine, charged)
-    return enc.finish()
+    return payload
 
 
 def _dc_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
@@ -282,8 +290,6 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     tape, and replays them in forward order; constant passes, logarithmic
     memory.  Requires a read-write machine with at least one work tape.
     """
-    from .machine import REVERSE, WRITE, CapabilityError, ModelKind
-
     if machine.config.model is not ModelKind.READ_WRITE:
         raise CapabilityError("streaming distance coding needs the read-write model")
     if machine.config.work_tapes < 1:
@@ -317,17 +323,9 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
             nxt = next_start.get(run_sym)
             wp.write(write_varint(0 if nxt is None else nxt - run_end))
     # Replay reversed run records forward and code everything.
-    enc = SymbolEncoder()
-    fo_model = FreqModel(2)
-    gap_model = FreqModel(2)
-    for sym in range(sigma_total):
-        p = first[sym]
-        enc.put_delta(fo_model, 1 if p is None else p + 2)
     with machine.begin_pass("work0", direction=REVERSE) as rp:
-        for rec in rp.read_all():
-            gap, _ = read_varint(rec, 0)
-            enc.put_delta(gap_model, gap + 1)
-    payload = enc.finish()
+        payload = _dc_ac_code(map(first.get, range(sigma_total)),
+                              (read_varint(rec, 0)[0] for rec in rp.read_all()))
     _release(machine, charged)
     machine.write_output(payload)
     return payload
@@ -339,15 +337,13 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
 def encode_bwt_mtf_rle_ac(s: Sequence[int], sigma: int, alphabet: Optional[bytes] = None) -> bytes:
     body = bwt(s, sigma)
     payload = _mtf_rle_ac_payload((c + 1 for c in body), sigma + 1)
-    header = ContainerHeader(PipelineId.BWT_MTF_RLE_AC, sigma, K_AUTO, len(s), 0, 8 * len(payload))
-    return build_container(header, alphabet or _identity_alphabet(sigma), payload)
+    return _container(PipelineId.BWT_MTF_RLE_AC, sigma, K_AUTO, len(s), payload, alphabet)
 
 
 def encode_bwt_dc_ac(s: Sequence[int], sigma: int, alphabet: Optional[bytes] = None) -> bytes:
     body = bwt(s, sigma)
     payload = _dc_ac_payload([c + 1 for c in body], sigma + 1)
-    header = ContainerHeader(PipelineId.BWT_DC_AC, sigma, K_AUTO, len(s), 0, 8 * len(payload))
-    return build_container(header, alphabet or _identity_alphabet(sigma), payload)
+    return _container(PipelineId.BWT_DC_AC, sigma, K_AUTO, len(s), payload, alphabet)
 
 
 def encode_st_dc_ac(s: Sequence[int], sigma: int, k_max: int,
@@ -357,18 +353,9 @@ def encode_st_dc_ac(s: Sequence[int], sigma: int, k_max: int,
     Encode-only: the length-k sort has no known inverse in these models, so
     no decode procedure exists for this pipeline.
     """
-    if not 0 <= k_max < K_AUTO:
-        raise ValueError("k_max must be in 0..254")
-    best_payload = None
-    best_k = 0
-    for k in range(k_max + 1):
-        body = st(s, k, sigma)
-        payload = _dc_ac_payload([c + 1 for c in body], sigma + 1)
-        if best_payload is None or len(payload) < len(best_payload):
-            best_payload = payload
-            best_k = k
-    header = ContainerHeader(PipelineId.ST_DC_AC, sigma, best_k, len(s), 0, 8 * len(best_payload))
-    return build_container(header, alphabet or _identity_alphabet(sigma), best_payload)
+    best_k, payload = _best_k(k_max, lambda k: _dc_ac_payload([c + 1 for c in st(s, k, sigma)],
+                                                              sigma + 1))
+    return _container(PipelineId.ST_DC_AC, sigma, best_k, len(s), payload, alphabet)
 
 
 def encode_kth_order(s: Sequence[int], sigma: int, k: int,
@@ -380,10 +367,10 @@ def encode_kth_order(s: Sequence[int], sigma: int, k: int,
             raise ValueError("machine input does not match the string")
         with machine.begin_pass(INPUT) as p:
             payload = kth_order_encode([rec[0] for rec in p], sigma, k, machine)
+        machine.write_output(payload)
     else:
         payload = kth_order_encode(list(s), sigma, k)
-    header = ContainerHeader(PipelineId.KTH_ORDER, sigma, k, len(s), 0, 8 * len(payload))
-    return build_container(header, alphabet or _identity_alphabet(sigma), payload)
+    return _container(PipelineId.KTH_ORDER, sigma, k, len(s), payload, alphabet)
 
 
 # -- block scheme ------------------------------------------------------------
@@ -474,15 +461,12 @@ def block_encode(s: Sequence[int], sigma: int, plan: BlockPlan, known_n: bool = 
                 machine.write_output(frame)
     else:
         run(iter(s))
-    payload = b"".join(frames)
-    header = ContainerHeader(
-        PipelineId.BLOCK_KTH, sigma, K_AUTO, n,
-        plan.block_len if known_n else 0, 8 * len(payload),
-    )
-    return build_container(header, alphabet or _identity_alphabet(sigma), payload)
+    return _container(PipelineId.BLOCK_KTH, sigma, K_AUTO, n, b"".join(frames), alphabet,
+                      block_len=plan.block_len if known_n and n else 0)
 
 
-def _block_decode_payload(payload: bytes, n: int, sigma: int) -> List[int]:
+def _decode_block_kth(header: ContainerHeader, payload: bytes) -> List[int]:
+    n, sigma = header.n, header.sigma
     out: List[int] = []
     pos = 0
     while len(out) < n:
@@ -491,19 +475,101 @@ def _block_decode_payload(payload: bytes, n: int, sigma: int) -> List[int]:
         if pos + plen > len(payload):
             raise FormatError("truncated block frame")
         body = _dc_ac_decode(payload[pos:pos + plen], block_n + 1, sigma + 1)
+        block = bwt_inverse([c - 1 for c in body])
         pos += plen
-        try:
-            block = bwt_inverse([c - 1 for c in body])
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
         if len(block) != block_n:
             raise FormatError("block length mismatch")
         out.extend(block)
     if pos != len(payload):
         raise FormatError("trailing bytes after final block")
-    if len(out) != n:
-        raise FormatError("decoded length mismatch")
     return out
+
+
+# -- the pipeline table ---------------------------------------------------
+#
+# Entries reach the transforms and coders only through this module's
+# globals, looked up at call time, so patching them here traces every call.
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One compressor: its name, streaming machine, encoder and decoder.
+
+    ``encode(s, sigma, alphabet, k, c, epsilon, new_machine)`` returns
+    ``(container, machine)``: in memory when ``new_machine`` is None, else
+    on ``new_machine(input_tape)``, a machine of ``model`` with
+    ``work_tapes`` work tapes.  ``decode(header, payload)`` returns the
+    ranks; it is None for encode-only pipelines.
+    """
+
+    id: PipelineId
+    name: str
+    model: ModelKind
+    work_tapes: int
+    default_k: Callable[[int], int]  # input length -> k for ``sbc compress``; 255: none
+    encode: Callable[..., Tuple[bytes, Optional[Machine]]]
+    decode: Optional[Callable[[ContainerHeader, bytes], List[int]]]
+
+    def check_model(self, model: ModelKind) -> None:
+        if model is not self.model:
+            raise CapabilityError(f"{self.name} streams on the {self.model.value} model")
+
+
+def _run_bwt(pipeline, encode, encode_stream, s, sigma, alphabet, k, c, epsilon, new_machine):
+    """Encoder of a transform pipeline; its machine streams the host transform."""
+    if new_machine is None:
+        return encode(s, sigma, alphabet), None
+    machine = new_machine(bytes(x + 1 for x in bwt(s, sigma)))  # end marker 0
+    payload = encode_stream(machine, sigma)
+    return _container(pipeline, sigma, K_AUTO, len(s), payload, alphabet), machine
+
+
+def _run_st_dc_ac(s, sigma, alphabet, k, c, epsilon, new_machine):
+    if new_machine is None:
+        return encode_st_dc_ac(s, sigma, k, alphabet), None
+    from .stream_st import streamsort_st_best_k  # stream_st imports this module
+    machine = new_machine(b"")
+    return streamsort_st_best_k(s, k, machine=machine, sigma=sigma, alphabet=alphabet), machine
+
+
+def _run_block_kth(s, sigma, alphabet, k, c, epsilon, new_machine):
+    machine = new_machine(bytes(s)) if new_machine else None
+    plan = BlockPlan.for_length(len(s), c, epsilon)
+    return block_encode(s, sigma, plan, alphabet=alphabet, machine=machine), machine
+
+
+def _run_kth_order(s, sigma, alphabet, k, c, epsilon, new_machine):
+    machine = new_machine(bytes(s)) if new_machine else None
+    return encode_kth_order(s, sigma, k, alphabet, machine=machine), machine
+
+
+def _bwt_decode(decode_body, header: ContainerHeader, payload: bytes) -> List[int]:
+    return bwt_inverse([c - 1 for c in decode_body(payload, header.n + 1, header.sigma + 1)])
+
+
+def _decode_kth_order(header: ContainerHeader, payload: bytes) -> List[int]:
+    return kth_order_decode(payload, header.n, header.sigma, 0 if header.k == K_AUTO else header.k)
+
+
+#: The pipelines by CLI name.
+PIPELINES: Dict[str, Pipeline] = {p.name: p for p in (
+    Pipeline(PipelineId.BWT_MTF_RLE_AC, "bwt-mtf-rle-ac", ModelKind.STANDARD, 0,
+             lambda n: K_AUTO,
+             functools.partial(_run_bwt, PipelineId.BWT_MTF_RLE_AC, encode_bwt_mtf_rle_ac,
+                               mtf_rle_ac_encode_stream),
+             functools.partial(_bwt_decode, _mtf_rle_ac_decode)),
+    Pipeline(PipelineId.BWT_DC_AC, "bwt-dc-ac", ModelKind.READ_WRITE, 1, lambda n: K_AUTO,
+             functools.partial(_run_bwt, PipelineId.BWT_DC_AC, encode_bwt_dc_ac,
+                               dc_ac_encode_stream),
+             functools.partial(_bwt_decode, _dc_ac_decode)),
+    Pipeline(PipelineId.ST_DC_AC, "st-dc-ac", ModelKind.STREAM_SORT, 0,
+             lambda n: min(4, max(1, n).bit_length()), _run_st_dc_ac, None),
+    Pipeline(PipelineId.BLOCK_KTH, "block-kth", ModelKind.STANDARD, 0, lambda n: K_AUTO,
+             _run_block_kth, _decode_block_kth),
+    Pipeline(PipelineId.KTH_ORDER, "kth-order", ModelKind.STANDARD, 0, lambda n: 2,
+             _run_kth_order, _decode_kth_order),
+)}
+PIPELINES_BY_ID = {p.id: p for p in PIPELINES.values()}
 
 
 # -- decoding ----------------------------------------------------------------
@@ -512,26 +578,13 @@ def _block_decode_payload(payload: bytes, n: int, sigma: int) -> List[int]:
 def decode_container(data: bytes) -> Tuple[List[int], ContainerHeader, bytes]:
     """Decode any decodable container to (ranks, header, alphabet)."""
     header, alphabet, payload = parse_container(data)
-    sigma = header.sigma
-    n = header.n
-    if header.pipeline in ENCODE_ONLY:
+    decode = PIPELINES_BY_ID[header.pipeline].decode
+    if decode is None:
         raise FormatError(f"pipeline {header.pipeline.name} is encode-only")
     try:
-        if header.pipeline is PipelineId.BWT_MTF_RLE_AC:
-            body = _mtf_rle_ac_decode(payload, n + 1, sigma + 1)
-            ranks = bwt_inverse([c - 1 for c in body])
-        elif header.pipeline is PipelineId.BWT_DC_AC:
-            body = _dc_ac_decode(payload, n + 1, sigma + 1)
-            ranks = bwt_inverse([c - 1 for c in body])
-        elif header.pipeline is PipelineId.BLOCK_KTH:
-            ranks = _block_decode_payload(payload, n, sigma)
-        elif header.pipeline is PipelineId.KTH_ORDER:
-            k = 0 if header.k == K_AUTO else header.k
-            ranks = kth_order_decode(payload, n, sigma, k)
-        else:  # pragma: no cover - parse_header rejects unknown ids
-            raise FormatError(f"unknown pipeline {header.pipeline}")
+        ranks = decode(header, payload)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    if len(ranks) != n:
+    if len(ranks) != header.n:
         raise FormatError("decoded length mismatch")
     return ranks, header, alphabet

@@ -17,8 +17,10 @@ logarithmic register) to seed the tracker.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from .coders import _ceil_log2
 from .machine import (
     INPUT,
     REWRITE,
@@ -27,15 +29,7 @@ from .machine import (
     MachineConfig,
     ModelKind,
 )
-from .pipelines import (
-    ContainerHeader,
-    PipelineId,
-    _dc_ac_payload,
-    _identity_alphabet,
-    build_container,
-)
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length() if x > 1 else 0
+from .pipelines import PipelineId, _best_k, _container, _dc_ac_payload
 
 
 def default_streamsort_machine(input_data: bytes = b"", budget_bits: Optional[int] = None) -> Machine:
@@ -150,16 +144,10 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     s = list(s)
     if sigma is None:
         sigma = (max(s) + 1) if s else 1
-    best_payload = None
-    best_k = 0
-    for k in range(k_max + 1):
+
+    def payload_for(k: int) -> bytes:
         if machine is not None:
-            child_cfg = MachineConfig(
-                ModelKind.STREAM_SORT,
-                memory_budget_bits=machine.config.memory_budget_bits,
-                expansion_factor=machine.config.expansion_factor,
-                sort_pass_cost=machine.config.sort_pass_cost,
-            )
+            child_cfg = replace(machine.config, model=ModelKind.STREAM_SORT, work_tapes=0)
             child = Machine(child_cfg, bytes(s))
         else:
             child = default_streamsort_machine(bytes(s))
@@ -174,10 +162,9 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
             machine._ledger.per_pass_tape_bits.extend(ledger.per_pass_tape_bits)
             machine.charge_memory(ledger.peak_memory_bits)
             machine.release_memory(ledger.peak_memory_bits)
-        if best_payload is None or len(payload) < len(best_payload):
-            best_payload = payload
-            best_k = k
-    header = ContainerHeader(PipelineId.ST_DC_AC, sigma, best_k, len(s), 0, 8 * len(best_payload))
+        return payload
+
+    best_k, payload = _best_k(k_max, payload_for)
     if machine is not None:
-        machine.write_output(best_payload)
-    return build_container(header, alphabet or _identity_alphabet(sigma), best_payload)
+        machine.write_output(payload)
+    return _container(PipelineId.ST_DC_AC, sigma, best_k, len(s), payload, alphabet)

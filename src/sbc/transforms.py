@@ -121,12 +121,6 @@ def st(s: Sequence[int], k: int, sigma: Optional[int] = None) -> List[int]:
 # -- move-to-front -------------------------------------------------------
 
 
-def default_mtf_list(sigma: int, with_sentinel: bool = True) -> List[int]:
-    """Alphabet in increasing rank order, sentinel first when present."""
-    table = list(range(sigma))
-    return ([SENTINEL] + table) if with_sentinel else table
-
-
 def mtf_encode(seq: Iterable, table: Sequence) -> List[int]:
     table = list(table)
     out = []

@@ -3,6 +3,25 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from sbc.cli import build_parser, main
+from sbc.pipelines import (
+    PIPELINES,
+    BlockPlan,
+    FormatError,
+    PipelineId,
+    block_encode,
+    decode_container,
+    encode_bwt_dc_ac,
+    encode_bwt_mtf_rle_ac,
+    encode_kth_order,
+    encode_st_dc_ac,
+    parse_container,
+)
+
+CORPUS = os.path.join(os.path.dirname(__file__), "fixtures", "corpus")
+MODELS = ("standard", "multipass", "wstreams", "streamsort", "readwrite")
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
@@ -34,6 +53,8 @@ def test_compress_json_ledger_on_stderr():
     assert report["passes"] == 1
     assert report["pipeline"] == "kth-order"
     assert report["size_bits"] == 8 * len(comp.stdout)
+    _, _, payload = parse_container(comp.stdout)
+    assert report["total_output_bits"] == 8 * len(payload)
 
 
 def test_exit_codes_end_to_end():
@@ -75,6 +96,63 @@ def test_declared_sigma():
 def test_model_pipeline_mismatch_is_usage_error():
     out = run_cli(["compress", "--pipeline", "bwt-mtf-rle-ac", "--model", "streamsort"], b"abc")
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["compress", "--pipeline", "kth-order", "--model", "standard"],
+    ["simulate", "--algo", "rw-bwt"],
+])
+def test_memory_budget_must_be_positive(argv, budget):
+    out = run_cli([*argv, "--memory-budget-bits", budget], b"hello")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == b""
+
+
+# The library encoder each pipeline must match, with the CLI's defaults.
+LIBRARY = {
+    "bwt-mtf-rle-ac": encode_bwt_mtf_rle_ac,
+    "bwt-dc-ac": encode_bwt_dc_ac,
+    "st-dc-ac": lambda s, sigma, alphabet: encode_st_dc_ac(
+        s, sigma, min(4, max(1, len(s)).bit_length()), alphabet),
+    "block-kth": lambda s, sigma, alphabet: block_encode(
+        s, sigma, BlockPlan.for_length(len(s), 0.5, 0.25), alphabet=alphabet),
+    "kth-order": lambda s, sigma, alphabet: encode_kth_order(s, sigma, 2, alphabet),
+}
+
+
+def test_pipeline_table_is_complete():
+    assert sorted(p.id for p in PIPELINES.values()) == sorted(PipelineId)
+    assert sorted(PIPELINES) == sorted(LIBRARY)
+    command = next(a for a in build_parser()._actions if a.dest == "command")
+    compress = command.choices["compress"]
+    choices = next(a for a in compress._actions if a.dest == "pipeline").choices
+    assert sorted(choices) == sorted(PIPELINES)
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_pipeline_model_matches_library(name, tmp_path):
+    entry = PIPELINES[name]
+    inputs = [open(os.path.join(CORPUS, f), "rb").read() for f in sorted(os.listdir(CORPUS))]
+    src, plain, streamed = tmp_path / "in", tmp_path / "plain", tmp_path / "streamed"
+    for data in inputs + [b"", b"x"]:
+        src.write_bytes(data)
+        assert main(["compress", "--pipeline", name, str(src), "-o", str(plain)]) == 0
+        assert main(["compress", "--pipeline", name, "--model", entry.model.value,
+                     str(src), "-o", str(streamed)]) == 0
+        alphabet = bytes(sorted(set(data)))
+        ranks = [alphabet.index(b) for b in data]
+        container = LIBRARY[name](ranks, len(alphabet), alphabet)
+        assert plain.read_bytes() == streamed.read_bytes() == container
+        if entry.decode is None:
+            with pytest.raises(FormatError):
+                decode_container(container)
+        else:
+            assert decode_container(container)[0] == ranks
+    for model in MODELS:
+        if model != entry.model.value:
+            assert main(["compress", "--pipeline", name, "--model", model,
+                         str(src), "-o", str(streamed)]) == 1
 
 
 def test_st_pipeline_is_encode_only():
@@ -237,3 +315,14 @@ def test_output_file_atomicity(tmp_path):
     bad = run_cli(["decompress", "-o", str(target)], b"garbage")
     assert bad.returncode == 2
     assert not target.exists()
+    # A failed replace removes its temporary file.
+    (tmp_path / "outdir").mkdir()
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(["compress", "-o", str(tmp_path / "outdir")], b"abc").returncode == 2
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(tmp_path / "outdir") == []
+    # An existing file named like a temporary is left alone.
+    (tmp_path / "out.bin.tmp").write_bytes(b"keep")
+    assert run_cli(["compress", "-o", str(target)], b"abc").returncode == 0
+    assert (tmp_path / "out.bin.tmp").read_bytes() == b"keep"
+    assert sorted(os.listdir(tmp_path)) == ["out.bin", "out.bin.tmp", "outdir"]

@@ -90,7 +90,10 @@ def test_best_k_is_min_over_candidates():
     container = streamsort_st_best_k(s, 3, sigma=2)
     header, _, payload = parse_container(container)
     assert len(payload) == min(per_k.values())
-    assert per_k[header.k] == min(per_k.values())
+    assert header.k == min(k for k in per_k if per_k[k] == len(payload))  # ties: smallest k
+    for k_max in (-1, 255):
+        with pytest.raises(ValueError):
+            streamsort_st_best_k(s, k_max, sigma=2)
 
 
 def test_best_k_picks_context_on_markov_source():
