@@ -355,6 +355,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sbc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="raw transforms on byte streams")
     add_io(p)
     p.add_argument("--op", choices=["bwt", "unbwt", "st", "mtf", "dc"], required=True)
-    p.add_argument("--k", type=int, default=None, help="context length for st")
+    p.add_argument("--k", type=non_negative_int, default=None, help="context length for st")
 
     p = sub.add_parser("simulate", help="run a tape-machine algorithm")
     add_io(p)

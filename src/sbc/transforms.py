@@ -10,13 +10,18 @@ outputs carry it inline.  The transform sorts the n+1 characters of
 s+sentinel by the rank of their *backward* context: the character at
 position i precedes the one at position j when the cyclic string read
 backwards from i-1 is lexicographically smaller than the one read
-backwards from j-1 (indices mod n+1).  The length-k variant compares only
-the k nearest context characters, breaking ties by original position.
+backwards from j-1 (indices mod n+1).  That order is the suffix order of
+reversed(s)+terminator, since the sentinel ends every comparison; one
+linear-time suffix sorter computes it, and sorts the suffixes of a doubled
+sequence for the cyclic order of :func:`cyclic_context_order`.  The
+length-k variant compares only the k nearest context characters, breaking
+ties by original position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence
 
 SENTINEL = -1
@@ -30,52 +35,115 @@ def _validate_ranks(s: Sequence[int], sigma: Optional[int]) -> None:
             raise ValueError(f"symbol {c!r} out of alphabet")
 
 
+def _suffix_array(w: Sequence[int], upper: int) -> List[int]:
+    """Start positions of the suffixes of ``w`` in sorted order (SA-IS).
+
+    Symbols are integers in 0..upper.  A suffix that is a prefix of another
+    sorts first, as ``w[i:]`` slices compare.  Linear time by induced
+    sorting (Nong, Zhang & Chan, DCC 2009): the LMS suffixes (smaller than
+    their successor, larger than their predecessor) are sorted first, by
+    recursion on the string of their substrings' names when those repeat,
+    and every other suffix is induced from them in two scans.
+    """
+    n = len(w)
+    if n < 2:
+        return list(range(n))
+    # stype[i]: suffix i is smaller than suffix i+1.  The last suffix is not,
+    # since the empty suffix after it is smaller than everything.
+    stype = [False] * n
+    for i in range(n - 2, -1, -1):
+        a, b = w[i], w[i + 1]
+        stype[i] = a < b or (a == b and stype[i + 1])
+    count = [0] * (upper + 2)
+    for c in w:
+        count[c + 1] += 1
+    head = list(accumulate(count))  # bucket of symbol c is head[c]:head[c + 1]
+    lms = [i for i in range(1, n) if stype[i] and not stype[i - 1]]
+
+    def induce(lms_order: List[int]) -> List[int]:
+        sa = [-1] * n
+        tail = head[1:]
+        for p in reversed(lms_order):
+            c = w[p]
+            tail[c] -= 1
+            sa[tail[c]] = p
+        # Left to right: each suffix places its L-type predecessor at the
+        # front of that one's bucket.  The iterator sees slots filled ahead.
+        front = head[:]
+        c = w[n - 1]
+        sa[front[c]] = n - 1
+        front[c] += 1
+        for p in sa:
+            if p > 0 and not stype[p - 1]:
+                c = w[p - 1]
+                sa[front[c]] = p - 1
+                front[c] += 1
+        # Right to left: S-type predecessors fill buckets from the back, over
+        # the LMS placements.
+        tail = head[1:]
+        for p in reversed(sa):
+            if p > 0 and stype[p - 1]:
+                c = w[p - 1]
+                tail[c] -= 1
+                sa[tail[c]] = p - 1
+        return sa
+
+    # An LMS substring runs to the next LMS position inclusive; the last one
+    # runs off the end, so it holds the empty suffix and equals no other.
+    end = dict(zip(lms, lms[1:] + [n]))
+    sorted_lms = [p for p in induce(lms) if p in end]
+    name: Dict[int, int] = {}
+    names = 0
+    prev = None
+    for p in sorted_lms:
+        sub = w[p:end[p] + 1] if end[p] < n else None
+        if sub is None or sub != prev:
+            names += 1
+        name[p] = names - 1
+        prev = sub
+    lms_order = sorted_lms
+    if names < len(lms):
+        lms_order = [lms[j] for j in _suffix_array([name[p] for p in lms], names - 1)]
+    return induce(lms_order)
+
+
 def cyclic_context_order(seq: Sequence, backward: bool = True) -> List[int]:
-    """Positions of ``seq`` sorted by cyclic context, via rank doubling.
+    """Positions of ``seq`` sorted by cyclic context, via suffix sorting.
 
     With ``backward=True`` the context of position i is the cyclic read
     seq[i-1], seq[i-2], ...; otherwise seq[i+1], seq[i+2], ....  Symbols
     only need to be mutually comparable.  Raises if two rotations are
     identical (the order would not be total).
+
+    The symbols are ranked from 1 and, for backward contexts, reversed, so
+    that every context is a rotation of the ranked sequence w.  The first m
+    suffixes of w+w+[0] sort as those rotations do when they are distinct:
+    rotation j is the context of position m-j (backward) or j-1 (forward).
     """
     m = len(seq)
     if m == 0:
         return []
-    if m == 1:
-        return [0]
-
-    def rerank(keys):
-        order = sorted(range(m), key=keys.__getitem__)
-        rank = [0] * m
-        top = 0
-        rank[order[0]] = 0
-        for prev, cur in zip(order, order[1:]):
-            if keys[cur] != keys[prev]:
-                top += 1
-            rank[cur] = top
-        return order, rank, top
-
-    uniq = {v: i for i, v in enumerate(sorted(set(seq)))}
-    step = -1 if backward else 1
-    order, rank, top = rerank([uniq[seq[(i + step) % m]] for i in range(m)])
-    length = 1
-    while top < m - 1:
-        if length >= m:
-            raise ValueError("rotations are not all distinct")
-        shift = step * length
-        keys = [(rank[i], rank[(i + shift) % m]) for i in range(m)]
-        order, rank, top = rerank(keys)
-        length <<= 1
-    return order
+    rank = {v: r for r, v in enumerate(sorted(set(seq)), 1)}
+    w = [rank[v] for v in (reversed(seq) if backward else seq)]
+    t = "".join(map(chr, w))
+    if (t + t).find(t, 1) != m:
+        raise ValueError("rotations are not all distinct")
+    sa = _suffix_array(w + w + [0], len(rank))
+    if backward:
+        return [(m - j) % m for j in sa if j < m]
+    return [(j - 1) % m for j in sa if j < m]
 
 
 def bwt(s: Sequence[int], sigma: Optional[int] = None) -> List[int]:
     """Backward-context transform of s+sentinel; a permutation of it."""
     s = list(s)
     _validate_ranks(s, sigma)
-    extended = s + [SENTINEL]
-    order = cyclic_context_order(extended, backward=True)
-    return [extended[i] for i in order]
+    # The backward context of position i of s+sentinel is suffix n-i of
+    # w = reversed(s)+terminator, and the character at i is the one before
+    # that suffix, w[n-i-1] - 1 (cyclically: the terminator for suffix 0).
+    w = [c + 1 for c in reversed(s)]
+    w.append(0)
+    return [w[j - 1] - 1 for j in _suffix_array(w, max(w))]
 
 
 def bwt_inverse(t: Sequence[int]) -> List[int]:
@@ -90,7 +158,7 @@ def bwt_inverse(t: Sequence[int]) -> List[int]:
     m = len(t)
     if t.count(SENTINEL) != 1:
         raise ValueError("expected exactly one sentinel")
-    order = sorted(range(m), key=lambda i: t[i])
+    order = sorted(range(m), key=t.__getitem__)
     start = t.index(SENTINEL)
     row = start
     chars: List[int] = []

@@ -62,6 +62,49 @@ def oracle_bwt(s):
     return [extended[i] for i in oracle_backward_sort(extended)]
 
 
+def doubling_context_order(seq, backward=True):
+    """Positions sorted by cyclic context, by prefix doubling with tuple keys.
+
+    The rank-doubling sort the library used before it sorted suffixes:
+    O(m log^2 m), so it checks the library at sizes the definition oracles
+    cannot reach.
+    """
+    m = len(seq)
+    if m == 0:
+        return []
+    if m == 1:
+        return [0]
+
+    def rerank(keys):
+        order = sorted(range(m), key=keys.__getitem__)
+        rank = [0] * m
+        top = 0
+        rank[order[0]] = 0
+        for prev, cur in zip(order, order[1:]):
+            if keys[cur] != keys[prev]:
+                top += 1
+            rank[cur] = top
+        return order, rank, top
+
+    uniq = {v: i for i, v in enumerate(sorted(set(seq)))}
+    step = -1 if backward else 1
+    order, rank, top = rerank([uniq[seq[(i + step) % m]] for i in range(m)])
+    length = 1
+    while top < m - 1:
+        if length >= m:
+            raise ValueError("rotations are not all distinct")
+        shift = step * length
+        keys = [(rank[i], rank[(i + shift) % m]) for i in range(m)]
+        order, rank, top = rerank(keys)
+        length <<= 1
+    return order
+
+
+def doubling_bwt(s):
+    extended = list(s) + [-1]
+    return [extended[i] for i in doubling_context_order(extended)]
+
+
 def oracle_st(s, k):
     extended = list(s) + [-1]
     m = len(extended)

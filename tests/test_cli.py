@@ -209,6 +209,12 @@ def test_transform_st_and_dc_produce_output():
     assert out.returncode == 0 and len(out.stdout) > 0
 
 
+def test_transform_negative_k_is_usage_error():
+    out = run_cli(["transform", "--op", "st", "--k", "-1"], b"mississippi")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == b""
+
+
 def test_simulate_rw_sa():
     out = run_cli(["simulate", "--algo", "rw-sa"], b"ab")
     assert out.returncode == 0

@@ -3,13 +3,24 @@ from itertools import product
 
 import pytest
 
-from conftest import oracle_bwt, oracle_st, ranks_of, render
+from conftest import (
+    doubling_bwt,
+    doubling_context_order,
+    oracle_bwt,
+    oracle_st,
+    ranks_of,
+    render,
+)
+from sbc import transforms
+from sbc.adversary import db_power, de_bruijn
 from sbc.entropy import h0
 from sbc.transforms import (
     SENTINEL,
     DcStream,
+    _suffix_array,
     bwt,
     bwt_inverse,
+    cyclic_context_order,
     dc_decode,
     dc_encode,
     elias_delta_decode,
@@ -46,6 +57,93 @@ def test_bwt_matches_definition_exhaustively():
             out = bwt(s)
             assert sorted(out) == sorted(s + [SENTINEL])  # permutation
             assert out == oracle_bwt(s)
+
+
+def fibonacci_word(n):
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def thue_morse_word(n):
+    return [bin(i).count("1") & 1 for i in range(n)]
+
+
+def test_suffix_array_matches_slice_sort():
+    rng = random.Random(8)
+    for _ in range(3000):
+        w = [rng.randrange(rng.choice([1, 2, 3, 5])) for _ in range(rng.randrange(0, 16))]
+        assert _suffix_array(w, max(w, default=0)) == sorted(range(len(w)), key=lambda i: w[i:])
+
+
+def test_bwt_matches_definition_up_to_300():
+    rng = random.Random(9)
+    for n in list(range(0, 12)) + [rng.randrange(12, 301) for _ in range(20)] + [300]:
+        s = [rng.randrange(rng.choice([1, 2, 3, 52])) for _ in range(n)]
+        assert bwt(s) == oracle_bwt(s)
+
+
+def test_bwt_matches_doubling_on_random_inputs():
+    rng = random.Random(10)
+    for sigma in (1, 2, 3, 52, 254):
+        for n in [rng.randrange(0, 4097) for _ in range(3)] + [4096]:
+            s = [rng.randrange(sigma) for _ in range(n)]
+            assert bwt(s) == doubling_bwt(s)
+
+
+def test_bwt_matches_doubling_on_repetitive_inputs(monkeypatch):
+    inner = transforms._suffix_array
+    depth = [0, 0]  # current, deepest
+
+    def counted(w, upper):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return inner(w, upper)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(transforms, "_suffix_array", counted)
+    for n in (1, 2, 7, 64, 1000):
+        assert bwt([0] * n) == doubling_bwt([0] * n)
+    for sigma, k, power in ((2, 6, 8), (3, 4, 5), (4, 3, 2)):
+        s = db_power(de_bruijn(sigma, k), power)
+        assert bwt(s) == doubling_bwt(s)
+    for word in (fibonacci_word, thue_morse_word):
+        for n in (100, 4096):
+            depth[1] = 0
+            s = word(n)
+            assert bwt(s) == doubling_bwt(s)
+            assert depth[1] >= 3  # the sorter recursed at least two levels
+
+
+def test_cyclic_context_order_matches_doubling():
+    rng = random.Random(11)
+    for _ in range(40):
+        s = [rng.randrange(rng.choice([2, 3, 52])) for _ in range(rng.randrange(1, 200))]
+        ext = [SENTINEL] + s
+        # The pair alphabet of sort_chars_via_bwt: tuples, no rank table.
+        pairs = [(ext[(j + 1) % len(ext)], ext[j]) for j in range(len(ext))]
+        # No unique symbol: the string and its mirror image.
+        for seq in (pairs, s + s[::-1]):
+            for backward in (True, False):
+                try:
+                    expected = doubling_context_order(seq, backward)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        cyclic_context_order(seq, backward)
+                    continue
+                assert cyclic_context_order(seq, backward) == expected
+
+
+def test_cyclic_context_order_edge_cases():
+    for backward in (True, False):
+        assert cyclic_context_order([], backward) == []
+        assert cyclic_context_order(["x"], backward) == [0]
+        for power in ([0, 1, 0, 1], [2, 2], [(1, 2)] * 3):
+            with pytest.raises(ValueError, match="rotations are not all distinct"):
+                cyclic_context_order(power, backward)
 
 
 def test_bwt_inverse_mississippi():
