@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 
@@ -123,13 +124,30 @@ class MachineLedger:
 
 
 class Tape:
-    __slots__ = ("records",)
+    """A list of byte-string records that keeps its size in bytes as it changes.
+
+    Assigning ``records`` recounts the size; pass closes and
+    :meth:`Machine.write_output` update it by the bytes they move, so
+    :meth:`bits` never recounts.  Changing the list in place other than by
+    reordering it leaves the count stale.
+    """
+
+    __slots__ = ("_records", "_nbytes")
 
     def __init__(self, records: Optional[Sequence[bytes]] = None):
-        self.records: list = list(records) if records else []
+        self.records = list(records) if records else []
+
+    @property
+    def records(self) -> list:
+        return self._records
+
+    @records.setter
+    def records(self, records: list) -> None:
+        self._records = records
+        self._nbytes = sum(map(len, records))
 
     def bits(self) -> int:
-        return 8 * sum(map(len, self.records))
+        return 8 * self._nbytes
 
 
 class TapePass:
@@ -151,12 +169,12 @@ class TapePass:
         self.direction = direction
         self.mode = mode
         self.index = index
-        records = machine.tapes[tape_id].records
-        self._pos = 0 if direction == FORWARD else len(records) - 1
+        tape = machine.tapes[tape_id]
+        self._pos = 0 if direction == FORWARD else len(tape.records) - 1
         self._writes: list = []
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bits_before = machine.tapes[tape_id].bits()
+        self._bits_before = tape.bits()
         self._max_rec_bits = 0
         self.closed = False
 
@@ -183,14 +201,17 @@ class TapePass:
         """Sweep the head to the end, returning the remaining records."""
         if self.mode == WRITE:
             raise MachineError("write pass cannot read")
-        records = self.machine.tapes[self.tape_id].records
+        tape = self.machine.tapes[self.tape_id]
+        records = tape.records
         if self.direction == FORWARD:
+            whole = self._pos == 0
             out = records[self._pos:]
             self._pos = len(records)
         else:
+            whole = self._pos == len(records) - 1
             out = records[self._pos::-1] if self._pos >= 0 else []
             self._pos = -1
-        self._bytes_read += sum(map(len, out))
+        self._bytes_read += tape._nbytes if whole else sum(map(len, out))
         return out
 
     def __iter__(self) -> Iterator[bytes]:
@@ -221,6 +242,22 @@ class TapePass:
         if biggest > self._max_rec_bits:
             self._max_rec_bits = biggest
 
+    def _sweep(self, nbytes: int, records: Optional[list] = None) -> None:
+        """Move the head over ``nbytes`` bytes that the host computed itself.
+
+        Only :func:`tape_merge_sort` sweeps this way: a read pass counts the
+        bytes as read; a write pass counts them as written and leaves
+        ``records`` on the tape, charged at ``nbytes`` bytes.  Without
+        ``records`` it leaves no records but the exact size, for the sort's
+        levels before the last.
+        """
+        if self.mode == READ:
+            self._bytes_read += nbytes
+        else:
+            self._bytes_written += nbytes
+            if records is not None:
+                self._writes = records
+
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
@@ -229,23 +266,26 @@ class TapePass:
         self.closed = True
         machine = self.machine
         tape = machine.tapes[self.tape_id]
-        if self.mode in (WRITE, REWRITE):
-            if self.mode == REWRITE and machine.config.model in (
-                ModelKind.W_STREAMS,
-                ModelKind.STREAM_SORT,
-            ):
-                out_bits = 8 * self._bytes_written
-                allowed = (
-                    math.ceil(machine.config.expansion_factor * self._bits_before)
-                    + self._max_rec_bits
-                )
-                if out_bits > allowed:
-                    raise ExpansionError(
-                        f"rewrite pass wrote {out_bits} bits from {self._bits_before}; "
-                        f"allowed {allowed} at factor {machine.config.expansion_factor}"
-                    )
-            tape.records = self._writes
         del machine._open[self.tape_id]
+        rejected = None
+        if self.mode == REWRITE and machine.config.model in (
+            ModelKind.W_STREAMS,
+            ModelKind.STREAM_SORT,
+        ):
+            out_bits = 8 * self._bytes_written
+            allowed = (
+                math.ceil(machine.config.expansion_factor * self._bits_before)
+                + self._max_rec_bits
+            )
+            if out_bits > allowed:
+                # The pass still counts and closes; the tape keeps its records.
+                rejected = ExpansionError(
+                    f"rewrite pass wrote {out_bits} bits from {self._bits_before}; "
+                    f"allowed {allowed} at factor {machine.config.expansion_factor}"
+                )
+        if self.mode != READ and rejected is None:
+            tape._records = self._writes
+            tape._nbytes = self._bytes_written
         machine._ledger.per_pass_tape_bits.append(tape.bits())
         if machine.trace is not None:
             machine.trace(
@@ -253,6 +293,8 @@ class TapePass:
                 f"bytes_in={self._bytes_read} bytes_out={self._bytes_written} "
                 f"mem_peak={machine._ledger.peak_memory_bits}"
             )
+        if rejected is not None:
+            raise rejected
 
     def __enter__(self) -> "TapePass":
         return self
@@ -314,7 +356,9 @@ class Machine:
             raise CapabilityError(f"model {model.value} cannot rewrite tapes")
 
     def write_output(self, rec: bytes) -> None:
-        self.tapes[OUTPUT].records.append(rec)
+        tape = self.tapes[OUTPUT]
+        tape.records.append(rec)
+        tape._nbytes += len(rec)
         self._ledger.total_output_bits += 8 * len(rec)
 
     def sort_pass(self, key: Callable[[bytes], object], stable: bool = True) -> None:
@@ -327,11 +371,12 @@ class Machine:
         tape.records.sort(key=key)  # list.sort is stable; unstable requests get stability for free
         self._ledger.sort_passes += 1
         self._ledger.passes += self.config.sort_pass_cost
-        self._ledger.per_pass_tape_bits.append(tape.bits())
+        bits = tape.bits()
+        self._ledger.per_pass_tape_bits.append(bits)
         if self.trace is not None:
             self.trace(
                 f"pass={self._ledger.passes} tape={INPUT} dir={FORWARD} "
-                f"bytes_in={tape.bits() // 8} bytes_out={tape.bits() // 8} "
+                f"bytes_in={bits // 8} bytes_out={bits // 8} "
                 f"mem_peak={self._ledger.peak_memory_bits}"
             )
 
@@ -367,61 +412,55 @@ def new_machine(config: MachineConfig, input_data: bytes = b"") -> Machine:
     return Machine(config, input_data)
 
 
-def _merge_runs(a: list, b: list, key) -> list:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    ka = key(a[0])
-    kb = key(b[0])
-    la, lb = len(a), len(b)
-    while True:
-        if ka <= kb:  # ties from the earlier run keep the merge stable
-            out.append(a[i])
-            i += 1
-            if i == la:
-                out.extend(b[j:])
-                return out
-            ka = key(a[i])
-        else:
-            out.append(b[j])
-            j += 1
-            if j == lb:
-                out.extend(a[i:])
-                return out
-            kb = key(b[j])
-
-
 def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch_b: str) -> None:
     """Stable bottom-up two-way merge sort of one tape (read-write model).
 
-    Runs are distributed alternately onto the two scratch tapes and merged
-    back, doubling the run length each level: ceil(log2 r) levels at six
-    head sweeps per level.  Scratch tape contents are destroyed.
+    The ledger charges the balanced two-way tape merge exactly: runs of
+    length r = 1, 2, 4, ... are distributed alternately onto the two scratch
+    tapes and merged back, ceil(log2 n) levels at six head sweeps per level,
+    each opened by :meth:`Machine.begin_pass` with its per-pass tape bits
+    and trace line.  The host does not move records run by run.  After the
+    level of run length r the tape holds each 2r-record chunk of the
+    original tape stably sorted, so every sweep's byte count follows from
+    chunk membership, and one stable ``sorted`` gives the tapes: afterwards
+    ``tape_id`` holds ``sorted(records, key=key)`` and, with r the largest
+    power of two below n, the scratch tapes hold ``sorted(records[:r])``
+    and ``sorted(records[r:])``, exactly as the record-by-record merge
+    (kept in the tests as the oracle) leaves them.  Keys must be totally
+    ordered.  Passes, trace lines and the tapes after the sort are the
+    contract; tape contents while it runs are not.
     """
-    n = len(machine.tapes[tape_id].records)
+    records = machine.tapes[tape_id].records
+    n = len(records)
     if n <= 1:
         return
+    keys = list(map(key, records))
+    order = sorted(range(n), key=keys.__getitem__)  # stable: ties keep tape order
+    last = 1 << ((n - 1).bit_length() - 1)
+    pick = records.__getitem__
+    prefix = list(accumulate(map(len, records), initial=0))
+    total = prefix[n]
     run = 1
     while run < n:
+        # Byte offsets of the run-record chunks; scratch_a takes the even ones.
+        bounds = prefix[::run]
+        if n % run:
+            bounds.append(total)
+        a_bytes = sum(bounds[1::2]) - sum(bounds[0:-1:2])
+        b_bytes = total - a_bytes
+        # Records move at the last level only: the scratch tapes take the two
+        # runs split at `last`, the tape takes their merge.
+        final = run == last
         with machine.begin_pass(tape_id) as src, \
                 machine.begin_pass(scratch_a, mode=WRITE) as wa, \
                 machine.begin_pass(scratch_b, mode=WRITE) as wb:
-            records = src.read_all()
-            outs = (wa, wb)
-            for idx, start in enumerate(range(0, n, run)):
-                outs[idx & 1].write_many(records[start:start + run])
+            src._sweep(total)
+            wa._sweep(a_bytes, list(map(pick, filter(last.__gt__, order))) if final else None)
+            wb._sweep(b_bytes, list(map(pick, filter(last.__le__, order))) if final else None)
         with machine.begin_pass(scratch_a) as ra, \
                 machine.begin_pass(scratch_b) as rb, \
                 machine.begin_pass(tape_id, mode=WRITE) as out:
-            a = ra.read_all()
-            b = rb.read_all()
-            merged = []
-            pos = 0
-            while pos < len(a) or pos < len(b):
-                merged.extend(_merge_runs(a[pos:pos + run], b[pos:pos + run], key))
-                pos += run
-            out.write_many(merged)
+            ra._sweep(a_bytes)
+            rb._sweep(b_bytes)
+            out._sweep(total, list(map(pick, order)) if final else None)
         run <<= 1

@@ -18,8 +18,13 @@ copy/sort/zip machinery: an unknown left position is one less than a known
 right position.  When every position is known, sorting by position and
 projecting the left characters recovers the string.
 
-All tape sorting is the bottom-up merge sort from :mod:`sbc.machine`, so
-every round costs O(log n) head sweeps and the whole run O(log^2 n).
+All tape sorting is :func:`sbc.machine.tape_merge_sort`, whose ledger
+charges exactly the six sweeps per level of the bottom-up two-way merge
+sort, so every round costs O(log n) head sweeps and the whole run
+O(log^2 n).  The host computes the sorted tapes with one stable sort; the
+record-by-record merge is the test oracle.  Tape contents in the middle of
+a sort are not part of the contract; the passes, trace lines and tapes
+after it are.
 Records are fixed-width byte strings (32-bit identifiers realize the
 O(log n) fields), so byte-wise comparison equals field-wise comparison.
 """

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from sbc.machine import WRITE
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS_DIR = os.path.join(FIXTURES, "corpus")
 
@@ -112,3 +114,63 @@ def oracle_st(s, k):
         return tuple(extended[(i - 1 - j) % m] for j in range(k))
     order = sorted(range(m), key=lambda i: (context(i), i))
     return [extended[i] for i in order]
+
+
+def _merge_runs(a, b, key):
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    ka = key(a[0])
+    kb = key(b[0])
+    la, lb = len(a), len(b)
+    while True:
+        if ka <= kb:  # ties from the earlier run keep the merge stable
+            out.append(a[i])
+            i += 1
+            if i == la:
+                out.extend(b[j:])
+                return out
+            ka = key(a[i])
+        else:
+            out.append(b[j])
+            j += 1
+            if j == lb:
+                out.extend(a[i:])
+                return out
+            kb = key(b[j])
+
+
+def faithful_tape_merge_sort(machine, tape_id, key, scratch_a, scratch_b):
+    """The bottom-up two-way tape merge sort, executed record by record.
+
+    The library sorted this way before it charged the same sweeps and
+    computed the tapes with one host sort; its tapes, ledger and trace
+    lines are what ``sbc.machine.tape_merge_sort`` must reproduce.
+    """
+    n = len(machine.tapes[tape_id].records)
+    if n <= 1:
+        return
+    run = 1
+    while run < n:
+        with machine.begin_pass(tape_id) as src, \
+                machine.begin_pass(scratch_a, mode=WRITE) as wa, \
+                machine.begin_pass(scratch_b, mode=WRITE) as wb:
+            records = src.read_all()
+            outs = (wa, wb)
+            for idx, start in enumerate(range(0, n, run)):
+                outs[idx & 1].write_many(records[start:start + run])
+        with machine.begin_pass(scratch_a) as ra, \
+                machine.begin_pass(scratch_b) as rb, \
+                machine.begin_pass(tape_id, mode=WRITE) as out:
+            a = ra.read_all()
+            b = rb.read_all()
+            merged = []
+            pos = 0
+            while pos < len(a) or pos < len(b):
+                merged.extend(_merge_runs(a[pos:pos + run], b[pos:pos + run], key))
+                pos += run
+            out.write_many(merged)
+        run <<= 1

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from conftest import faithful_tape_merge_sort
 from sbc.machine import (
     INPUT,
+    OUTPUT,
     REWRITE,
+    WRITE,
     BudgetExceededError,
     CapabilityError,
     ExpansionError,
@@ -71,10 +74,21 @@ def test_output_tape_is_write_only():
 
 def test_wstreams_expansion_enforced():
     m = new_machine(cfg(ModelKind.W_STREAMS), bytes(100))
+    lines = []
+    m.trace = lines.append
     with pytest.raises(ExpansionError):
         with m.begin_pass(INPUT, mode=REWRITE) as p:
             for rec in p:
                 p.write(rec * 3)  # triples the tape against a factor-two bound
+    # The rejected pass is counted and closed; the tape keeps its records.
+    assert m.tapes[INPUT].records == [bytes(1)] * 100
+    assert m.ledger().passes == 1 and m.ledger().per_pass_tape_bits == [800]
+    assert lines == ["pass=1 tape=input dir=fwd bytes_in=100 bytes_out=300 mem_peak=0"]
+    with m.begin_pass(INPUT, mode=REWRITE) as p:
+        for rec in p:
+            p.write(rec + rec)
+    assert m.tapes[INPUT].bits() == 1600
+    assert m.ledger().per_pass_tape_bits == [800, 1600]
 
 
 def test_wstreams_doubling_is_fine():
@@ -201,3 +215,103 @@ def test_trace_line_format():
     with m.begin_pass(INPUT) as p:
         p.read_all()
     assert lines == ["pass=1 tape=input dir=fwd bytes_in=3 bytes_out=0 mem_peak=12"]
+
+
+def _sorted_twice(records, key, tape_id="work0", scratch=("work1", "work2"), scratch_records=()):
+    """Sort the same tape with the library and with the faithful merge.
+
+    Returns, per side, every tape's records and bits, the ledger and the
+    trace lines.
+    """
+    sides = []
+    for sort in (tape_merge_sort, faithful_tape_merge_sort):
+        m = new_machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"")
+        m.tapes[tape_id].records = list(records)
+        for name in scratch:
+            m.tapes[name].records = list(scratch_records)
+        m.charge_memory(40)
+        lines = []
+        m.trace = lines.append
+        sort(m, tape_id, key, *scratch)
+        led = m.ledger()
+        sides.append((
+            {name: (t.records, t.bits()) for name, t in m.tapes.items()},
+            (led.passes, led.peak_memory_bits, led.total_output_bits, led.per_pass_tape_bits),
+            lines,
+        ))
+    return sides
+
+
+def test_tape_merge_sort_matches_faithful_merge():
+    rng = random.Random(17)
+    for n in range(71):
+        width = rng.choice([None, 1, 3])  # None: widths vary per record
+        records = [
+            bytes(rng.randrange(4) for _ in range(width or rng.randrange(1, 6)))
+            for _ in range(n)
+        ]
+        by_first = lambda r: r[:1]
+        cases = [
+            (records, by_first),
+            (records, lambda r: r),
+            (records, lambda r: 0),  # all keys equal
+            (sorted(records), lambda r: r),
+            (sorted(records, reverse=True), lambda r: r),
+        ]
+        for recs, key in cases:
+            new, old = _sorted_twice(recs, key, scratch_records=[b"junk"])
+            assert new == old, (n, recs)
+            assert new[0]["work0"][0] == sorted(recs, key=key)
+        new, old = _sorted_twice(records, by_first, tape_id=INPUT, scratch=("work0", "work1"))
+        assert new == old, n
+
+
+def test_tape_bits_track_every_change():
+    def check(machine):
+        for tape in machine.tapes.values():
+            assert tape.bits() == 8 * sum(map(len, tape.records))
+
+    m = new_machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"abcde")
+    lines = []
+    m.trace = lines.append
+    check(m)
+    with m.begin_pass(INPUT) as p:
+        p.read()
+        p.read_all()
+    check(m)
+    with m.begin_pass(INPUT, direction="rev") as p:
+        p.read()
+        p.read_all()
+    check(m)
+    assert [line.split()[3] for line in lines] == ["bytes_in=5", "bytes_in=5"]
+    with m.begin_pass("work0", mode=WRITE) as p:
+        p.write(b"xyz")
+        p.write_many([b"", b"pq", b"r"])
+    check(m)
+    with m.begin_pass(INPUT, mode=REWRITE) as p:
+        p.write_many([rec * 2 for rec in p.read_all()])
+    check(m)
+    m.write_output(b"out")
+    m.write_output(b"")
+    check(m)
+    m.tapes["work1"].records = [b"zz", b"y", b"xxx"]
+    check(m)
+    tape_merge_sort(m, "work1", lambda r: r, "work0", "work2")
+    check(m)
+    tape_merge_sort(m, INPUT, lambda r: r[-1:], "work1", "work2")
+    check(m)
+    assert m.tapes[OUTPUT].bits() == 24
+
+    s = new_machine(cfg(ModelKind.STREAM_SORT), b"cab")
+    with s.begin_pass(INPUT, mode=REWRITE) as p:
+        for rec in p:
+            p.write(rec + b"!")
+    check(s)
+    s.sort_pass(key=lambda r: r)
+    check(s)
+    with pytest.raises(ExpansionError):
+        with s.begin_pass(INPUT, mode=REWRITE) as p:
+            for rec in p:
+                p.write(rec * 10)
+    check(s)
+    assert s.tapes[INPUT].records == [b"a!", b"b!", b"c!"]

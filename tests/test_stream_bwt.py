@@ -1,10 +1,12 @@
+import hashlib
 import math
 import random
 from itertools import product
 
 import pytest
 
-from conftest import oracle_backward_sort, ranks_of, render
+from conftest import faithful_tape_merge_sort, oracle_backward_sort, ranks_of, render
+import sbc.stream_bwt
 from sbc.machine import CapabilityError, Machine, MachineConfig, ModelKind
 from sbc.stream_bwt import (
     default_rw_machine,
@@ -217,3 +219,79 @@ def test_sort_numbers_validates():
         sort_numbers_via_bwt([1, 2, 3])  # not a power of two
     with pytest.raises(ValueError):
         sort_numbers_via_bwt([16, 0, 0, 0])  # too wide for 2*log2(n) bits
+
+
+def _traced_run(fn, arg):
+    """Output, full ledger and trace lines of one run on the default machine."""
+    data = bytes(c + 1 for c in arg) if fn is rw_bwt_invert else bytes(arg)
+    machine = default_rw_machine(data)
+    lines = []
+    machine.trace = lines.append
+    out = fn(arg, machine)
+    return out, machine.ledger(), lines
+
+
+def test_rw_runs_match_faithful_merge_sort(monkeypatch):
+    rng = random.Random(500)
+    for s in (MISSISSIPPI_RANKS, [rng.randrange(6) for _ in range(500)]):
+        t = bwt(s)
+        runs = [_traced_run(fn, arg) for fn, arg in ((rw_bwt_encode, s), (rw_bwt_invert, t))]
+        with monkeypatch.context() as patch:
+            patch.setattr(sbc.stream_bwt, "tape_merge_sort", faithful_tape_merge_sort)
+            oracle_runs = [_traced_run(fn, arg) for fn, arg in ((rw_bwt_encode, s), (rw_bwt_invert, t))]
+        assert runs == oracle_runs
+        assert runs[0][0] == t and runs[1][0] == s
+
+
+# Ledgers of the read-write runs, pinned: passes, peak charged bits, output
+# bits, then the count, sum and sha256 of per_pass_tape_bits (comma-joined)
+# and the sha256 of the newline-joined trace lines.  A change that moves any
+# of them changes what the machine charges and must say why.
+GOLDEN_LEDGERS = {
+    ("mississippi", "rw_bwt_encode"): (
+        243, 2496, 96, 243, 275224,
+        "747b693d79524dee240a8c32f31d184699874a3bcaaf4cc750ec0ebb068fef49",
+        "11715cd160125aceba8d539194b332a0ff4fb052bfaa3011ae50563700fa8bc7",
+    ),
+    ("mississippi", "rw_bwt_invert"): (
+        270, 2496, 88, 270, 237312,
+        "ed4f3c980f6a57e1298e488fce6836a399370563615a6da19e63d2710acc7093",
+        "19011c283e0e60020fba3cc9c11a00ef46f24a870da72b69a4d695ee14ab58b1",
+    ),
+    ("mississippi", "rw_suffix_array"): (
+        243, 2496, 384, 243, 275224,
+        "747b693d79524dee240a8c32f31d184699874a3bcaaf4cc750ec0ebb068fef49",
+        "11715cd160125aceba8d539194b332a0ff4fb052bfaa3011ae50563700fa8bc7",
+    ),
+    ("random300", "rw_bwt_encode"): (
+        683, 2496, 2408, 683, 19006336,
+        "2151d5f93eba78b33cfc28bcdf49e84f77441ec0ba1da2b777c986bfda60fe5e",
+        "67331ad3260269df6c0a98b1deb3bbe71eeeea4197a16efc26737abb61a618aa",
+    ),
+    ("random300", "rw_bwt_invert"): (
+        1140, 2496, 2400, 1140, 25409216,
+        "faf040a4d5d797a446ec9b86cc24c556cc805b71b2d175081ba15779c34873c4",
+        "49fa66492d5cb765f65b4f2458ecf5e298de940ac017eb74301a8f11b06a223a",
+    ),
+    ("random300", "rw_suffix_array"): (
+        683, 2496, 9632, 683, 19006336,
+        "2151d5f93eba78b33cfc28bcdf49e84f77441ec0ba1da2b777c986bfda60fe5e",
+        "67331ad3260269df6c0a98b1deb3bbe71eeeea4197a16efc26737abb61a618aa",
+    ),
+}
+
+
+def test_rw_ledgers_are_pinned():
+    rng = random.Random(300)
+    inputs = {"mississippi": MISSISSIPPI_RANKS, "random300": [rng.randrange(4) for _ in range(300)]}
+    got = {}
+    for name, s in inputs.items():
+        for fn, arg in ((rw_bwt_encode, s), (rw_bwt_invert, bwt(s)), (rw_suffix_array, s)):
+            _, led, lines = _traced_run(fn, arg)
+            bits = led.per_pass_tape_bits
+            got[name, fn.__name__] = (
+                led.passes, led.peak_memory_bits, led.total_output_bits, len(bits), sum(bits),
+                hashlib.sha256(",".join(map(str, bits)).encode()).hexdigest(),
+                hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+            )
+    assert got == GOLDEN_LEDGERS
