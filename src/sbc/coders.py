@@ -41,16 +41,15 @@ def _charge(machine, bits: int) -> int:
 class FreqModel:
     """Adaptive symbol frequencies; counts stay >= 1, total stays < 2^16."""
 
-    __slots__ = ("counts", "total", "rescale_threshold")
+    __slots__ = ("counts", "total")
 
-    def __init__(self, num_symbols: int, rescale_threshold: int = RESCALE_TOTAL):
+    def __init__(self, num_symbols: int):
         if num_symbols < 1:
             raise ValueError("need at least one symbol")
-        if rescale_threshold <= 2 * num_symbols:
+        if RESCALE_TOTAL <= 2 * num_symbols:
             raise ValueError("rescale threshold too small for this alphabet")
         self.counts = [1] * num_symbols
         self.total = num_symbols
-        self.rescale_threshold = rescale_threshold
 
     def interval(self, sym: int) -> Tuple[int, int, int]:
         if not 0 <= sym < len(self.counts):
@@ -69,7 +68,7 @@ class FreqModel:
     def update(self, sym: int) -> None:
         self.counts[sym] += 1
         self.total += 1
-        if self.total >= self.rescale_threshold:
+        if self.total >= RESCALE_TOTAL:
             self.counts = [(c + 1) >> 1 for c in self.counts]
             self.total = sum(self.counts)
 

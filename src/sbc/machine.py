@@ -88,9 +88,6 @@ class MachineConfig:
     memory_budget_bits: int
     expansion_factor: float = 2.0
     work_tapes: int = 0
-    # Ledger passes charged per oracle sort pass; the model only promises
-    # "a constant number", so the constant is configurable.
-    sort_pass_cost: int = 1
 
     def __post_init__(self) -> None:
         if self.memory_budget_bits <= 0:
@@ -101,8 +98,6 @@ class MachineConfig:
             raise ValueError("work_tapes must be >= 0")
         if self.work_tapes and self.model is not ModelKind.READ_WRITE:
             raise ValueError("work tapes exist only in the read-write model")
-        if self.sort_pass_cost < 1:
-            raise ValueError("sort_pass_cost must be >= 1")
 
 
 @dataclass
@@ -286,13 +281,8 @@ class TapePass:
         if self.mode != READ and rejected is None:
             tape._records = self._writes
             tape._nbytes = self._bytes_written
-        machine._ledger.per_pass_tape_bits.append(tape.bits())
-        if machine.trace is not None:
-            machine.trace(
-                f"pass={self.index} tape={self.tape_id} dir={self.direction} "
-                f"bytes_in={self._bytes_read} bytes_out={self._bytes_written} "
-                f"mem_peak={machine._ledger.peak_memory_bits}"
-            )
+        machine._finish_pass(self.index, self.tape_id, self.direction,
+                             self._bytes_read, self._bytes_written)
         if rejected is not None:
             raise rejected
 
@@ -361,22 +351,26 @@ class Machine:
         tape._nbytes += len(rec)
         self._ledger.total_output_bits += 8 * len(rec)
 
-    def sort_pass(self, key: Callable[[bytes], object], stable: bool = True) -> None:
-        """Oracle sort of the stream tape (streamsort model only)."""
+    def sort_pass(self, key: Callable[[bytes], object]) -> None:
+        """Stable oracle sort of the stream tape, charged as one pass (streamsort only)."""
         if self.config.model is not ModelKind.STREAM_SORT:
             raise CapabilityError("sort passes need the streamsort model")
         if self._open:
             raise MachineError("cannot sort while a pass is open")
         tape = self.tapes[INPUT]
-        tape.records.sort(key=key)  # list.sort is stable; unstable requests get stability for free
+        tape.records.sort(key=key)
         self._ledger.sort_passes += 1
-        self._ledger.passes += self.config.sort_pass_cost
-        bits = tape.bits()
-        self._ledger.per_pass_tape_bits.append(bits)
+        self._ledger.passes += 1
+        self._finish_pass(self._ledger.passes, INPUT, FORWARD, tape._nbytes, tape._nbytes)
+
+    def _finish_pass(self, index: int, tape_id: str, direction: str,
+                     bytes_in: int, bytes_out: int) -> None:
+        """Record a finished pass: the tape's size in the ledger, and its trace line."""
+        self._ledger.per_pass_tape_bits.append(self.tapes[tape_id].bits())
         if self.trace is not None:
             self.trace(
-                f"pass={self._ledger.passes} tape={INPUT} dir={FORWARD} "
-                f"bytes_in={bits // 8} bytes_out={bits // 8} "
+                f"pass={index} tape={tape_id} dir={direction} "
+                f"bytes_in={bytes_in} bytes_out={bytes_out} "
                 f"mem_peak={self._ledger.peak_memory_bits}"
             )
 

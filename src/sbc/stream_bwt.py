@@ -1,22 +1,27 @@
 """Prefix-doubling transform computation on read-write tape machines.
 
+Both directions run one doubling round, :func:`_round` (copy the current
+tape twice, sort one copy by the right component and the other by the
+left, ties by identifier, and join them row by row), inside one working
+scope, :func:`_working`; they differ in the join and in what follows it.
+
 The forward direction tags every character of s+sentinel with its position
-and forms triples (tagged char, 1, tagged successor).  Each round copies
-the triples, sorts one copy by the right component and the other by the
-left (ties by identifier), zips them into quintuples, sorts those by
-(fourth, third character ignoring identifiers, second), with remaining
-ties broken by the left identifier, then renumbers the middle triples with
-1, 2, ... increasing whenever the middle differs from its predecessor.
-The rank a middle number carries doubles its reach each round, so after at
-most ceil(log2(n+1)) rounds the numbers are 1..n+1 and the right
-components, in tape order, are the transform.
+and forms triples (tagged char, 1, tagged successor).  Each round's join
+zips the two copies into quintuples, which are sorted by (fourth, third
+character ignoring identifiers, second), with remaining ties broken by the
+left identifier, then renumbered in their middle triples with 1, 2, ...
+increasing whenever the middle differs from its predecessor.  The rank a
+middle number carries doubles its reach each round, so after at most
+ceil(log2(n+1)) rounds the numbers are 1..n+1 and the right components, in
+tape order, are the transform.
 
 Inversion seeds triples from the stable sort of the transform (which pairs
 every character with its predecessor), marks all positions unknown except
-the sentinel's, and propagates known positions through the same
-copy/sort/zip machinery: an unknown left position is one less than a known
-right position.  When every position is known, sorting by position and
-projecting the left characters recovers the string.
+the sentinel's, and propagates known positions through the round with a
+join that resolves them: an unknown left position lies ``offset`` places
+before a known middle position, and ``offset`` doubles every round.  When
+every position is known, sorting by position and projecting the left
+characters recovers the string.
 
 All tape sorting is :func:`sbc.machine.tape_merge_sort`, whose ledger
 charges exactly the six sweeps per level of the bottom-up two-way merge
@@ -32,7 +37,8 @@ O(log n) fields), so byte-wise comparison equals field-wise comparison.
 from __future__ import annotations
 
 import struct
-from typing import Callable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .machine import (
     INPUT,
@@ -53,18 +59,35 @@ _UNKNOWN = 0  # position marker; real positions are 1..n+1
 _WORK_BITS = 8 * (_TRIPLE.size * 8) + 8 * (23 * 8) + 128
 
 
-def _require_rw(machine: Machine) -> None:
-    if machine.config.model is not ModelKind.READ_WRITE:
-        raise CapabilityError("prefix doubling needs the read-write model")
-    if machine.config.work_tapes < 4:
-        raise CapabilityError("prefix doubling needs four work tapes")
-
-
 def default_rw_machine(input_data: bytes = b"", budget_bits: Optional[int] = None) -> Machine:
     if budget_bits is None:
         budget_bits = 8192 + 64 * max(1, len(input_data)).bit_length()
     cfg = MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=budget_bits, work_tapes=4)
     return Machine(cfg, input_data)
+
+
+@contextmanager
+def _working(machine: Optional[Machine], symbols: List[int], shift: int,
+             what: str) -> Iterator[Machine]:
+    """The checked read-write machine of one run, holding the working charge.
+
+    Builds the default machine over ``symbols`` shifted by ``shift`` only
+    when none is given; a given machine is checked against ``len(symbols)``
+    alone.  The charge is released however the run ends.
+    """
+    if machine is None:
+        machine = default_rw_machine(bytes(c + shift for c in symbols))
+    if machine.config.model is not ModelKind.READ_WRITE:
+        raise CapabilityError("prefix doubling needs the read-write model")
+    if machine.config.work_tapes < 4:
+        raise CapabilityError("prefix doubling needs four work tapes")
+    if len(machine.tapes[INPUT].records) != len(symbols):
+        raise ValueError(f"machine input does not match the {what}")
+    machine.charge_memory(_WORK_BITS)
+    try:
+        yield machine
+    finally:
+        machine.release_memory(_WORK_BITS)
 
 
 def _decode_triples(records: Sequence[bytes]) -> List[tuple]:
@@ -96,94 +119,91 @@ def _quint_key(rec: bytes):
     return rec[14:18], rec[9:10], rec[5:9], rec[1:5]
 
 
-def _encode_rounds(s: Sequence[int], machine: Optional[Machine],
-                   on_round: Optional[Callable[[List[tuple]], None]] = None) -> tuple:
-    """Run the forward doubling rounds; returns (machine, tape holding triples)."""
+def _round(machine: Machine, cur: str, copy1: str, copy2: str, scratch: str,
+           join: Callable[[List[bytes], List[bytes]], List[bytes]]) -> None:
+    """One doubling round: ``cur`` becomes ``join(by_right, by_left)``.
+
+    One pass copies ``cur`` onto ``copy1`` and ``copy2``; the copies are
+    sorted by right and by left component over ``cur`` and ``scratch``; one
+    pass reads both and writes the join to ``cur``.  Every tagged character
+    occurs exactly once as a right and once as a left, so the two sorted
+    copies align row by row.
+    """
+    with machine.begin_pass(cur) as rp, \
+            machine.begin_pass(copy1, mode=WRITE) as w1, \
+            machine.begin_pass(copy2, mode=WRITE) as w2:
+        records = rp.read_all()
+        w1.write_many(records)
+        w2.write_many(records)
+    tape_merge_sort(machine, copy1, _right_key, cur, scratch)
+    tape_merge_sort(machine, copy2, _left_key, cur, scratch)
+    with machine.begin_pass(copy1) as r1, \
+            machine.begin_pass(copy2) as r2, \
+            machine.begin_pass(cur, mode=WRITE) as out:
+        out.write_many(join(r1.read_all(), r2.read_all()))
+
+
+def _quintuples(by_right: List[bytes], by_left: List[bytes]) -> List[bytes]:
+    return [a[:9] + b for a, b in zip(by_right, by_left)]
+
+
+def _encode(s: Sequence[int], machine: Optional[Machine],
+            on_round: Optional[Callable[[List[tuple]], None]], field: slice) -> List[bytes]:
+    """Run the forward doubling rounds, then write ``rec[field]`` of every
+    resolved record to the output tape in one pass; returns those fields."""
     s = list(s)
-    n = len(s)
-    m = n + 1
-    if machine is None:
-        machine = default_rw_machine(bytes(s))
-    _require_rw(machine)
-    if len(machine.tapes[INPUT].records) != n:
-        raise ValueError("machine input does not match the string")
-    machine.charge_memory(_WORK_BITS)
+    m = len(s) + 1
+    with _working(machine, s, 0, "string") as machine:
+        pack = _TRIPLE.pack
+        with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
+            recs = src.read_all()
+            chars = [rec[0] + 1 for rec in recs] + [0]  # shifted; sentinel is 0
+            dst.write_many(
+                [pack(chars[i], i + 1, 1, chars[(i + 1) % m], (i + 1) % m + 1) for i in range(m)]
+            )
 
-    pack = _TRIPLE.pack
-    with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
-        recs = src.read_all()
-        chars = [rec[0] + 1 for rec in recs] + [0]  # shifted; sentinel is 0
-        dst.write_many(
-            [pack(chars[i], i + 1, 1, chars[(i + 1) % m], (i + 1) % m + 1) for i in range(m)]
-        )
+        cur, spare1, spare2, spare3 = "work0", "work1", "work2", "work3"
+        rank = 1  # every middle starts at 1; resolved when the ranks reach m
+        rounds = 0
+        max_rounds = max(1, (m - 1).bit_length()) + 1
+        while rank < m:
+            rounds += 1
+            if rounds > max_rounds:  # pragma: no cover - the doubling argument forbids it
+                raise AssertionError("doubling failed to resolve in the round bound")
+            _round(machine, cur, spare1, spare2, spare3, _quintuples)
+            tape_merge_sort(machine, cur, _quint_key, spare1, spare3)
+            with machine.begin_pass(cur) as rp, machine.begin_pass(spare1, mode=WRITE) as out:
+                rank = 0
+                prev = None
+                new_triples = []
+                for q in rp.read_all():
+                    middle = q[5:18]  # second, third (with id), fourth
+                    signature = (middle[0:4], middle[4:5], middle[9:13])
+                    if signature != prev:
+                        rank += 1
+                        prev = signature
+                    new_triples.append(q[0:5] + rank.to_bytes(4, "big") + q[18:23])
+                out.write_many(new_triples)
+            cur, spare1 = spare1, cur
+            if on_round is not None:
+                on_round(_decode_triples(machine.tapes[cur].records))
 
-    cur, spare1, spare2, spare3 = "work0", "work1", "work2", "work3"
-    resolved = m == 1
-    rounds = 0
-    max_rounds = max(1, (m - 1).bit_length()) + 1
-    while not resolved:
-        rounds += 1
-        if rounds > max_rounds:  # pragma: no cover - the doubling argument forbids it
-            raise AssertionError("doubling failed to resolve in the round bound")
-        with machine.begin_pass(cur) as rp, \
-                machine.begin_pass(spare1, mode=WRITE) as w1, \
-                machine.begin_pass(spare2, mode=WRITE) as w2:
-            triples = rp.read_all()
-            w1.write_many(triples)
-            w2.write_many(triples)
-        tape_merge_sort(machine, spare1, _right_key, cur, spare3)
-        tape_merge_sort(machine, spare2, _left_key, cur, spare3)
-        with machine.begin_pass(spare1) as r1, \
-                machine.begin_pass(spare2) as r2, \
-                machine.begin_pass(cur, mode=WRITE) as out:
-            by_right = r1.read_all()
-            by_left = r2.read_all()
-            # Every tagged character occurs exactly once as a right and once
-            # as a left, so the two sorted copies align row by row.
-            out.write_many([a[:9] + b for a, b in zip(by_right, by_left)])
-        tape_merge_sort(machine, cur, _quint_key, spare1, spare3)
-        with machine.begin_pass(cur) as rp, machine.begin_pass(spare1, mode=WRITE) as out:
-            rank = 0
-            prev = None
-            new_triples = []
-            for q in rp.read_all():
-                middle = q[5:18]  # second, third (with id), fourth
-                signature = (middle[0:4], middle[4:5], middle[9:13])
-                if signature != prev:
-                    rank += 1
-                    prev = signature
-                new_triples.append(q[0:5] + rank.to_bytes(4, "big") + q[18:23])
-            out.write_many(new_triples)
-        resolved = rank == m
-        cur, spare1 = spare1, cur
-        if on_round is not None:
-            on_round(_decode_triples(machine.tapes[cur].records))
-    machine.release_memory(_WORK_BITS)
-    return machine, cur
+        with machine.begin_pass(cur) as rp:
+            fields = [rec[field] for rec in rp.read_all()]
+            for f in fields:
+                machine.write_output(f)
+    return fields
 
 
 def rw_bwt_encode(s: Sequence[int], machine: Optional[Machine] = None,
                   on_round: Optional[Callable[[List[tuple]], None]] = None) -> List[int]:
     """Compute the backward-context transform of s+sentinel on tape."""
-    machine, tape = _encode_rounds(s, machine, on_round)
-    out = []
-    with machine.begin_pass(tape) as rp:
-        for rec in rp.read_all():
-            machine.write_output(rec[9:10])
-            out.append(rec[9] - 1)
-    return out
+    return [f[0] - 1 for f in _encode(s, machine, on_round, slice(9, 10))]
 
 
 def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List[int]:
     """Positions of s+sentinel sorted by backward context (0-indexed)."""
-    machine, tape = _encode_rounds(s, machine, None)
-    out = []
-    with machine.begin_pass(tape) as rp:
-        for rec in rp.read_all():
-            rid = int.from_bytes(rec[10:14], "big")
-            machine.write_output(rec[10:14])
-            out.append(rid - 1)
-    return out
+    return [int.from_bytes(f, "big") - 1 for f in _encode(s, machine, None, slice(10, 14))]
 
 
 def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
@@ -193,58 +213,30 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
     if t.count(SENTINEL) != 1:
         raise ValueError("expected exactly one sentinel")
     m = len(t)
-    n = m - 1
-    if machine is None:
-        machine = default_rw_machine(bytes(c + 1 for c in t))
-    _require_rw(machine)
-    if len(machine.tapes[INPUT].records) != m:
-        raise ValueError("machine input does not match the transform")
-    machine.charge_memory(_WORK_BITS)
+    with _working(machine, t, 1, "transform") as machine:
+        # Stable sort of the transform, tags riding along.
+        with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
+            recs = src.read_all()
+            dst.write_many([recs[j] + (j + 1).to_bytes(4, "big") for j in range(m)])
+        tape_merge_sort(machine, "work0", lambda r: r[0:1], "work1", "work2")
+        with machine.begin_pass("work0") as su, machine.begin_pass(INPUT) as si, \
+                machine.begin_pass("work1", mode=WRITE) as out:
+            ordered = su.read_all()
+            originals = si.read_all()
+            triples = []
+            for j in range(m):
+                u = ordered[j]
+                mid = m if u[0] == 0 else _UNKNOWN  # the sentinel's predecessor row seeds position n+1
+                triples.append(u[0:5] + mid.to_bytes(4, "big") + originals[j] + (j + 1).to_bytes(4, "big"))
+            out.write_many(triples)
 
-    pack = _TRIPLE.pack
-    # Stable sort of the transform, tags riding along.
-    with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
-        recs = src.read_all()
-        dst.write_many(
-            [recs[j] + (j + 1).to_bytes(4, "big") for j in range(m)]
-        )
-    tape_merge_sort(machine, "work0", lambda r: r[0:1], "work1", "work2")
-    with machine.begin_pass("work0") as su, machine.begin_pass(INPUT) as si, \
-            machine.begin_pass("work1", mode=WRITE) as out:
-        ordered = su.read_all()
-        originals = si.read_all()
-        triples = []
-        for j in range(m):
-            u = ordered[j]
-            mid = m if u[0] == 0 else _UNKNOWN  # the sentinel's predecessor row seeds position n+1
-            triples.append(u[0:5] + mid.to_bytes(4, "big") + originals[j] + (j + 1).to_bytes(4, "big"))
-        out.write_many(triples)
+        offset = 1  # tape-mates are this many string positions apart
+        unknown = m - 1  # every position but the seeded one
 
-    cur, spare1, spare2, spare3 = "work1", "work0", "work2", "work3"
-    resolved = m == 1
-    rounds = 0
-    offset = 1  # tape-mates are this many string positions apart
-    max_rounds = max(1, (m - 1).bit_length()) + 2
-    while not resolved:
-        rounds += 1
-        if rounds > max_rounds:
-            machine.release_memory(_WORK_BITS)
-            raise ValueError("not a valid transform image: positions never resolve")
-        with machine.begin_pass(cur) as rp, \
-                machine.begin_pass(spare1, mode=WRITE) as w1, \
-                machine.begin_pass(spare2, mode=WRITE) as w2:
-            triples = rp.read_all()
-            w1.write_many(triples)
-            w2.write_many(triples)
-        tape_merge_sort(machine, spare1, _right_key, cur, spare3)
-        tape_merge_sort(machine, spare2, _left_key, cur, spare3)
-        with machine.begin_pass(spare1) as r1, \
-                machine.begin_pass(spare2) as r2, \
-                machine.begin_pass(cur, mode=WRITE) as out:
-            by_right = r1.read_all()
-            by_left = r2.read_all()
+        def resolve(by_right: List[bytes], by_left: List[bytes]) -> List[bytes]:
+            nonlocal unknown
             unknown = 0
-            new_triples = []
+            triples = []
             for a, b in zip(by_right, by_left):
                 x = a[5:9]
                 if x == b"\x00\x00\x00\x00":
@@ -255,30 +247,35 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
                         x = (y - offset).to_bytes(4, "big")
                     else:
                         unknown += 1
-                new_triples.append(a[0:5] + x + b[9:14])
-            out.write_many(new_triples)
-        resolved = unknown == 0
-        offset <<= 1
-        if on_round is not None:
-            on_round(_decode_triples(machine.tapes[cur].records))
+                triples.append(a[0:5] + x + b[9:14])
+            return triples
 
-    tape_merge_sort(machine, cur, _mid_key, spare1, spare3)
-    out: List[int] = []
-    with machine.begin_pass(cur) as rp:
-        expected = 1
-        for rec in rp.read_all():
-            mid = int.from_bytes(rec[5:9], "big")
-            if mid != expected:
-                machine.release_memory(_WORK_BITS)
-                raise ValueError("not a valid transform image: positions are not a permutation")
-            expected += 1
-            if rec[0] != 0:
-                machine.write_output(rec[0:1])
-                out.append(rec[0] - 1)
-    if len(out) != n:
-        machine.release_memory(_WORK_BITS)
-        raise ValueError("not a valid transform image")
-    machine.release_memory(_WORK_BITS)
+        cur, spare1, spare2, spare3 = "work1", "work0", "work2", "work3"
+        rounds = 0
+        max_rounds = max(1, (m - 1).bit_length()) + 2
+        while unknown:
+            rounds += 1
+            if rounds > max_rounds:
+                raise ValueError("not a valid transform image: positions never resolve")
+            _round(machine, cur, spare1, spare2, spare3, resolve)
+            offset <<= 1
+            if on_round is not None:
+                on_round(_decode_triples(machine.tapes[cur].records))
+
+        tape_merge_sort(machine, cur, _mid_key, spare1, spare3)
+        out: List[int] = []
+        with machine.begin_pass(cur) as rp:
+            expected = 1
+            for rec in rp.read_all():
+                mid = int.from_bytes(rec[5:9], "big")
+                if mid != expected:
+                    raise ValueError("not a valid transform image: positions are not a permutation")
+                expected += 1
+                if rec[0] != 0:
+                    machine.write_output(rec[0:1])
+                    out.append(rec[0] - 1)
+        if len(out) != m - 1:
+            raise ValueError("not a valid transform image")
     return out
 
 

@@ -17,7 +17,6 @@ logarithmic register) to seed the tracker.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from .coders import _ceil_log2
@@ -113,7 +112,7 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
         new.append(pack_key(tracker) + b"\x00" * width_bytes)  # the end marker's record
         p.write_many(new)
 
-    machine.sort_pass(key=lambda rec: rec[:key_bytes], stable=True)
+    machine.sort_pass(key=lambda rec: rec[:key_bytes])
 
     with machine.begin_pass(INPUT, mode=REWRITE) as p:
         recs = p.read_all()
@@ -138,17 +137,18 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
 
     Each k runs on a fresh machine copy (the model cannot restore the
     original string after rewriting the tape); pass counts, sort passes and
-    peak memory are folded into the caller's machine so the total matches
-    the advertised O(log n * log log n) shape.
+    peak memory are folded into the caller's streamsort machine so the total
+    matches the advertised O(log n * log log n) shape.
     """
     s = list(s)
     if sigma is None:
         sigma = (max(s) + 1) if s else 1
+    if machine is not None and machine.config.model is not ModelKind.STREAM_SORT:
+        raise CapabilityError("this transform runs in the streamsort model")
 
     def payload_for(k: int) -> bytes:
         if machine is not None:
-            child_cfg = replace(machine.config, model=ModelKind.STREAM_SORT, work_tapes=0)
-            child = Machine(child_cfg, bytes(s))
+            child = Machine(machine.config, bytes(s))
         else:
             child = default_streamsort_machine(bytes(s))
         streamsort_st(s, k, machine=child, sigma=sigma)

@@ -109,10 +109,38 @@ def test_empty_string():
     assert rw_suffix_array([]) == [0]
 
 
-def test_requires_read_write_model():
-    machine = Machine(MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=1 << 16), b"ab")
-    with pytest.raises(CapabilityError):
-        rw_bwt_encode([0, 1], machine)
+RW_RUNS = [rw_bwt_encode, rw_suffix_array, rw_bwt_invert]
+
+
+def _machine_input(fn, arg):
+    """The input tape of fn's default machine for argument arg."""
+    return bytes(c + 1 for c in arg) if fn is rw_bwt_invert else bytes(arg)
+
+
+@pytest.mark.parametrize("fn", RW_RUNS, ids=lambda fn: fn.__name__)
+def test_requires_read_write_model(fn):
+    arg = bwt([0, 1]) if fn is rw_bwt_invert else [0, 1]
+    data = _machine_input(fn, arg)
+    for config in (MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=1 << 16),
+                   MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=1 << 16, work_tapes=3)):
+        with pytest.raises(CapabilityError):
+            fn(arg, Machine(config, data))
+    with pytest.raises(ValueError, match="machine input does not match"):
+        fn(arg, default_rw_machine(data + b"\x01"))
+
+
+def test_working_charge_released():
+    # Charging the whole budget succeeds only if the run left nothing held.
+    for fn in RW_RUNS:
+        arg = bwt(MISSISSIPPI_RANKS) if fn is rw_bwt_invert else MISSISSIPPI_RANKS
+        machine = default_rw_machine(_machine_input(fn, arg))
+        fn(arg, machine)
+        machine.charge_memory(machine.config.memory_budget_bits)
+    bad = [0, SENTINEL, 0]
+    machine = default_rw_machine(_machine_input(rw_bwt_invert, bad))
+    with pytest.raises(ValueError, match="positions never resolve"):
+        rw_bwt_invert(bad, machine)
+    machine.charge_memory(machine.config.memory_budget_bits)
 
 
 def test_exhaustive_small_equivalence():
@@ -223,8 +251,7 @@ def test_sort_numbers_validates():
 
 def _traced_run(fn, arg):
     """Output, full ledger and trace lines of one run on the default machine."""
-    data = bytes(c + 1 for c in arg) if fn is rw_bwt_invert else bytes(arg)
-    machine = default_rw_machine(data)
+    machine = default_rw_machine(_machine_input(fn, arg))
     lines = []
     machine.trace = lines.append
     out = fn(arg, machine)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from sbc.machine import CapabilityError, Machine, MachineConfig, ModelKind
+from sbc.machine import CapabilityError, Machine, MachineConfig, MachineLedger, ModelKind
 from sbc.pipelines import parse_container
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
 from sbc.transforms import st
@@ -73,6 +73,13 @@ def test_wrong_model_rejected():
     machine = Machine(MachineConfig(ModelKind.MULTIPASS, memory_budget_bits=1 << 16), b"\x00")
     with pytest.raises(CapabilityError):
         streamsort_st([0], 1, machine=machine, sigma=2)
+    # best-k folds child ledgers into the given machine, so it must be a streamsort one.
+    for config in (MachineConfig(ModelKind.STANDARD, memory_budget_bits=1 << 16),
+                   MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=1 << 16, work_tapes=4)):
+        machine = Machine(config)
+        with pytest.raises(CapabilityError):
+            streamsort_st_best_k([0, 1, 0, 1, 1, 0] * 10, 2, machine=machine, sigma=2)
+        assert machine.ledger() == MachineLedger()
 
 
 def test_sort_pass_counted_once_per_run():
