@@ -17,8 +17,6 @@ from .adversary import (
 from .coders import (
     ContextModelBank,
     FreqModel,
-    ac_decode,
-    ac_encode,
     kth_order_decode,
     kth_order_encode,
 )
@@ -59,14 +57,8 @@ from .transforms import (
     DcStream,
     bwt,
     bwt_inverse,
-    dc_decode,
     dc_encode,
-    elias_delta_decode,
-    elias_delta_encode,
-    mtf_decode,
     mtf_encode,
-    rle_decode,
-    rle_encode,
     st,
 )
 

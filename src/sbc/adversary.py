@@ -21,6 +21,9 @@ from .pipelines import BlockPlan, block_encode, encode_bwt_dc_ac
 #: desk-scale realization of an O(n^c)-bit budget needs a constant factor.
 MEMORY_SLACK = 8
 
+#: Cap on sigma**k in :func:`de_bruijn`; it guards the CLI's --sigma/--k.
+MAX_DE_BRUIJN_LENGTH = 1 << 22
+
 
 @dataclass(frozen=True)
 class DeBruijnPrefix:
@@ -43,14 +46,14 @@ class SeparationReport:
     ratio: float
 
 
-def de_bruijn(sigma: int, k: int, max_length: int = 1 << 22) -> DeBruijnPrefix:
+def de_bruijn(sigma: int, k: int) -> DeBruijnPrefix:
     """Lexicographically least cyclic sequence covering every k-tuple once."""
     if sigma < 2:
         raise ValueError("alphabet size must be >= 2")
     if k < 1:
         raise ValueError("order must be >= 1")
-    if sigma ** k > max_length:
-        raise ValueError(f"sigma**k exceeds the configured cap {max_length}")
+    if sigma ** k > MAX_DE_BRUIJN_LENGTH:
+        raise ValueError(f"sigma**k exceeds the configured cap {MAX_DE_BRUIJN_LENGTH}")
     # Necklace concatenation: gathering the Lyndon-word rotations in
     # lexicographic order yields the least De Bruijn cycle.
     a = [0] * sigma * k

@@ -299,15 +299,12 @@ def _bench_cell(data: bytes, pipeline: str, k: int, c: float, epsilon: float) ->
     container, machine = entry.encode(ranks, sigma, alphabet, k, c, epsilon, new_machine)
     wall = time.perf_counter() - started
     led = machine.ledger()
-    row = {
+    return {
         "pipeline": pipeline, "k": k, "c": c, "epsilon": epsilon, "model": entry.model.value,
         "n": len(ranks), "sigma": sigma,
         "size_bits": 8 * len(container), "passes": led.passes, "sort_passes": led.sort_passes,
         "peak_mem_bits": led.peak_memory_bits, "wall_time": f"{wall:.6f}",
     }
-    for kk in range(5):
-        row[f"h{kk}"] = f"{ent.hk(data, kk):.6f}" if data else ""
-    return row
 
 
 def _cmd_bench(args) -> int:
@@ -332,10 +329,11 @@ def _cmd_bench(args) -> int:
             sys.stderr.write(f"warning: skipping {fname}: {exc}\n")
             skipped += 1
             continue
+        entropy = {f"h{kk}": f"{ent.hk(data, kk):.6f}" if data else "" for kk in range(5)}
         for pipeline in pipelines:
             row = _bench_cell(data, pipeline, args.k if args.k is not None else 2,
                               args.c, args.epsilon)
-            row["file"] = fname
+            row.update(entropy, file=fname)
             rows.append(row)
     rows.sort(key=lambda r: (r["file"], r["pipeline"], r["k"], r["c"], r["epsilon"], r["model"]))
     lines = [",".join(_BENCH_COLUMNS)]

@@ -1,4 +1,4 @@
-"""Adaptive arithmetic coding and the order-k per-context coder.
+"""Adaptive arithmetic coding, the delta code and the order-k per-context coder.
 
 The entropy stage is a 32-bit range coder with carry propagation
 (byte-oriented, cache + pending-0xFF scheme).  Frequencies adapt from
@@ -11,16 +11,20 @@ and a final partial byte would be zero padded.  That framing is normative
 for the container format.  Symbol counts travel out of band (in container
 headers), so no end-of-stream symbol is ever coded.
 
+Integers v >= 1 (run lengths, gaps, first occurrences) are Elias delta
+codes (Elias, IEEE Trans. IT 1975), each bit a symbol of one adaptive binary
+model.  With nbits = v.bit_length() and lbits = nbits.bit_length() - 1, the
+normative layout is lbits zeros, the lbits + 1 bits of nbits, then the low
+nbits - 1 bits of v, most significant first: 1 is 1, 2 is 0100.
+
 The order-k coder keeps one adaptive model per observed length-k context,
 creating models lazily so the memory charge grows with the number of
-contexts actually seen, bounded by sigma^k.
+contexts actually seen, bounded by sigma^k; at k = 0 it is the order-0 coder.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
-
-from .transforms import elias_delta_encode
 
 RESCALE_TOTAL = 1 << 15
 _TOP = 1 << 24
@@ -163,8 +167,14 @@ class SymbolEncoder:
 
     def put_delta(self, model: FreqModel, value: int) -> None:
         """Delta-code value >= 1, each bit through an adaptive binary model."""
-        for ch in elias_delta_encode(value):
-            self.put(model, 1 if ch == "1" else 0)
+        if value < 1:
+            raise ValueError("delta codes represent integers >= 1")
+        nbits = value.bit_length()
+        lbits = nbits.bit_length() - 1
+        for i in range(2 * lbits, -1, -1):  # lbits zeros, then the lbits + 1 bits of nbits
+            self.put(model, (nbits >> i) & 1)
+        for i in range(nbits - 2, -1, -1):
+            self.put(model, (value >> i) & 1)
 
     def finish(self) -> bytes:
         return self._rc.finish()
@@ -193,26 +203,6 @@ class SymbolDecoder:
         for _ in range(nbits - 1):
             value = (value << 1) | self.get(model)
         return value
-
-
-def ac_encode(symbols: Sequence[int], sigma: int, machine=None) -> bytes:
-    """Adaptively code symbols in 0..sigma-1.  Empty input yields b''."""
-    if len(symbols) == 0:
-        return b""
-    model = FreqModel(sigma)
-    _charge(machine, model.state_bits() + 128)
-    enc = SymbolEncoder()
-    for sym in symbols:
-        enc.put(model, sym)
-    return enc.finish()
-
-
-def ac_decode(data: bytes, count: int, sigma: int) -> List[int]:
-    if count == 0:
-        return []
-    model = FreqModel(sigma)
-    dec = SymbolDecoder(data)
-    return [dec.get(model) for _ in range(count)]
 
 
 class ContextModelBank:

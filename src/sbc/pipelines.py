@@ -25,6 +25,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .coders import (
@@ -37,7 +38,7 @@ from .coders import (
     kth_order_encode,
 )
 from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind
-from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, st
+from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, mtf_encode, st
 
 
 class FormatError(Exception):
@@ -181,28 +182,12 @@ def _mtf_rle_ac_payload(symbols: Iterable[int], sigma_total: int, machine=None) 
         + 128 + 64,  # coder registers and run bookkeeping
     )
     enc = SymbolEncoder()
-    table = list(range(sigma_total))
-    prev_index = -1
-    run = 0
-    for c in symbols:
-        i = table.index(c)
-        if i:
-            table.insert(0, table.pop(i))
-        if i == prev_index:
-            run += 1
-        else:
-            if run:
-                enc.put(sym_model, prev_index)
-                enc.put_delta(run_model, run)
-            prev_index = i
-            run = 1
-    payload = b""
-    if run:
-        enc.put(sym_model, prev_index)
-        enc.put_delta(run_model, run)
-        payload = enc.finish()
+    indices = mtf_encode(symbols, range(sigma_total))
+    for i, run in groupby(indices):
+        enc.put(sym_model, i)
+        enc.put_delta(run_model, len(list(run)))
     _release(machine, charged)
-    return payload
+    return enc.finish() if indices else b""
 
 
 def _mtf_rle_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
@@ -360,6 +345,7 @@ def encode_st_dc_ac(s: Sequence[int], sigma: int, k_max: int,
 
 def encode_kth_order(s: Sequence[int], sigma: int, k: int,
                      alphabet: Optional[bytes] = None, machine: Optional[Machine] = None) -> bytes:
+    """Order-k container; a given machine's input tape is the input, s gives its length."""
     if not 0 <= k < K_AUTO:  # 255 is the header's auto marker
         raise ValueError("k must be in 0..254")
     if machine is not None:
@@ -441,7 +427,10 @@ def _encode_block(block: List[int], sigma: int, machine: Optional[Machine]) -> b
 
 def block_encode(s: Sequence[int], sigma: int, plan: BlockPlan, known_n: bool = True,
                  alphabet: Optional[bytes] = None, machine: Optional[Machine] = None) -> bytes:
-    """Split into independently coded blocks; single pass over the input."""
+    """Split into independently coded blocks; single pass over the input.
+
+    A given machine's input tape is the input; ``s`` gives only its length.
+    """
     s = list(s)
     n = len(s)
     lengths = block_boundaries(n, plan, known_n)

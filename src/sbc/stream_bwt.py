@@ -59,9 +59,8 @@ _UNKNOWN = 0  # position marker; real positions are 1..n+1
 _WORK_BITS = 8 * (_TRIPLE.size * 8) + 8 * (23 * 8) + 128
 
 
-def default_rw_machine(input_data: bytes = b"", budget_bits: Optional[int] = None) -> Machine:
-    if budget_bits is None:
-        budget_bits = 8192 + 64 * max(1, len(input_data)).bit_length()
+def default_rw_machine(input_data: bytes = b"") -> Machine:
+    budget_bits = 8192 + 64 * max(1, len(input_data)).bit_length()
     cfg = MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=budget_bits, work_tapes=4)
     return Machine(cfg, input_data)
 
@@ -197,18 +196,28 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
 
 def rw_bwt_encode(s: Sequence[int], machine: Optional[Machine] = None,
                   on_round: Optional[Callable[[List[tuple]], None]] = None) -> List[int]:
-    """Compute the backward-context transform of s+sentinel on tape."""
+    """Compute the backward-context transform of s+sentinel on tape.
+
+    A given machine's input tape is the input; ``s`` gives only its length.
+    """
     return [f[0] - 1 for f in _encode(s, machine, on_round, slice(9, 10))]
 
 
 def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List[int]:
-    """Positions of s+sentinel sorted by backward context (0-indexed)."""
+    """Positions of s+sentinel sorted by backward context (0-indexed).
+
+    A given machine's input tape is the input; ``s`` gives only its length.
+    """
     return [int.from_bytes(f, "big") - 1 for f in _encode(s, machine, None, slice(10, 14))]
 
 
 def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
                   on_round: Optional[Callable[[List[tuple]], None]] = None) -> List[int]:
-    """Recover s from its transform on a read-write machine."""
+    """Recover s from its transform on a read-write machine.
+
+    A given machine's input tape (ranks plus one, the sentinel as 0) is the
+    input; ``t`` gives only its length and its one-sentinel check.
+    """
     t = list(t)
     if t.count(SENTINEL) != 1:
         raise ValueError("expected exactly one sentinel")

@@ -31,9 +31,8 @@ from .machine import (
 from .pipelines import PipelineId, _best_k, _container, _dc_ac_payload
 
 
-def default_streamsort_machine(input_data: bytes = b"", budget_bits: Optional[int] = None) -> Machine:
-    if budget_bits is None:
-        budget_bits = 4096 + 64 * max(1, len(input_data)).bit_length()
+def default_streamsort_machine(input_data: bytes = b"") -> Machine:
+    budget_bits = 4096 + 64 * max(1, len(input_data)).bit_length()
     cfg = MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=budget_bits,
                         expansion_factor=2.0)
     return Machine(cfg, input_data)
@@ -41,7 +40,11 @@ def default_streamsort_machine(input_data: bytes = b"", budget_bits: Optional[in
 
 def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
                   sigma: Optional[int] = None, stats: Optional[Dict] = None) -> List[int]:
-    """Compute the length-k context sort of s+sentinel on a streamsort tape."""
+    """Compute the length-k context sort of s+sentinel on a streamsort tape.
+
+    A given machine's input tape is the input; ``s`` gives only its length,
+    the alphabet check and, if ``sigma`` is None, the alphabet size.
+    """
     s = list(s)
     n = len(s)
     if k < 0:

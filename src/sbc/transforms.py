@@ -1,8 +1,9 @@
 """In-memory reference transforms.
 
 These are the oracles the streaming implementations are checked against:
-the context-sorting transform and its inverse, the length-k variant, plus
-move-to-front, run-length, distance and delta coding.
+the context-sorting transform and its inverse and the length-k variant,
+plus move-to-front and run-aware distance coding with its decoder.  The
+delta code of the distance-coding payload lives in :mod:`sbc.coders`.
 
 Strings are sequences of integer ranks 0..sigma-1.  The end marker
 (:data:`SENTINEL`, rank -1) orders below every real symbol; transform
@@ -200,41 +201,6 @@ def mtf_encode(seq: Iterable, table: Sequence) -> List[int]:
     return out
 
 
-def mtf_decode(indices: Iterable[int], table: Sequence) -> List:
-    table = list(table)
-    out = []
-    for i in indices:
-        if not 0 <= i < len(table):
-            raise ValueError(f"index {i} out of range for alphabet of {len(table)}")
-        c = table[i]
-        out.append(c)
-        if i:
-            table.insert(0, table.pop(i))
-    return out
-
-
-# -- run-length ----------------------------------------------------------
-
-
-def rle_encode(seq: Sequence) -> List[tuple]:
-    out: List[list] = []
-    for v in seq:
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return [tuple(p) for p in out]
-
-
-def rle_decode(pairs: Iterable[tuple]) -> List:
-    out: List = []
-    for sym, run in pairs:
-        if run <= 0:
-            raise ValueError("run length must be positive")
-        out.extend([sym] * run)
-    return out
-
-
 # -- distance coding -----------------------------------------------------
 
 
@@ -320,44 +286,3 @@ def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
     if pending:
         raise ValueError("dangling occurrences")
     return out
-
-
-def dc_decode(stream: DcStream) -> List:
-    gaps = iter(stream.gaps)
-    out = _dc_reconstruct(stream.first_occurrence, stream.length, lambda: next(gaps, None))
-    if next(gaps, None) is not None:
-        raise ValueError("trailing gaps")
-    return out
-
-
-# -- delta codes ---------------------------------------------------------
-
-
-def elias_delta_encode(m: int) -> str:
-    """Delta code of m >= 1 as a '0'/'1' string."""
-    if m < 1:
-        raise ValueError("delta codes represent integers >= 1")
-    nbits = m.bit_length()
-    lbits = nbits.bit_length() - 1
-    return "0" * lbits + bin(nbits)[2:] + bin(m)[3:]
-
-
-def elias_delta_decode(bits: str, pos: int = 0):
-    """Decode one delta code at ``pos``; returns (value, next position)."""
-    z = 0
-    try:
-        while bits[pos] == "0":
-            z += 1
-            pos += 1
-        pos += 1  # the terminating 1 is the top bit of the length field
-        nbits = 1
-        for _ in range(z):
-            nbits = (nbits << 1) | (bits[pos] == "1")
-            pos += 1
-        value = 1
-        for _ in range(nbits - 1):
-            value = (value << 1) | (bits[pos] == "1")
-            pos += 1
-    except IndexError:
-        raise ValueError("truncated delta code") from None
-    return value, pos

@@ -7,8 +7,6 @@ from sbc.coders import (
     FreqModel,
     SymbolDecoder,
     SymbolEncoder,
-    ac_decode,
-    ac_encode,
     kth_order_decode,
     kth_order_encode,
 )
@@ -38,13 +36,17 @@ def test_freq_model_interval_partition():
     assert acc == model.total
 
 
+# Order-0 adaptive coding ("ac" in the pipeline names) is the order-k coder
+# at k = 0: one FreqModel(sigma) driving the range coder.
+
+
 def test_ac_empty():
-    assert ac_encode([], 2) == b""
-    assert ac_decode(b"", 0, 2) == []
+    assert kth_order_encode([], 2, 0) == b""
+    assert kth_order_decode(b"", 0, 2, 0) == []
 
 
 def test_ac_skewed_stream_is_tiny():
-    payload = ac_encode([0] * 10**4, 2)
+    payload = kth_order_encode([0] * 10**4, 2, 0)
     assert len(payload) * 8 < 200
 
 
@@ -54,25 +56,25 @@ def test_ac_roundtrip_random():
         sigma = rng.choice([2, 4, 16])
         n = rng.randrange(0, 200)
         s = [rng.randrange(sigma) for _ in range(n)]
-        assert ac_decode(ac_encode(s, sigma), n, sigma) == s
+        assert kth_order_decode(kth_order_encode(s, sigma, 0), n, sigma, 0) == s
 
 
 def test_ac_rejects_out_of_range():
     with pytest.raises(ValueError):
-        ac_encode([2], 2)
+        kth_order_encode([2], 2, 0)
 
 
 def test_ac_truncated_payload_detected():
     s = [0, 1] * 400
-    payload = ac_encode(s, 2)
+    payload = kth_order_encode(s, 2, 0)
     with pytest.raises(ValueError):
-        ac_decode(payload[: len(payload) // 2], len(s), 2)
+        kth_order_decode(payload[: len(payload) // 2], len(s), 2, 0)
 
 
 def test_ac_deterministic():
     rng = random.Random(2)
     s = [rng.randrange(4) for _ in range(500)]
-    assert ac_encode(s, 4) == ac_encode(s, 4)
+    assert kth_order_encode(s, 4, 0) == kth_order_encode(s, 4, 0)
 
 
 def test_ac_length_close_to_adaptive_ideal():
@@ -85,7 +87,7 @@ def test_ac_length_close_to_adaptive_ideal():
             _, _, total = model.interval(sym)
             ideal += math.ceil(math.log2(total / model.counts[sym]))
             model.update(sym)
-        assert len(ac_encode(s, sigma)) * 8 <= ideal + 64
+        assert len(kth_order_encode(s, sigma, 0)) * 8 <= ideal + 64
 
 
 def test_encoder_decoder_model_states_stay_equal():
@@ -115,6 +117,38 @@ def test_delta_bits_roundtrip():
     dec = SymbolDecoder(enc.finish())
     model2 = FreqModel(2)
     assert [dec.get_delta(model2) for _ in values] == values
+
+
+class _BitRecorder(SymbolEncoder):
+    """An encoder that records the binary symbols put_delta emits."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self):
+        super().__init__()
+        self.bits = []
+
+    def put(self, model, sym):
+        self.bits.append(sym)
+
+
+def test_delta_code_bit_layout():
+    known = {
+        1: "1", 2: "0100", 3: "0101", 4: "01100", 7: "01111", 8: "00100000",
+        17: "001010001", 2**16: "000010001" + "0" * 16,
+    }
+    for value, code in known.items():
+        enc = _BitRecorder()
+        enc.put_delta(None, value)
+        assert "".join(map(str, enc.bits)) == code, value
+    for value in range(1, 5000):
+        enc = _BitRecorder()
+        enc.put_delta(None, value)
+        nbits = value.bit_length()
+        assert len(enc.bits) == nbits + 2 * (nbits.bit_length() - 1)
+    for value in (0, -1):
+        with pytest.raises(ValueError):
+            SymbolEncoder().put_delta(FreqModel(2), value)
 
 
 def test_kth_order_roundtrip():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import product
@@ -11,6 +12,7 @@ from sbc.machine import Machine, MachineConfig, ModelKind
 from sbc.pipelines import (
     BlockPlan,
     ContainerHeader,
+    PIPELINES,
     FormatError,
     PipelineId,
     block_boundaries,
@@ -27,7 +29,9 @@ from sbc.pipelines import (
     read_varint,
     write_varint,
 )
-from sbc.transforms import bwt
+from sbc.stream_bwt import default_rw_machine, rw_bwt_encode, rw_bwt_invert, rw_suffix_array
+from sbc.stream_st import default_streamsort_machine, streamsort_st
+from sbc.transforms import bwt, st
 
 
 def test_varint_roundtrip():
@@ -262,7 +266,6 @@ def test_st_dc_ac_selection_is_min_over_k():
     sizes = {}
     for k in range(4):
         from sbc.pipelines import _dc_ac_payload
-        from sbc.transforms import st
         sizes[k] = len(_dc_ac_payload([c + 1 for c in st(s, k)], 3))
     container = encode_st_dc_ac(s, 2, 3)
     header, _, payload = parse_container(container)
@@ -284,6 +287,38 @@ def test_mtf_rle_stream_runs_in_one_standard_pass():
     container = encode_bwt_mtf_rle_ac(ranks, 4)
     _, _, plain = parse_container(container)
     assert payload == plain  # machine path and pure path agree bit for bit
+
+
+def _standard(data: bytes) -> Machine:
+    return Machine(MachineConfig(ModelKind.STANDARD, memory_budget_bits=1 << 20), data)
+
+
+_PLAN = BlockPlan(0.5, 0.25, 4)
+
+# name -> run(s, t) giving (the entry point called with s and a machine whose
+# input tape holds t, the same computation on t with no machine)
+TAPE_RUNS = {
+    "rw_bwt_encode": lambda s, t: (rw_bwt_encode(s, default_rw_machine(bytes(t))), bwt(t)),
+    "rw_suffix_array": lambda s, t: (rw_suffix_array(s, default_rw_machine(bytes(t))),
+                                     rw_suffix_array(t)),
+    "rw_bwt_invert": lambda s, t: (rw_bwt_invert(bwt(s), default_rw_machine(
+        bytes(c + 1 for c in bwt(t)))), t),
+    "streamsort_st": lambda s, t: (streamsort_st(s, 2, default_streamsort_machine(bytes(t)),
+                                                 sigma=4), st(t, 2, 4)),
+    "encode_kth_order": lambda s, t: (encode_kth_order(s, 4, 2, machine=_standard(bytes(t))),
+                                      encode_kth_order(t, 4, 2)),
+    "block_encode": lambda s, t: (block_encode(s, 4, _PLAN, machine=_standard(bytes(t))),
+                                  block_encode(t, 4, _PLAN)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_RUNS))
+def test_machine_tape_is_the_input(name):
+    s, _ = ranks_of("mississippi")
+    t = s[1:] + s[:1]  # same length, other string
+    got, expected = TAPE_RUNS[name](s, t)
+    assert got == expected
+    assert got != TAPE_RUNS[name](s, s)[1]
 
 
 def test_dc_stream_matches_pure_path():
@@ -326,3 +361,70 @@ def test_bound_shape_regression(calibration, corpus):
             nhk = n * hk(ranks, k)
             assert size_mtf <= 3.4 * nhk + c1 * sigma ** k, (name, k)
             assert size_dc <= 1.8 * nhk + c2 * (sigma ** k) * math.log2(n), (name, k)
+
+
+# sha256 of the SBC1 container of every in-memory encoder at its CLI default
+# k (each PIPELINES entry with no machine), plus block_encode with the length
+# unknown, on the corpus, an empty and a 1-byte input.  Computed on the code
+# as it stood before the delta code moved into sbc.coders and the test-only
+# coders were deleted, where it passes.  The format is frozen: a change that
+# moves any of these hashes changes what the containers hold.
+CONTAINER_PINS = {
+    ("covering.txt", "bwt-mtf-rle-ac"): "fa7ea8ca1011db30d87b83b4dc17fbccff70ccea8b3305e59356a09f332b1978",
+    ("covering.txt", "bwt-dc-ac"): "36ff4ab716bffa7fe7867b0303a49767fdbc8c241808fb3987225a26c424ada4",
+    ("covering.txt", "st-dc-ac"): "1e2d3517b2bb8b06fae4f2addd2fbdaffdab4a58ca5c462e23b848728bd2ef79",
+    ("covering.txt", "block-kth"): "2c0d33e0487ae1afea4e944283e214b58675bfe08a048c2f8dc646b0866ed66b",
+    ("covering.txt", "kth-order"): "8700621275e29f7efe055ab4b38ac8006f03788c5c885edd7b7ca63f90b22786",
+    ("covering.txt", "block-kth-unknown-n"): "6819a8211c01ef5806689944064d4089119ec5587ab743054c6366ee480c9c54",
+    ("english.txt", "bwt-mtf-rle-ac"): "2cde5d480559b0bee2ecf09e2ae3b10e65b21950fe5302895b5eac2a358acd62",
+    ("english.txt", "bwt-dc-ac"): "e1f5453f19b934188250816ed1369f1271cb3a8a4d1c7d8294fd3c6009cff098",
+    ("english.txt", "st-dc-ac"): "7511e68f9ca49511762fb2121161ed8bc63dd9a304816188c1d68c4cc1d60a8f",
+    ("english.txt", "block-kth"): "7c0e056bb292462a87e24e155f66f26a617ee70dfed5b28ee81be35b68f1fcd5",
+    ("english.txt", "kth-order"): "394fbb6aadd7ba80aac9af41284b35cf03080e42a4689a3ad913f5c94966b03f",
+    ("english.txt", "block-kth-unknown-n"): "e83e4159715c94dab6950d7f2f985d50b2513dacae9b8681d66d162e12b1eec2",
+    ("mixed.bin", "bwt-mtf-rle-ac"): "445961df003870d79923c56c866d6489f637b15cf11f95837e30f14fd7a3ee72",
+    ("mixed.bin", "bwt-dc-ac"): "3297a26b515376e5eb6f0e1e69d75d83296f1b98a7d0452e33dff521ce3c2bbe",
+    ("mixed.bin", "st-dc-ac"): "fcbf8f050d5606661382a4871d7e505c95a9a30dce155994fd1cd81bd5642d0c",
+    ("mixed.bin", "block-kth"): "6a3aae4036c5707a0d2f22ec0b557384e7e1c5abfe57e4388cd4ccd306ec7e3f",
+    ("mixed.bin", "kth-order"): "db74e931abf236ecc6bb6b564df68de6530b77ee32f72e1feff10527c6a69605",
+    ("mixed.bin", "block-kth-unknown-n"): "7e4834ed2a32fca2d075fc7667aa431cbb6d5dbed783a3f75439363b28f412aa",
+    ("periodic.txt", "bwt-mtf-rle-ac"): "8f8cb73baed3b9d02af20d7ffebb5d86a71a99e083b98f183e9334411fbcc986",
+    ("periodic.txt", "bwt-dc-ac"): "55db494e397fffcf69e3342d9213ec48fc8e05ac508610eb3098d8d97ca19c27",
+    ("periodic.txt", "st-dc-ac"): "d54ede586a1889f9b70ae83c41e676ff04f4a580e9be52e6ea86b6e8887c327b",
+    ("periodic.txt", "block-kth"): "42e3a9c2087a902b063a99a70b4259000be017de9199c7f9fd66d739c39ab4b2",
+    ("periodic.txt", "kth-order"): "94859e825fc14f0e6ea2812b2fa49f9f654f33141d8bd58234eebfce3d05ea5b",
+    ("periodic.txt", "block-kth-unknown-n"): "2d06cc867c09259c760f6c88a91258ba703aad14bf817e4f52b983a872fe09bc",
+    ("service.log", "bwt-mtf-rle-ac"): "1425272cf09e087033e4be80332848304cd85a923894aa4e3060e9451ccd88a3",
+    ("service.log", "bwt-dc-ac"): "9ef2c9fc3dfa63cda991cc7360bfd45eb4abb0c6a99b0e7124e6b7032046bf69",
+    ("service.log", "st-dc-ac"): "fc02a932707880a73f1fe9636a01ab4235de8904a312c36e65f6777d77837afc",
+    ("service.log", "block-kth"): "f107a5358ec8d073bce58e67d9d9bfda8f5047dded92e7963ff10bbf2bf9c5fc",
+    ("service.log", "kth-order"): "91cb133b310054cbf935e99ac9c730fa8cc69248984b84facf928fcc00536bcd",
+    ("service.log", "block-kth-unknown-n"): "980ea03983718d80aba7ced287f948667393d4db18183ef22f09973ae12da484",
+    ("empty", "bwt-mtf-rle-ac"): "24362affcd8e4d67cd6c379ccc7d7d336ba2fbe133fee745c952be4bbac556ae",
+    ("empty", "bwt-dc-ac"): "d0f25ed6970eaac549ba8bf73532dda4c77a3a490329fef8de78832004e103da",
+    ("empty", "st-dc-ac"): "47adc1e2ddd93fb804b3d08f1ba2091a49db51b85c9e5be9e05f9bde834f8e06",
+    ("empty", "block-kth"): "e96a58bda9171a635c8a32e99407ccc4597556a138c378e286f5ab082c543025",
+    ("empty", "kth-order"): "2b8a0ba6d4bb4f685d98863b418854c6d361e70d1ec4b0fa48c5d70284667d85",
+    ("empty", "block-kth-unknown-n"): "e96a58bda9171a635c8a32e99407ccc4597556a138c378e286f5ab082c543025",
+    ("one-byte", "bwt-mtf-rle-ac"): "7ec1268741ca98fea32d135b1e66eefe147f8239d6bd15cd9782f31427d8bcd7",
+    ("one-byte", "bwt-dc-ac"): "289254b7248ab496faeadd86d80a410d52ae65e648f4b764aff555509b63d044",
+    ("one-byte", "st-dc-ac"): "cf16972afd7604a7ccf1cc2c29cea4d3ebeac9ca79160ddc34b7199d7b798f50",
+    ("one-byte", "block-kth"): "1ecd952d174be5d083626080341b5772e6c843d799afb98418b6931429ea894b",
+    ("one-byte", "kth-order"): "92e58b311188a0df4f79ce642407f69017e3908ccc96bdb5fddd1a4598584306",
+    ("one-byte", "block-kth-unknown-n"): "acf3b3e00be54be3548a7afc5a6af26f01f5c25672d1e0b1e210d34498f48b9a",
+}
+
+
+def test_containers_are_pinned(corpus):
+    inputs = dict(corpus, **{"empty": b"", "one-byte": b"x"})
+    got = {}
+    for name, data in inputs.items():
+        s, alphabet = ranks_of(data)
+        sigma, alphabet = len(alphabet), bytes(alphabet)
+        for entry in PIPELINES.values():
+            container, _ = entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, None)
+            got[name, entry.name] = hashlib.sha256(container).hexdigest()
+        plan = BlockPlan.for_length(len(s), 0.5, 0.25)
+        container = block_encode(s, sigma, plan, known_n=False, alphabet=alphabet)
+        got[name, "block-kth-unknown-n"] = hashlib.sha256(container).hexdigest()
+    assert got == CONTAINER_PINS
