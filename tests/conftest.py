@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sbc.coders import SymbolEncoder
 from sbc.machine import WRITE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -26,6 +27,26 @@ def random_ranks(rng, max_n, sigma):
     """Length skews small so edge cases appear often."""
     n = rng.randrange(0, max_n + 1) if rng.random() < 0.5 else rng.randrange(0, max_n // 8 + 2)
     return [rng.randrange(sigma) for _ in range(n)]
+
+
+class _BitRecorder(SymbolEncoder):
+    """An encoder that records the binary symbols put_delta emits."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self):
+        super().__init__()
+        self.bits = []
+
+    def put(self, model, sym):
+        self.bits.append(sym)
+
+
+def delta_code(value):
+    """The delta code of value as the '0'/'1' string SymbolEncoder.put_delta emits."""
+    enc = _BitRecorder()
+    enc.put_delta(None, value)
+    return "".join(map(str, enc.bits))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import (
+    delta_code,
     doubling_bwt,
     doubling_context_order,
     oracle_bwt,
@@ -13,6 +14,7 @@ from conftest import (
 )
 from sbc import transforms
 from sbc.adversary import db_power, de_bruijn
+from sbc.coders import FreqModel, SymbolDecoder, SymbolEncoder
 from sbc.entropy import h0
 from sbc.pipelines import _mtf_rle_ac_decode, _mtf_rle_ac_payload
 from sbc.transforms import (
@@ -266,3 +268,27 @@ def test_dc_decode_rejects_malformed():
         reconstruct(DcStream({"a": 0}, 2, [5]))  # gap past the end
     with pytest.raises(ValueError):
         reconstruct(DcStream({"a": 1}, 2, [0]))  # nothing starts the string
+
+
+# The dc-ac pipeline delta-codes the distance-coding gaps with SymbolEncoder.put_delta.
+
+
+def test_elias_delta_known_codes():
+    known = {
+        1: "1", 2: "0100", 3: "0101", 4: "01100", 7: "01111", 8: "00100000",
+        17: "001010001", 2**16: "000010001" + "0" * 16,
+    }
+    for value, code in known.items():
+        assert delta_code(value) == code, value
+
+
+def test_elias_delta_truncated():
+    for value in (0, -1):
+        with pytest.raises(ValueError):
+            SymbolEncoder().put_delta(FreqModel(2), value)
+    enc = SymbolEncoder()
+    enc.put_delta(FreqModel(2), 2**100)
+    payload = enc.finish()
+    for cut in range(len(payload)):
+        with pytest.raises(ValueError):
+            SymbolDecoder(payload[:cut]).get_delta(FreqModel(2))
