@@ -15,7 +15,10 @@ Integers v >= 1 (run lengths, gaps, first occurrences) are Elias delta
 codes (Elias, IEEE Trans. IT 1975), each bit a symbol of one adaptive binary
 model.  With nbits = v.bit_length() and lbits = nbits.bit_length() - 1, the
 normative layout is lbits zeros, the lbits + 1 bits of nbits, then the low
-nbits - 1 bits of v, most significant first: 1 is 1, 2 is 0100.
+nbits - 1 bits of v, most significant first: 1 is 1, 2 is 0100.  Delta
+codes run through a two-symbol fast path that inlines the binary model and
+the range coder's arithmetic per bit; its output is bit-identical to coding
+each bit with the generic ``put``/``get``.
 
 The order-k coder keeps one adaptive model per observed length-k context,
 creating models lazily so the memory charge grows with the number of
@@ -166,15 +169,51 @@ class SymbolEncoder:
         model.update(sym)
 
     def put_delta(self, model: FreqModel, value: int) -> None:
-        """Delta-code value >= 1, each bit through an adaptive binary model."""
+        """Delta-code value >= 1, each bit through the two-symbol model."""
         if value < 1:
             raise ValueError("delta codes represent integers >= 1")
         nbits = value.bit_length()
         lbits = nbits.bit_length() - 1
-        for i in range(2 * lbits, -1, -1):  # lbits zeros, then the lbits + 1 bits of nbits
-            self.put(model, (nbits >> i) & 1)
-        for i in range(nbits - 2, -1, -1):
-            self.put(model, (value >> i) & 1)
+        # lbits zeros, the lbits + 1 bits of nbits, the low nbits - 1 bits of value
+        code = (nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1))
+        self._put_bits(model, [(code >> i) & 1 for i in range(2 * lbits + nbits - 1, -1, -1)])
+
+    def _put_bits(self, model: FreqModel, bits: List[int]) -> None:
+        """``put`` of each bit through a two-symbol model, inlined.
+
+        The same intervals, update and rescale as ``put``; the model's and
+        the coder's state are read once and written back once.
+        """
+        rc = self._rc
+        c0, c1 = model.counts
+        total = model.total
+        low = rc._low
+        rng = rc._range
+        for bit in bits:
+            assert total <= rng, "coder precision violated"
+            r = rng // total
+            if bit:
+                low += r * c0
+                rng = r * c1
+                c1 += 1
+            else:
+                rng = r * c0
+                c0 += 1
+            assert low < (1 << 33)
+            while rng < _TOP:
+                rc._low = low
+                rc._shift_low()
+                low = rc._low
+                rng = (rng << 8) & _MASK32
+            total += 1
+            if total >= RESCALE_TOTAL:
+                c0 = (c0 + 1) >> 1
+                c1 = (c1 + 1) >> 1
+                total = c0 + c1
+        rc._low = low
+        rc._range = rng
+        model.counts = [c0, c1]
+        model.total = total
 
     def finish(self) -> bytes:
         return self._rc.finish()
@@ -193,16 +232,59 @@ class SymbolDecoder:
         return sym
 
     def get_delta(self, model: FreqModel) -> int:
+        """Decode one delta code; ``get`` of each bit through a two-symbol model, inlined."""
+        rc = self._rc
+        c0, c1 = model.counts
+        total = model.total
+        code = rc._code
+        rng = rc._range
         zeros = 0
-        while self.get(model) == 0:
-            zeros += 1
-        nbits = 1
-        for _ in range(zeros):
-            nbits = (nbits << 1) | self.get(model)
-        value = 1
-        for _ in range(nbits - 1):
-            value = (value << 1) | self.get(model)
-        return value
+        nbits = 0  # 0 until the length field is read
+        acc = 0  # the field being read, from its leading 1
+        left = -1  # bits still to read into acc; -1 while counting zeros
+        while True:
+            r = rng // total
+            split = r * c0
+            # get() clamps code // r to total - 1, which still decodes a 1.
+            if code < split:
+                bit = 0
+                rng = split
+                c0 += 1
+            else:
+                bit = 1
+                code -= split
+                rng = r * c1
+                c1 += 1
+            while rng < _TOP:
+                code = ((code << 8) | rc._next_byte()) & _MASK32
+                rng = (rng << 8) & _MASK32
+            total += 1
+            if total >= RESCALE_TOTAL:
+                c0 = (c0 + 1) >> 1
+                c1 = (c1 + 1) >> 1
+                total = c0 + c1
+            if left < 0:
+                if not bit:
+                    zeros += 1
+                    continue
+                acc = 1
+                left = zeros
+            else:
+                acc = (acc << 1) | bit
+                left -= 1
+            if left == 0:
+                if nbits:
+                    break
+                nbits = acc
+                acc = 1
+                left = nbits - 1
+                if not left:
+                    break
+        rc._code = code
+        rc._range = rng
+        model.counts = [c0, c1]
+        model.total = total
+        return acc
 
 
 class ContextModelBank:

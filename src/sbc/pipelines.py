@@ -191,6 +191,8 @@ def _mtf_rle_ac_payload(symbols: Iterable[int], sigma_total: int, machine=None) 
 
 
 def _mtf_rle_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
+    if count == 0:
+        return []
     sym_model = FreqModel(sigma_total)
     run_model = FreqModel(2)
     dec = SymbolDecoder(payload)

@@ -133,9 +133,8 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
     return result
 
 
-def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine] = None,
-                         sigma: Optional[int] = None,
-                         alphabet: Optional[bytes] = None) -> bytes:
+def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine] = None, *,
+                         sigma: int, alphabet: Optional[bytes] = None) -> bytes:
     """Encode via the context sort for every k up to k_max, keep the shortest.
 
     Each k runs on a fresh machine copy (the model cannot restore the
@@ -144,8 +143,6 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     matches the advertised O(log n * log log n) shape.
     """
     s = list(s)
-    if sigma is None:
-        sigma = (max(s) + 1) if s else 1
     if machine is not None and machine.config.model is not ModelKind.STREAM_SORT:
         raise CapabilityError("this transform runs in the streamsort model")
 

@@ -22,6 +22,7 @@ ties by original position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -255,24 +256,28 @@ def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
 
     ``next_gap`` is called once per maximal run, in run order.  Raises
     ValueError on any malformed stream (gap of 1, colliding or out-of-range
-    positions, missing run owner).
+    positions, missing run owner).  Pending next occurrences sit in a heap
+    keyed by position, so each run costs O(log sigma); every pending
+    position is at least the current one, so a run's owner is the heap's
+    top and a second entry there is a collision.
     """
-    pending = {}
-    for sym, pos in first_occurrence.items():
+    pending = []  # (position, index, symbol): the index keeps symbols from being compared
+    for index, (sym, pos) in enumerate(first_occurrence.items()):
         if pos is None:
             continue
         if not 0 <= pos < n:
             raise ValueError("first occurrence out of range")
-        pending[sym] = pos
+        pending.append((pos, index, sym))
+    heapify(pending)
     out: List = []
     pos = 0
     while pos < n:
-        owners = [a for a, p in pending.items() if p == pos]
-        if len(owners) != 1:
+        if not pending or pending[0][0] != pos:
             raise ValueError("malformed distance stream")
-        sym = owners[0]
-        del pending[sym]
-        nxt = min(pending.values()) if pending else n
+        _, index, sym = heappop(pending)
+        nxt = pending[0][0] if pending else n
+        if nxt == pos:
+            raise ValueError("malformed distance stream")
         out.extend([sym] * (nxt - pos))
         gap = next_gap()
         if gap is None or gap < 0 or gap == 1:
@@ -281,7 +286,7 @@ def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
             target = (nxt - 1) + gap
             if target >= n:
                 raise ValueError("gap points past the end")
-            pending[sym] = target
+            heappush(pending, (target, index, sym))
         pos = nxt
     if pending:
         raise ValueError("dangling occurrences")

@@ -38,8 +38,8 @@ class _BitRecorder(SymbolEncoder):
         super().__init__()
         self.bits = []
 
-    def put(self, model, sym):
-        self.bits.append(sym)
+    def _put_bits(self, model, bits):
+        self.bits.extend(bits)
 
 
 def delta_code(value):
@@ -135,6 +135,44 @@ def oracle_st(s, k):
         return tuple(extended[(i - 1 - j) % m] for j in range(k))
     order = sorted(range(m), key=lambda i: (context(i), i))
     return [extended[i] for i in order]
+
+
+def oracle_dc_reconstruct(first_occurrence, n, next_gap):
+    """The distance decoder by scanning every pending symbol per run.
+
+    The library decoded this way before it kept pending occurrences in a
+    heap; ``sbc.transforms._dc_reconstruct`` must return the same string or
+    raise the same message, after the same ``next_gap`` calls.
+    """
+    pending = {}
+    for sym, pos in first_occurrence.items():
+        if pos is None:
+            continue
+        if not 0 <= pos < n:
+            raise ValueError("first occurrence out of range")
+        pending[sym] = pos
+    out = []
+    pos = 0
+    while pos < n:
+        owners = [a for a, p in pending.items() if p == pos]
+        if len(owners) != 1:
+            raise ValueError("malformed distance stream")
+        sym = owners[0]
+        del pending[sym]
+        nxt = min(pending.values()) if pending else n
+        out.extend([sym] * (nxt - pos))
+        gap = next_gap()
+        if gap is None or gap < 0 or gap == 1:
+            raise ValueError("malformed distance stream")
+        if gap:
+            target = (nxt - 1) + gap
+            if target >= n:
+                raise ValueError("gap points past the end")
+            pending[sym] = target
+        pos = nxt
+    if pending:
+        raise ValueError("dangling occurrences")
+    return out
 
 
 def _merge_runs(a, b, key):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import delta_code
 from sbc.coders import (
+    RESCALE_TOTAL,
     FreqModel,
     SymbolDecoder,
     SymbolEncoder,
@@ -124,6 +125,82 @@ def test_delta_code_bit_layout():
     for value in range(1, 5000):
         nbits = value.bit_length()
         assert len(delta_code(value)) == nbits + 2 * (nbits.bit_length() - 1)
+
+
+def generic_put_delta(enc, model, value):
+    """The delta code of value, each bit through the generic ``SymbolEncoder.put``."""
+    for bit in delta_code(value):
+        enc.put(model, int(bit))
+
+
+def generic_get_delta(dec, model):
+    """One delta code, each bit through the generic ``SymbolDecoder.get``."""
+    zeros = 0
+    while dec.get(model) == 0:
+        zeros += 1
+    nbits = 1
+    for _ in range(zeros):
+        nbits = (nbits << 1) | dec.get(model)
+    value = 1
+    for _ in range(nbits - 1):
+        value = (value << 1) | dec.get(model)
+    return value
+
+
+def test_delta_fast_path_matches_generic_coder():
+    # Two delta models and a three-symbol model interleaved, as the payload
+    # coders use them; enough bits that each delta model rescales many times.
+    rng = random.Random(8)
+    values = [rng.choice((1, 2, 3, rng.randrange(1, 64), rng.randrange(1, 1 << 40)))
+              for _ in range(40000)] + [2**100, 1, 2**100]
+    syms = [rng.randrange(3) for _ in values]
+    fast, generic = SymbolEncoder(), SymbolEncoder()
+    fast_models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    generic_models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    for i, (v, sym) in enumerate(zip(values, syms)):
+        fast.put_delta(fast_models[i & 1], v)
+        generic_put_delta(generic, generic_models[i & 1], v)
+        fast.put(fast_models[2], sym)
+        generic.put(generic_models[2], sym)
+        if i % 997 == 0:
+            assert [m.counts for m in fast_models] == [m.counts for m in generic_models]
+    payload = fast.finish()
+    assert payload == generic.finish()
+    bits = sum(len(delta_code(v)) for v in values)
+    assert bits > 8 * RESCALE_TOTAL  # rescale-by-halving fired on both delta models
+
+    fast_dec, generic_dec = SymbolDecoder(payload), SymbolDecoder(payload)
+    fast_models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    generic_models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    for i, (v, sym) in enumerate(zip(values, syms)):
+        assert fast_dec.get_delta(fast_models[i & 1]) == v
+        assert generic_get_delta(generic_dec, generic_models[i & 1]) == v
+        assert fast_dec.get(fast_models[2]) == generic_dec.get(generic_models[2]) == sym
+    assert [(m.counts, m.total) for m in fast_models] == \
+        [(m.counts, m.total) for m in generic_models]
+
+
+def test_delta_fast_path_decodes_noise_like_generic_coder():
+    # On arbitrary bytes both decoders read the same values or both raise.
+    rng = random.Random(9)
+
+    def outcome(decode, data):
+        model = FreqModel(2)
+        values = []
+        try:
+            dec = SymbolDecoder(data)
+            for _ in range(4):
+                values.append(decode(dec, model))
+        except ValueError as exc:
+            return values, str(exc)
+        return values, None
+
+    for i in range(3000):
+        data = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 24)))
+        if i % 3 == 0:
+            # Code bytes of 0xFF reach the target clamp of get().
+            data = data[:1] + b"\xff" * rng.randrange(4, 12) + data[1:]
+        assert outcome(SymbolDecoder.get_delta, data) == outcome(generic_get_delta, data)
 
 
 def test_kth_order_roundtrip():

@@ -8,6 +8,7 @@ from conftest import (
     doubling_bwt,
     doubling_context_order,
     oracle_bwt,
+    oracle_dc_reconstruct,
     oracle_st,
     ranks_of,
     render,
@@ -208,12 +209,11 @@ def test_mtf_examples():
 
 def test_mtf_roundtrip_random():
     # The bwt-mtf-rle-ac payload coder runs mtf_encode, and its decoder holds
-    # the one inverse of move-to-front.  A body it codes is never empty: it
-    # holds at least the end marker.
+    # the one inverse of move-to-front.
     rng = random.Random(5)
     for _ in range(1000):
         sigma = rng.randrange(1, 6)
-        s = [rng.randrange(sigma) for _ in range(rng.randrange(1, 30))]
+        s = [rng.randrange(sigma) for _ in range(rng.randrange(0, 30))]
         assert _mtf_rle_ac_decode(_mtf_rle_ac_payload(s, sigma), len(s), sigma) == s
 
 
@@ -268,6 +268,95 @@ def test_dc_decode_rejects_malformed():
         reconstruct(DcStream({"a": 0}, 2, [5]))  # gap past the end
     with pytest.raises(ValueError):
         reconstruct(DcStream({"a": 1}, 2, [0]))  # nothing starts the string
+
+
+def dc_outcome(decode, first, n, gaps):
+    """What a distance decoder makes of a stream: its result or error, and its gap reads."""
+    source = iter(gaps)
+    reads = []
+
+    def next_gap():
+        reads.append(next(source, None))
+        return reads[-1]
+
+    try:
+        return decode(dict(first), n, next_gap), reads
+    except ValueError as exc:
+        return str(exc), reads
+
+
+def _runs(s):
+    """Maximal runs of s as (symbol, start, end) with end inclusive."""
+    runs = []
+    for i, c in enumerate(s):
+        if runs and runs[-1][0] == c:
+            runs[-1] = (c, runs[-1][1], i)
+        else:
+            runs.append((c, i, i))
+    return runs
+
+
+def dc_mutations(rng, s, stream):
+    """Malformed variants (first occurrences, length, gaps) of a valid stream."""
+    first, n, gaps = stream.first_occurrence, stream.length, stream.gaps
+    present = [a for a in first if first[a] is not None]
+    absent = [a for a in first if first[a] is None]
+    out = []
+    if gaps:
+        j = rng.randrange(len(gaps))
+        out.append((first, n, gaps[:j] + [1] + gaps[j + 1:]))  # a gap of 1
+        out.append((first, n, gaps[:j] + [n + rng.randrange(3)] + gaps[j + 1:]))  # past the end
+        out.append((first, n, gaps[:j] + [-2] + gaps[j + 1:]))
+        out.append((first, n, gaps[:j]))  # the gap source runs dry
+    if len(present) >= 2:  # two first occurrences collide
+        a, b = rng.sample(present, 2)
+        out.append(({**first, a: first[b]}, n, gaps))
+    if present:  # no owner at position 0
+        out.append(({**first, s[0]: None}, n, gaps))
+        out.append(({**first, s[0]: rng.randrange(n)}, n, gaps))
+    if absent and n:  # a symbol that never occurs is left pending
+        out.append(({**first, rng.choice(absent): rng.randrange(n)}, n, gaps))
+    if n:
+        out.append((first, n - 1, gaps))
+    # A gap landing on another symbol's pending position: the next run of
+    # another symbol after run j is exactly what is pending for it there.
+    runs = _runs(s)
+    for j, (sym, _, end) in enumerate(runs):
+        later = {}
+        for other, start, _ in runs[j + 1:]:
+            later.setdefault(other, start)
+        targets = [start for other, start in later.items() if other != sym and start >= end + 2]
+        if targets:
+            out.append((first, n, gaps[:j] + [rng.choice(targets) - end] + gaps[j + 1:]))
+    return out
+
+
+def test_dc_reconstruct_matches_scan_oracle():
+    # Symbols of mixed, mutually incomparable types: heap entries must never
+    # compare two symbols, also when two of them collide on one position.
+    rng = random.Random(12)
+    symbols = ["a", 1, ("t",), "b", 2.5, frozenset({3}), None, "c"]
+    malformed = 0
+    for _ in range(1500):
+        alphabet = rng.sample(symbols, rng.randrange(1, len(symbols) + 1))
+        used = alphabet[:rng.randrange(1, len(alphabet) + 1)]
+        s = [rng.choice(used) for _ in range(rng.randrange(0, 40))]
+        stream = dc_encode(s, alphabet=alphabet)
+        cases = [(stream.first_occurrence, stream.length, stream.gaps)]
+        cases += dc_mutations(rng, s, stream)
+        for first, n, gaps in cases:
+            expected = dc_outcome(oracle_dc_reconstruct, first, n, gaps)
+            assert dc_outcome(_dc_reconstruct, first, n, gaps) == expected, (first, n, gaps)
+            malformed += isinstance(expected[0], str)
+        assert dc_outcome(_dc_reconstruct, *cases[0]) == (s, stream.gaps)
+    assert malformed > 10000
+
+
+def test_dc_reconstruct_collision_of_string_symbols():
+    first = {"b": 0, "a": 2, ("x",): 2}
+    for decode in (_dc_reconstruct, oracle_dc_reconstruct):
+        assert dc_outcome(decode, first, 4, [0, 0, 0]) == \
+            ("malformed distance stream", [0])
 
 
 # The dc-ac pipeline delta-codes the distance-coding gaps with SymbolEncoder.put_delta.
