@@ -20,6 +20,16 @@ codes run through a two-symbol fast path that inlines the binary model and
 the range coder's arithmetic per bit; its output is bit-identical to coding
 each bit with the generic ``put``/``get``.
 
+A model over more than 16 symbols also keeps one sum per block of 16
+symbols.  Its ``interval`` is then two C-level sums, and its ``locate``
+scans the block sums, then at most 16 counts: sigma / 16 + 16 steps rather
+than sigma (both terms are sqrt sigma at sigma = 256), while the small
+symbols that move-to-front favours still exit at once.  A model of at most
+16 symbols is one block, so it keeps no sums and pays nothing for them.
+The block sums are a host-side index derived from the counts: intervals,
+rescale points and outputs are those of one flat list of counts, and
+``state_bits`` and every ledger charge are unchanged.
+
 The order-k coder keeps one adaptive model per observed length-k context,
 creating models lazily so the memory charge grows with the number of
 contexts actually seen, bounded by sigma^k; at k = 0 it is the order-0 coder.
@@ -30,6 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 RESCALE_TOTAL = 1 << 15
+_BLOCK = 16  # symbols per block sum of a wide model
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 
@@ -46,9 +57,17 @@ def _charge(machine, bits: int) -> int:
 
 
 class FreqModel:
-    """Adaptive symbol frequencies; counts stay >= 1, total stays < 2^16."""
+    """Adaptive symbol frequencies; counts stay >= 1, total stays < 2^16.
+
+    Over more than ``_BLOCK`` symbols the model is a ``_BlockFreqModel``.
+    """
 
     __slots__ = ("counts", "total")
+
+    def __new__(cls, num_symbols: int):
+        if cls is FreqModel and num_symbols > _BLOCK:
+            cls = _BlockFreqModel
+        return super().__new__(cls)
 
     def __init__(self, num_symbols: int):
         if num_symbols < 1:
@@ -82,6 +101,58 @@ class FreqModel:
     def state_bits(self) -> int:
         # 16-bit counters per symbol plus the running total.
         return 16 * (len(self.counts) + 1)
+
+
+class _BlockFreqModel(FreqModel):
+    """A FreqModel that also keeps ``blocks[b] = sum(counts[_BLOCK * b:_BLOCK * (b + 1)])``.
+
+    The block sums are a host-side index that ``state_bits`` does not charge.
+    """
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, num_symbols: int):
+        super().__init__(num_symbols)
+        self.blocks = [min(_BLOCK, num_symbols - b) for b in range(0, num_symbols, _BLOCK)]
+
+    def interval(self, sym: int) -> Tuple[int, int, int]:
+        counts = self.counts
+        if not 0 <= sym < len(counts):
+            raise ValueError(f"symbol {sym} out of range")
+        b = sym // _BLOCK
+        lo = sum(counts[b * _BLOCK:sym])
+        if b:
+            lo += sum(self.blocks[:b])
+        return lo, lo + counts[sym], self.total
+
+    def locate(self, value: int) -> Tuple[int, int, int]:
+        lo = 0
+        sym = 0
+        for block in self.blocks:
+            hi = lo + block
+            if value < hi:
+                break
+            lo = hi
+            sym += _BLOCK
+        else:
+            raise ValueError("decode target out of range")
+        # The block's counts sum to its block sum, so value falls within it.
+        counts = self.counts
+        while True:
+            hi = lo + counts[sym]
+            if value < hi:
+                return sym, lo, hi
+            lo = hi
+            sym += 1
+
+    def update(self, sym: int) -> None:
+        self.counts[sym] += 1
+        self.blocks[sym // _BLOCK] += 1
+        self.total += 1
+        if self.total >= RESCALE_TOTAL:
+            counts = self.counts = [(c + 1) >> 1 for c in self.counts]
+            self.blocks = [sum(counts[b:b + _BLOCK]) for b in range(0, len(counts), _BLOCK)]
+            self.total = sum(self.blocks)
 
 
 class RangeEncoder:

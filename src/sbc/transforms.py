@@ -259,7 +259,9 @@ def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
     positions, missing run owner).  Pending next occurrences sit in a heap
     keyed by position, so each run costs O(log sigma); every pending
     position is at least the current one, so a run's owner is the heap's
-    top and a second entry there is a collision.
+    top and a second entry there is a collision.  Every pending position is
+    also below n, so the loop ends only once nothing is pending: no
+    occurrence is left dangling.
     """
     pending = []  # (position, index, symbol): the index keeps symbols from being compared
     for index, (sym, pos) in enumerate(first_occurrence.items()):
@@ -288,6 +290,4 @@ def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
                 raise ValueError("gap points past the end")
             heappush(pending, (target, index, sym))
         pos = nxt
-    if pending:
-        raise ValueError("dangling occurrences")
     return out

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sbc.coders import SymbolEncoder
+from sbc.coders import RESCALE_TOTAL, SymbolEncoder
 from sbc.machine import WRITE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -40,6 +40,50 @@ class _BitRecorder(SymbolEncoder):
 
     def _put_bits(self, model, bits):
         self.bits.extend(bits)
+
+
+class FlatFreqModel:
+    """Adaptive symbol frequencies; counts stay >= 1, total stays < 2^16.
+
+    ``sbc.coders.FreqModel`` as it stood before it kept block sums: one flat
+    list of counts, scanned by ``interval`` and ``locate``.  The library's
+    model must give the same intervals, locations and rescales.
+    """
+
+    __slots__ = ("counts", "total")
+
+    def __init__(self, num_symbols: int):
+        if num_symbols < 1:
+            raise ValueError("need at least one symbol")
+        if RESCALE_TOTAL <= 2 * num_symbols:
+            raise ValueError("rescale threshold too small for this alphabet")
+        self.counts = [1] * num_symbols
+        self.total = num_symbols
+
+    def interval(self, sym: int):
+        if not 0 <= sym < len(self.counts):
+            raise ValueError(f"symbol {sym} out of range")
+        lo = sum(self.counts[:sym])
+        return lo, lo + self.counts[sym], self.total
+
+    def locate(self, value: int):
+        acc = 0
+        for sym, c in enumerate(self.counts):
+            if value < acc + c:
+                return sym, acc, acc + c
+            acc += c
+        raise ValueError("decode target out of range")
+
+    def update(self, sym: int) -> None:
+        self.counts[sym] += 1
+        self.total += 1
+        if self.total >= RESCALE_TOTAL:
+            self.counts = [(c + 1) >> 1 for c in self.counts]
+            self.total = sum(self.counts)
+
+    def state_bits(self) -> int:
+        # 16-bit counters per symbol plus the running total.
+        return 16 * (len(self.counts) + 1)
 
 
 def delta_code(value):

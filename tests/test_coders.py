@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from conftest import delta_code
+from conftest import FlatFreqModel, delta_code
 from sbc.coders import (
+    _BLOCK,
     RESCALE_TOTAL,
     FreqModel,
     SymbolDecoder,
@@ -36,6 +37,89 @@ def test_freq_model_interval_partition():
         assert lo == acc and hi > lo
         acc = hi
     assert acc == model.total
+
+
+def assert_model_matches(model, flat, syms, values):
+    """model and the flat oracle agree on state, interval(sym) for syms and locate(v) for values."""
+    assert (model.counts, model.total) == (flat.counts, flat.total)
+    if len(model.counts) > _BLOCK:
+        assert model.blocks == [sum(model.counts[b:b + _BLOCK]) for b in range(0, len(model.counts), _BLOCK)]
+    else:
+        assert not hasattr(model, "blocks")  # one block: its sum is the total
+    for sym in syms:
+        assert model.interval(sym) == flat.interval(sym), sym
+    for v in values:
+        assert model.locate(v) == flat.locate(v), v
+
+
+def _decode_outcome(model, data, count):
+    """Up to count symbols of data through model, and the ValueError message if one stops it."""
+    out = []
+    try:
+        dec = SymbolDecoder(data)
+        for _ in range(count):
+            out.append(dec.get(model))
+    except ValueError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 15, 16, 17, 31, 32, 33, 250, 16383])
+def test_freq_model_matches_flat_oracle(sigma):
+    # 70,000 updates cross RESCALE_TOTAL at least three times at every sigma.
+    # Up to sigma = 250 every interval is checked, and up to 33 every
+    # locate; above that a seeded sample, as the flat oracle scans sigma
+    # counts per call.
+    rng = random.Random(sigma)
+    n = 70000
+    sequences = {
+        "uniform": [rng.randrange(sigma) for _ in range(n)],
+        # Mostly small symbols, as move-to-front emits, with a long tail.
+        "skewed": [min(int(rng.expovariate(0.2)), sigma - 1) for _ in range(n)],
+    }
+
+    def check(model, flat):
+        syms = range(sigma) if sigma <= 250 else sorted({0, sigma - 1, *rng.sample(range(sigma), 100)})
+        if sigma <= 33:
+            values = range(flat.total)
+        else:
+            values = sorted({0, flat.total - 1, *rng.sample(range(flat.total), 200 if sigma <= 250 else 30)})
+        assert_model_matches(model, flat, syms, values)
+
+    for kind, seq in sequences.items():
+        model, flat = FreqModel(sigma), FlatFreqModel(sigma)
+        rescales = 0
+        for i, sym in enumerate(seq):
+            before = flat.total
+            model.update(sym)
+            flat.update(sym)
+            rescales += flat.total < before
+            if i % 17500 == 0 or flat.total < before:
+                check(model, flat)
+        assert rescales >= 3, (kind, rescales)
+        check(model, flat)
+
+        # A stream through both models codes to the same bytes and decodes
+        # alike, past the first rescale.  A flat decode at sigma = 16383
+        # scans thousands of counts per symbol, so there it decodes a prefix.
+        stream = seq[:36000 if sigma <= 250 else 20000]
+        enc, flat_enc = SymbolEncoder(), SymbolEncoder()
+        model, flat = FreqModel(sigma), FlatFreqModel(sigma)
+        for sym in stream:
+            enc.put(model, sym)
+            flat_enc.put(flat, sym)
+        assert flat.total < sigma + len(stream)  # rescaled
+        payload = enc.finish()
+        assert payload == flat_enc.finish(), kind
+        prefix = len(stream) if sigma <= 250 else 500
+        assert _decode_outcome(FreqModel(sigma), payload, len(stream)) == (stream, None)
+        assert _decode_outcome(FlatFreqModel(sigma), payload, prefix) == (stream[:prefix], None)
+
+    # Noise decodes to the same symbols or stops with the same error.
+    count = 64 if sigma <= 250 else 16
+    for _ in range(200 if sigma <= 250 else 20):
+        data = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 40)))
+        assert _decode_outcome(FreqModel(sigma), data, count) == _decode_outcome(FlatFreqModel(sigma), data, count)
 
 
 # Order-0 adaptive coding ("ac" in the pipeline names) is the order-k coder
@@ -178,6 +262,33 @@ def test_delta_fast_path_matches_generic_coder():
         assert fast_dec.get(fast_models[2]) == generic_dec.get(generic_models[2]) == sym
     assert [(m.counts, m.total) for m in fast_models] == \
         [(m.counts, m.total) for m in generic_models]
+
+
+def test_delta_fast_path_then_generic_coder_matches_flat_oracle():
+    # put_delta/get_delta write a binary model's state back once per code;
+    # generic put/get on the same model afterwards must see all of it, as
+    # the flat oracle driven bit by bit does.
+    rng = random.Random(10)
+    values = [rng.choice((1, 2, rng.randrange(1, 64), rng.randrange(1, 1 << 30))) for _ in range(15000)]
+    bits = [rng.randrange(2) for _ in values]
+    enc, flat_enc = SymbolEncoder(), SymbolEncoder()
+    model, flat = FreqModel(2), FlatFreqModel(2)
+    for v, bit in zip(values, bits):
+        enc.put_delta(model, v)
+        generic_put_delta(flat_enc, flat, v)
+        assert_model_matches(model, flat, (0, 1), (0, flat.total - 1))
+        enc.put(model, bit)
+        flat_enc.put(flat, bit)
+    payload = enc.finish()
+    assert payload == flat_enc.finish()
+    assert sum(len(delta_code(v)) + 1 for v in values) > 4 * RESCALE_TOTAL
+
+    dec, flat_dec = SymbolDecoder(payload), SymbolDecoder(payload)
+    model, flat = FreqModel(2), FlatFreqModel(2)
+    for v, bit in zip(values, bits):
+        assert dec.get_delta(model) == generic_get_delta(flat_dec, flat) == v
+        assert_model_matches(model, flat, (0, 1), (0, flat.total - 1))
+        assert dec.get(model) == flat_dec.get(flat) == bit
 
 
 def test_delta_fast_path_decodes_noise_like_generic_coder():

@@ -428,3 +428,34 @@ def test_containers_are_pinned(corpus):
         container = block_encode(s, sigma, plan, known_n=False, alphabet=alphabet)
         got[name, "block-kth-unknown-n"] = hashlib.sha256(container).hexdigest()
     assert got == CONTAINER_PINS
+
+
+def wide_ranks(n, seed, sigma=250, likely=8, noise=0.1):
+    """An order-1 source over sigma ranks: each has ``likely`` favoured successors."""
+    table = random.Random(sigma)
+    successors = [table.sample(range(sigma), likely) for _ in range(sigma)]
+    rng = random.Random(seed)
+    out = [rng.randrange(sigma)]
+    while len(out) < n:
+        out.append(rng.randrange(sigma) if rng.random() < noise else rng.choice(successors[out[-1]]))
+    return out
+
+
+# sha256 of encode_kth_order's container at sigma = 250 on wide_ranks(70000,
+# 2026).  At k = 0 the one model rescales three times; at k = 1 no context
+# sees more than 578 symbols, so none does.  Computed on the flat-count
+# model, before FreqModel kept block sums.
+WIDE_KTH_PINS = {
+    0: "25431662345aea2470eae3079b334446ed6bc84b0c86f737cd6c0d47699efe66",
+    1: "909890a9ee7333e795ac5ef26d4e34bbf940a49d5f3ca2985406f1944be72266",
+}
+
+
+@pytest.mark.parametrize("k", sorted(WIDE_KTH_PINS))
+def test_wide_kth_order_containers_are_pinned(k):
+    s = wide_ranks(70000, 2026)
+    assert len(set(s)) == 250
+    container = encode_kth_order(s, 250, k)
+    assert hashlib.sha256(container).hexdigest() == WIDE_KTH_PINS[k]
+    ranks, header, _ = decode_container(container)
+    assert (ranks, header.k) == (s, k)
