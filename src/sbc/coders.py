@@ -16,9 +16,10 @@ codes (Elias, IEEE Trans. IT 1975), each bit a symbol of one adaptive binary
 model.  With nbits = v.bit_length() and lbits = nbits.bit_length() - 1, the
 normative layout is lbits zeros, the lbits + 1 bits of nbits, then the low
 nbits - 1 bits of v, most significant first: 1 is 1, 2 is 0100.  Delta
-codes run through a two-symbol fast path that inlines the binary model and
-the range coder's arithmetic per bit; its output is bit-identical to coding
-each bit with the generic ``put``/``get``.
+codes run through one loop per coded sequence, which inlines the binary
+model and the range coder's arithmetic per bit and keeps their state in
+locals for the whole sequence; its output is bit-identical to coding each
+bit with the generic ``put``/``get``.
 
 A model over more than 16 symbols also keeps one sum per block of 16
 symbols.  Its ``interval`` is then two C-level sums, and its ``locate``
@@ -37,7 +38,7 @@ contexts actually seen, bounded by sigma^k; at k = 0 it is the order-0 coder.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 RESCALE_TOTAL = 1 << 15
 _BLOCK = 16  # symbols per block sum of a wide model
@@ -241,50 +242,55 @@ class SymbolEncoder:
 
     def put_delta(self, model: FreqModel, value: int) -> None:
         """Delta-code value >= 1, each bit through the two-symbol model."""
-        if value < 1:
-            raise ValueError("delta codes represent integers >= 1")
-        nbits = value.bit_length()
-        lbits = nbits.bit_length() - 1
-        # lbits zeros, the lbits + 1 bits of nbits, the low nbits - 1 bits of value
-        code = (nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1))
-        self._put_bits(model, [(code >> i) & 1 for i in range(2 * lbits + nbits - 1, -1, -1)])
+        self.put_deltas(model, (value,))
 
-    def _put_bits(self, model: FreqModel, bits: List[int]) -> None:
-        """``put`` of each bit through a two-symbol model, inlined.
+    def put_deltas(self, model: FreqModel, values: Iterable[int]) -> None:
+        """Delta-code each value >= 1 in turn, each bit through the two-symbol model.
 
-        The same intervals, update and rescale as ``put``; the model's and
-        the coder's state are read once and written back once.
+        ``put`` of each bit, inlined: the same intervals, update and rescale.
+        The model's and the coder's state are read once and written back
+        once for the whole sequence, also when a value < 1 raises: the codes
+        before it stand, as they would after one ``put_delta`` per value.
         """
         rc = self._rc
         c0, c1 = model.counts
         total = model.total
         low = rc._low
         rng = rc._range
-        for bit in bits:
-            assert total <= rng, "coder precision violated"
-            r = rng // total
-            if bit:
-                low += r * c0
-                rng = r * c1
-                c1 += 1
-            else:
-                rng = r * c0
-                c0 += 1
-            assert low < (1 << 33)
-            while rng < _TOP:
-                rc._low = low
-                rc._shift_low()
-                low = rc._low
-                rng = (rng << 8) & _MASK32
-            total += 1
-            if total >= RESCALE_TOTAL:
-                c0 = (c0 + 1) >> 1
-                c1 = (c1 + 1) >> 1
-                total = c0 + c1
-        rc._low = low
-        rc._range = rng
-        model.counts = [c0, c1]
-        model.total = total
+        try:
+            for value in values:
+                if value < 1:
+                    raise ValueError("delta codes represent integers >= 1")
+                nbits = value.bit_length()
+                lbits = nbits.bit_length() - 1
+                # lbits zeros, the lbits + 1 bits of nbits, the low nbits - 1 bits of value
+                code = (nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1))
+                for i in range(2 * lbits + nbits - 1, -1, -1):
+                    assert total <= rng, "coder precision violated"
+                    r = rng // total
+                    if (code >> i) & 1:
+                        low += r * c0
+                        rng = r * c1
+                        c1 += 1
+                    else:
+                        rng = r * c0
+                        c0 += 1
+                    assert low < (1 << 33)
+                    while rng < _TOP:
+                        rc._low = low
+                        rc._shift_low()
+                        low = rc._low
+                        rng = (rng << 8) & _MASK32
+                    total += 1
+                    if total >= RESCALE_TOTAL:
+                        c0 = (c0 + 1) >> 1
+                        c1 = (c1 + 1) >> 1
+                        total = c0 + c1
+        finally:
+            rc._low = low
+            rc._range = rng
+            model.counts = [c0, c1]
+            model.total = total
 
     def finish(self) -> bytes:
         return self._rc.finish()

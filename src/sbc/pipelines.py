@@ -231,12 +231,8 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
 def _dc_ac_code(first: Iterable[Optional[int]], gaps: Iterable[int]) -> bytes:
     """First-occurrence table then per-run gaps, all delta-coded adaptively."""
     enc = SymbolEncoder()
-    fo_model = FreqModel(2)
-    gap_model = FreqModel(2)
-    for pos in first:
-        enc.put_delta(fo_model, 1 if pos is None else pos + 2)
-    for gap in gaps:
-        enc.put_delta(gap_model, gap + 1)
+    enc.put_deltas(FreqModel(2), (1 if pos is None else pos + 2 for pos in first))
+    enc.put_deltas(FreqModel(2), (gap + 1 for gap in gaps))
     return enc.finish()
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sbc.coders import RESCALE_TOTAL, SymbolEncoder
+from sbc.coders import RESCALE_TOTAL
 from sbc.machine import WRITE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -27,19 +27,6 @@ def random_ranks(rng, max_n, sigma):
     """Length skews small so edge cases appear often."""
     n = rng.randrange(0, max_n + 1) if rng.random() < 0.5 else rng.randrange(0, max_n // 8 + 2)
     return [rng.randrange(sigma) for _ in range(n)]
-
-
-class _BitRecorder(SymbolEncoder):
-    """An encoder that records the binary symbols put_delta emits."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self):
-        super().__init__()
-        self.bits = []
-
-    def _put_bits(self, model, bits):
-        self.bits.extend(bits)
 
 
 class FlatFreqModel:
@@ -87,10 +74,16 @@ class FlatFreqModel:
 
 
 def delta_code(value):
-    """The delta code of value as the '0'/'1' string SymbolEncoder.put_delta emits."""
-    enc = _BitRecorder()
-    enc.put_delta(None, value)
-    return "".join(map(str, enc.bits))
+    """The delta code of value >= 1 as a '0'/'1' string.
+
+    The normative layout of the ``sbc.coders`` docstring: lbits zeros, the
+    lbits + 1 bits of nbits, then the low nbits - 1 bits of value, most
+    significant first, where nbits = value.bit_length() and
+    lbits = nbits.bit_length() - 1.
+    """
+    nbits = value.bit_length()
+    lbits = nbits.bit_length() - 1
+    return "0" * lbits + format(nbits, "b") + format(value, "b")[1:]
 
 
 @pytest.fixture

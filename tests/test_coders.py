@@ -8,6 +8,7 @@ from sbc.coders import (
     _BLOCK,
     RESCALE_TOTAL,
     FreqModel,
+    RangeEncoder,
     SymbolDecoder,
     SymbolEncoder,
     kth_order_decode,
@@ -312,6 +313,81 @@ def test_delta_fast_path_decodes_noise_like_generic_coder():
             # Code bytes of 0xFF reach the target clamp of get().
             data = data[:1] + b"\xff" * rng.randrange(4, 12) + data[1:]
         assert outcome(SymbolDecoder.get_delta, data) == outcome(generic_get_delta, data)
+
+
+def _coder_state(enc):
+    rc = enc._rc
+    return rc._low, rc._range, rc._cache, rc._cache_size, bytes(rc._out)
+
+
+def test_put_deltas_matches_generic_coder(monkeypatch):
+    # Whole sequences through put_deltas, as the payload coders pass them,
+    # each followed by a three-symbol put; the generic put of every
+    # delta_code bit must reach the same payload and the same states.
+    fast, generic = SymbolEncoder(), SymbolEncoder()
+    carries = []
+    shift_low = RangeEncoder._shift_low
+
+    def counting_shift_low(rc):
+        if rc is fast._rc and rc._low > 0xFFFFFFFF:
+            carries.append(rc._cache_size - 1)  # pending 0xFF bytes the carry reaches
+        shift_low(rc)
+
+    monkeypatch.setattr(RangeEncoder, "_shift_low", counting_shift_low)
+    # A carry across two or more pending 0xFF bytes comes about once per
+    # 250 KB of payload; this seed's 150 KB reaches three.
+    rng = random.Random(16)
+
+    def draw():
+        return rng.choice((1, 2, 3, rng.randrange(1, 64), rng.randrange(1, 1 << 40),
+                           rng.randrange(1, 2**100 + 1)))
+
+    long = [draw() for _ in range(40000)] + [2**100]
+    sequences = [[], [draw()], long, [1], []]
+    syms = [rng.randrange(3) for _ in sequences]
+    fast_models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    generic_models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    for i, (values, sym) in enumerate(zip(sequences, syms)):
+        fast.put_deltas(fast_models[i & 1], (v for v in values))
+        for v in values:
+            generic_put_delta(generic, generic_models[i & 1], v)
+        assert [(m.counts, m.total) for m in fast_models] == \
+            [(m.counts, m.total) for m in generic_models], i
+        assert _coder_state(fast) == _coder_state(generic), i
+        fast.put(fast_models[2], sym)
+        generic.put(generic_models[2], sym)
+    payload = fast.finish()
+    assert payload == generic.finish()
+    assert sum(len(delta_code(v)) for v in long) > 8 * RESCALE_TOTAL  # several rescales
+    assert max(carries) >= 2
+
+    dec = SymbolDecoder(payload)
+    models = [FreqModel(2), FreqModel(2), FreqModel(3)]
+    for i, (values, sym) in enumerate(zip(sequences, syms)):
+        assert [dec.get_delta(models[i & 1]) for _ in values] == values
+        assert dec.get(models[2]) == sym
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_put_deltas_error_keeps_the_codes_before_it(bad):
+    # A value < 1 at position i raises, and the model and coder hold the
+    # state that coding the first i values one by one leaves.
+    rng = random.Random(12)
+    values = [rng.randrange(1, 1 << rng.randrange(1, 40)) for _ in range(3000)]
+    assert sum(len(delta_code(v)) for v in values) > 2 * RESCALE_TOTAL
+    for i in (0, 1, 17, 1500, 3000):
+        enc, ref = SymbolEncoder(), SymbolEncoder()
+        model, ref_model = FreqModel(2), FreqModel(2)
+        with pytest.raises(ValueError):
+            enc.put_deltas(model, iter(values[:i] + [bad] + values[i:]))
+        for v in values[:i]:
+            generic_put_delta(ref, ref_model, v)
+        assert (model.counts, model.total) == (ref_model.counts, ref_model.total), i
+        assert _coder_state(enc) == _coder_state(ref), i
+        payload = enc.finish()
+        assert payload == ref.finish(), i
+        dec, dec_model = SymbolDecoder(payload), FreqModel(2)
+        assert [dec.get_delta(dec_model) for _ in range(i)] == values[:i]
 
 
 def test_kth_order_roundtrip():

@@ -359,7 +359,7 @@ def test_dc_reconstruct_collision_of_string_symbols():
             ("malformed distance stream", [0])
 
 
-# The dc-ac pipeline delta-codes the distance-coding gaps with SymbolEncoder.put_delta.
+# The dc-ac pipeline delta-codes the distance-coding gaps with SymbolEncoder.put_deltas.
 
 
 def test_elias_delta_known_codes():
