@@ -30,7 +30,6 @@ from .machine import (
     MachineError,
     MachineLedger,
     ModelKind,
-    new_machine,
 )
 from .pipelines import (
     BlockPlan,

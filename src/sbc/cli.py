@@ -4,7 +4,8 @@ Subcommands: compress, decompress, entropy, transform, simulate,
 adversary, bench.  Input comes from a positional path or stdin, output
 goes to --output or stdout; output is buffered fully and written once, so
 error paths never leave partial files.  Exit codes: 0 success, 1 usage
-error, 2 malformed container or input, 3 resource budget exceeded.
+error, 2 malformed container or input, 3 resource budget exceeded or
+host memory exhausted.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ def _ranks_of(data: bytes, sigma: Optional[int]):
 
 
 def _emit_json(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _trace_enabled(args) -> bool:
-    return getattr(args, "trace", False) or os.environ.get("SBC_TRACE") == "1"
+    return args.trace or os.environ.get("SBC_TRACE") == "1"
 
 
 def _machine_for(args, model: ModelKind, input_data: bytes, work_tapes: int = 0) -> Machine:
@@ -369,13 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", nargs="?", default=None,
                            help="input file (default: stdin)")
         p.add_argument("--output", "-o", default=None, help="output file (default: stdout)")
+
+    # Only the subcommands whose handlers read them take --json and --trace.
+    def add_json(p):
         p.add_argument("--json", action="store_true",
                        help="write a one-line JSON ledger/report to stderr")
+
+    def add_trace(p):
         p.add_argument("--trace", action="store_true",
                        help="emit per-pass trace lines (SBC_TRACE=1 does the same)")
 
     p = sub.add_parser("compress", help="compress a byte stream into a container")
     add_io(p)
+    add_json(p)
+    add_trace(p)
     p.add_argument("--pipeline", choices=sorted(pl.PIPELINES), default="bwt-dc-ac")
     p.add_argument("--k", type=int, default=None,
                    help="context length (kth-order) or maximum context length (st-dc-ac)")
@@ -389,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompress", help="decode a container back to bytes")
     add_io(p)
+    add_json(p)
 
     p = sub.add_parser("entropy", help="order-0..k entropy report as JSON")
     p.add_argument("inputs", nargs="*", default=None, help="input files (default: stdin)")
     p.add_argument("--output", "-o", default=None)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--kmax", type=int, default=4)
 
     p = sub.add_parser("transform", help="raw transforms on byte streams")
@@ -406,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["rw-bwt", "rw-unbwt", "rw-sa", "sort-chars", "sort-numbers"],
                    required=True)
     p.add_argument("--memory-budget-bits", type=positive_int, default=None)
+    add_json(p)
+    add_trace(p)
 
     p = sub.add_parser("adversary", help="emit covering-sequence powers or run the experiment")
     add_io(p, with_input=False)
@@ -448,6 +458,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (BudgetExceededError, ExpansionError) as exc:
         sys.stderr.write(f"resource error: {exc}\n")
+        return 3
+    except MemoryError:
+        sys.stderr.write("resource error: out of memory\n")
         return 3
     except CapabilityError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

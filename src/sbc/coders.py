@@ -1,10 +1,13 @@
 """Adaptive arithmetic coding, the delta code and the order-k per-context coder.
 
 The entropy stage is a 32-bit range coder with carry propagation
-(byte-oriented, cache + pending-0xFF scheme).  Frequencies adapt from
-all-ones counts and are halved, rounding up, whenever the total reaches
-2^15, so totals stay far below the coder's precision floor.  Everything is
-pure integer arithmetic, hence bit-exact across platforms and runs.
+(byte-oriented, cache + pending-0xFF scheme).  There is one object per
+direction: a ``SymbolEncoder`` owns the encoder's state and a
+``SymbolDecoder`` the decoder's, and each codes the symbols of whatever
+adaptive model a call hands it.  Frequencies adapt from all-ones counts
+and are halved, rounding up, whenever the total reaches 2^15, so totals
+stay far below the coder's precision floor.  Everything is pure integer
+arithmetic, hence bit-exact across platforms and runs.
 
 Payloads are byte strings; within a byte, bits are most significant first,
 and a final partial byte would be zero padded.  That framing is normative
@@ -156,7 +159,9 @@ class _BlockFreqModel(FreqModel):
             self.total = sum(self.blocks)
 
 
-class RangeEncoder:
+class SymbolEncoder:
+    """The range encoder and its state; ``put`` codes one symbol of the model it is passed."""
+
     __slots__ = ("_low", "_range", "_cache", "_cache_size", "_out")
 
     def __init__(self):
@@ -166,7 +171,8 @@ class RangeEncoder:
         self._cache_size = 1  # leading dummy byte; the decoder skips it
         self._out = bytearray()
 
-    def encode(self, cum_lo: int, cum_hi: int, total: int) -> None:
+    def put(self, model: FreqModel, sym: int) -> None:
+        cum_lo, cum_hi, total = model.interval(sym)
         assert 0 <= cum_lo < cum_hi <= total <= self._range, "coder precision violated"
         r = self._range // total
         self._low += r * cum_lo
@@ -175,6 +181,7 @@ class RangeEncoder:
         while self._range < _TOP:
             self._shift_low()
             self._range = (self._range << 8) & _MASK32
+        model.update(sym)
 
     def _shift_low(self) -> None:
         if self._low < 0xFF000000 or self._low > _MASK32:
@@ -188,58 +195,6 @@ class RangeEncoder:
         self._cache_size += 1
         self._low = (self._low << 8) & _MASK32
 
-    def finish(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self._out)
-
-
-class RangeDecoder:
-    __slots__ = ("_data", "_pos", "_range", "_code")
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 1  # skip the encoder's dummy byte
-        self._range = _MASK32
-        self._code = 0
-        for _ in range(4):
-            self._code = (self._code << 8) | self._next_byte()
-
-    def _next_byte(self) -> int:
-        if self._pos >= len(self._data):
-            # A well-formed stream never reads past its flush bytes.
-            raise ValueError("truncated payload")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
-
-    def target(self, total: int) -> int:
-        r = self._range // total
-        v = self._code // r
-        return v if v < total else total - 1
-
-    def consume(self, cum_lo: int, cum_hi: int, total: int) -> None:
-        r = self._range // total
-        self._code -= r * cum_lo
-        self._range = r * (cum_hi - cum_lo)
-        while self._range < _TOP:
-            self._code = ((self._code << 8) | self._next_byte()) & _MASK32
-            self._range = (self._range << 8) & _MASK32
-
-
-class SymbolEncoder:
-    """Range encoder driving per-call adaptive models."""
-
-    __slots__ = ("_rc",)
-
-    def __init__(self):
-        self._rc = RangeEncoder()
-
-    def put(self, model: FreqModel, sym: int) -> None:
-        lo, hi, total = model.interval(sym)
-        self._rc.encode(lo, hi, total)
-        model.update(sym)
-
     def put_delta(self, model: FreqModel, value: int) -> None:
         """Delta-code value >= 1, each bit through the two-symbol model."""
         self.put_deltas(model, (value,))
@@ -252,11 +207,10 @@ class SymbolEncoder:
         once for the whole sequence, also when a value < 1 raises: the codes
         before it stand, as they would after one ``put_delta`` per value.
         """
-        rc = self._rc
         c0, c1 = model.counts
         total = model.total
-        low = rc._low
-        rng = rc._range
+        low = self._low
+        rng = self._range
         try:
             for value in values:
                 if value < 1:
@@ -277,9 +231,9 @@ class SymbolEncoder:
                         c0 += 1
                     assert low < (1 << 33)
                     while rng < _TOP:
-                        rc._low = low
-                        rc._shift_low()
-                        low = rc._low
+                        self._low = low
+                        self._shift_low()
+                        low = self._low
                         rng = (rng << 8) & _MASK32
                     total += 1
                     if total >= RESCALE_TOTAL:
@@ -287,34 +241,57 @@ class SymbolEncoder:
                         c1 = (c1 + 1) >> 1
                         total = c0 + c1
         finally:
-            rc._low = low
-            rc._range = rng
+            self._low = low
+            self._range = rng
             model.counts = [c0, c1]
             model.total = total
 
     def finish(self) -> bytes:
-        return self._rc.finish()
+        for _ in range(5):
+            self._shift_low()
+        return bytes(self._out)
 
 
 class SymbolDecoder:
-    __slots__ = ("_rc",)
+    """The range decoder and its state; ``get`` decodes one symbol of the model it is passed."""
+
+    __slots__ = ("_data", "_pos", "_range", "_code")
 
     def __init__(self, data: bytes):
-        self._rc = RangeDecoder(data)
+        self._data = data
+        self._pos = 1  # skip the encoder's dummy byte
+        self._range = _MASK32
+        self._code = 0
+        for _ in range(4):
+            self._code = (self._code << 8) | self._next_byte()
+
+    def _next_byte(self) -> int:
+        if self._pos >= len(self._data):
+            # A well-formed stream never reads past its flush bytes.
+            raise ValueError("truncated payload")
+        b = self._data[self._pos]
+        self._pos += 1
+        return b
 
     def get(self, model: FreqModel) -> int:
-        sym, lo, hi = model.locate(self._rc.target(model.total))
-        self._rc.consume(lo, hi, model.total)
+        total = model.total
+        r = self._range // total
+        target = self._code // r
+        sym, cum_lo, cum_hi = model.locate(target if target < total else total - 1)
+        self._code -= r * cum_lo
+        self._range = r * (cum_hi - cum_lo)
+        while self._range < _TOP:
+            self._code = ((self._code << 8) | self._next_byte()) & _MASK32
+            self._range = (self._range << 8) & _MASK32
         model.update(sym)
         return sym
 
     def get_delta(self, model: FreqModel) -> int:
         """Decode one delta code; ``get`` of each bit through a two-symbol model, inlined."""
-        rc = self._rc
         c0, c1 = model.counts
         total = model.total
-        code = rc._code
-        rng = rc._range
+        code = self._code
+        rng = self._range
         zeros = 0
         nbits = 0  # 0 until the length field is read
         acc = 0  # the field being read, from its leading 1
@@ -333,7 +310,7 @@ class SymbolDecoder:
                 rng = r * c1
                 c1 += 1
             while rng < _TOP:
-                code = ((code << 8) | rc._next_byte()) & _MASK32
+                code = ((code << 8) | self._next_byte()) & _MASK32
                 rng = (rng << 8) & _MASK32
             total += 1
             if total >= RESCALE_TOTAL:
@@ -357,8 +334,8 @@ class SymbolDecoder:
                 left = nbits - 1
                 if not left:
                     break
-        rc._code = code
-        rc._range = rng
+        self._code = code
+        self._range = rng
         model.counts = [c0, c1]
         model.total = total
         return acc

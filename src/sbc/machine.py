@@ -401,11 +401,6 @@ class Machine:
         return self._ledger.snapshot()
 
 
-def new_machine(config: MachineConfig, input_data: bytes = b"") -> Machine:
-    """Fresh machine with the input loaded one byte per record, ledger zeroed."""
-    return Machine(config, input_data)
-
-
 def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch_b: str) -> None:
     """Stable bottom-up two-way merge sort of one tape (read-write model).
 

@@ -24,9 +24,9 @@ from sbc.machine import (
     BudgetExceededError,
     CapabilityError,
     ExpansionError,
+    Machine,
     MachineConfig,
     ModelKind,
-    new_machine,
 )
 from sbc.pipelines import (
     BlockPlan,
@@ -204,21 +204,21 @@ def test_criterion_8_sorting_reductions():
 
 def test_criterion_9_model_guards_and_exit_codes():
     with Clock(30, "9 model guards and exit codes"):
-        machine = new_machine(MachineConfig(ModelKind.STANDARD, 1024), b"ab")
+        machine = Machine(MachineConfig(ModelKind.STANDARD, 1024), b"ab")
         with machine.begin_pass(INPUT) as p:
             p.read_all()
         with pytest.raises(CapabilityError):
             machine.begin_pass(INPUT)
 
-        machine = new_machine(MachineConfig(ModelKind.MULTIPASS, 1024), b"ab")
+        machine = Machine(MachineConfig(ModelKind.MULTIPASS, 1024), b"ab")
         with pytest.raises(CapabilityError):
             machine.sort_pass(key=lambda r: r)
 
-        machine = new_machine(MachineConfig(ModelKind.STANDARD, 100), b"")
+        machine = Machine(MachineConfig(ModelKind.STANDARD, 100), b"")
         with pytest.raises(BudgetExceededError):
             machine.charge_memory(101)
 
-        machine = new_machine(MachineConfig(ModelKind.W_STREAMS, 1024), bytes(64))
+        machine = Machine(MachineConfig(ModelKind.W_STREAMS, 1024), bytes(64))
         with pytest.raises(ExpansionError):
             with machine.begin_pass(INPUT, mode=REWRITE) as p:
                 for rec in p:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ from sbc.pipelines import (
     FormatError,
     PipelineId,
     block_encode,
+    build_container,
     decode_container,
     encode_bwt_dc_ac,
     encode_bwt_mtf_rle_ac,
@@ -25,13 +28,13 @@ MODELS = ("standard", "multipass", "wstreams", "streamsort", "readwrite")
 PKG_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(args, data=b"", env_extra=None):
+def run_cli(args, data=b"", env_extra=None, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=PKG_ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "sbc", *args],
-        input=data, capture_output=True, env=env,
+        input=data, capture_output=True, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -73,6 +76,36 @@ def test_exit_codes_end_to_end():
         b"hello world hello world",
     )
     assert budget.returncode == 3
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_decompress_out_of_memory_is_resource_error():
+    # A bwt-dc-ac header forged to n = 10^9 makes the distance decoder ask
+    # for gigabytes at once.  The child's address space is capped at 1 GiB,
+    # so that request fails at once instead of being served.
+    header, alphabet, payload = parse_container(encode_bwt_dc_ac([0, 1, 2, 1, 0], 3))
+    forged = build_container(dataclasses.replace(header, n=10**9), alphabet, payload)
+    out = run_cli(["decompress"], forged, preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.decode().startswith("resource error: ")
+    assert out.stdout == b""
+
+
+# Each subcommand takes --json and --trace only where its handler reads them.
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--json"],
+    ["transform", "--op", "bwt", "--json"],
+    ["transform", "--op", "bwt", "--trace"],
+    ["adversary", "--sigma", "2", "--k", "2", "--json"],
+    ["adversary", "--sigma", "2", "--k", "2", "--trace"],
+    ["decompress", "--trace"],
+])
+def test_unread_report_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_file_arguments_roundtrip(tmp_path):

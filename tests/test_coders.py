@@ -8,7 +8,6 @@ from sbc.coders import (
     _BLOCK,
     RESCALE_TOTAL,
     FreqModel,
-    RangeEncoder,
     SymbolDecoder,
     SymbolEncoder,
     kth_order_decode,
@@ -316,8 +315,7 @@ def test_delta_fast_path_decodes_noise_like_generic_coder():
 
 
 def _coder_state(enc):
-    rc = enc._rc
-    return rc._low, rc._range, rc._cache, rc._cache_size, bytes(rc._out)
+    return enc._low, enc._range, enc._cache, enc._cache_size, bytes(enc._out)
 
 
 def test_put_deltas_matches_generic_coder(monkeypatch):
@@ -326,14 +324,14 @@ def test_put_deltas_matches_generic_coder(monkeypatch):
     # delta_code bit must reach the same payload and the same states.
     fast, generic = SymbolEncoder(), SymbolEncoder()
     carries = []
-    shift_low = RangeEncoder._shift_low
+    shift_low = SymbolEncoder._shift_low
 
-    def counting_shift_low(rc):
-        if rc is fast._rc and rc._low > 0xFFFFFFFF:
-            carries.append(rc._cache_size - 1)  # pending 0xFF bytes the carry reaches
-        shift_low(rc)
+    def counting_shift_low(enc):
+        if enc is fast and enc._low > 0xFFFFFFFF:
+            carries.append(enc._cache_size - 1)  # pending 0xFF bytes the carry reaches
+        shift_low(enc)
 
-    monkeypatch.setattr(RangeEncoder, "_shift_low", counting_shift_low)
+    monkeypatch.setattr(SymbolEncoder, "_shift_low", counting_shift_low)
     # A carry across two or more pending 0xFF bytes comes about once per
     # 250 KB of payload; this seed's 150 KB reaches three.
     rng = random.Random(16)

@@ -11,10 +11,10 @@ from sbc.machine import (
     BudgetExceededError,
     CapabilityError,
     ExpansionError,
+    Machine,
     MachineConfig,
     MachineError,
     ModelKind,
-    new_machine,
     tape_merge_sort,
 )
 
@@ -23,15 +23,15 @@ def cfg(model, budget=1 << 20, **kw):
     return MachineConfig(model, memory_budget_bits=budget, **kw)
 
 
-def test_new_machine_fresh_ledger():
-    m = new_machine(cfg(ModelKind.STANDARD, 1024), b"abc")
+def test_machine_fresh_ledger():
+    m = Machine(cfg(ModelKind.STANDARD, 1024), b"abc")
     led = m.ledger()
     assert led.passes == 0 and led.sort_passes == 0 and led.peak_memory_bits == 0
     assert len(m.tapes[INPUT].records) == 3
 
 
-def test_new_machine_empty_input_allowed():
-    m = new_machine(cfg(ModelKind.READ_WRITE, 2048, work_tapes=2), b"")
+def test_machine_empty_input_allowed():
+    m = Machine(cfg(ModelKind.READ_WRITE, 2048, work_tapes=2), b"")
     assert m.tapes[INPUT].records == []
     assert "work1" in m.tapes
 
@@ -48,7 +48,7 @@ def test_config_rejections():
 
 
 def test_standard_single_input_pass():
-    m = new_machine(cfg(ModelKind.STANDARD), b"xy")
+    m = Machine(cfg(ModelKind.STANDARD), b"xy")
     with m.begin_pass(INPUT) as p:
         assert [r for r in p] == [b"x", b"y"]
     with pytest.raises(CapabilityError):
@@ -57,7 +57,7 @@ def test_standard_single_input_pass():
 
 
 def test_multipass_counts_rewinds():
-    m = new_machine(cfg(ModelKind.MULTIPASS), b"abc")
+    m = Machine(cfg(ModelKind.MULTIPASS), b"abc")
     for _ in range(3):
         with m.begin_pass(INPUT) as p:
             p.read_all()
@@ -65,7 +65,7 @@ def test_multipass_counts_rewinds():
 
 
 def test_output_tape_is_write_only():
-    m = new_machine(cfg(ModelKind.STANDARD), b"a")
+    m = Machine(cfg(ModelKind.STANDARD), b"a")
     m.write_output(b"zz")
     assert m.ledger().total_output_bits == 16
     with pytest.raises(CapabilityError):
@@ -73,7 +73,7 @@ def test_output_tape_is_write_only():
 
 
 def test_wstreams_expansion_enforced():
-    m = new_machine(cfg(ModelKind.W_STREAMS), bytes(100))
+    m = Machine(cfg(ModelKind.W_STREAMS), bytes(100))
     lines = []
     m.trace = lines.append
     with pytest.raises(ExpansionError):
@@ -92,7 +92,7 @@ def test_wstreams_expansion_enforced():
 
 
 def test_wstreams_doubling_is_fine():
-    m = new_machine(cfg(ModelKind.W_STREAMS), bytes(100))
+    m = Machine(cfg(ModelKind.W_STREAMS), bytes(100))
     with m.begin_pass(INPUT, mode=REWRITE) as p:
         for rec in p:
             p.write(rec + rec)
@@ -100,13 +100,13 @@ def test_wstreams_doubling_is_fine():
 
 
 def test_rewrite_needs_capable_model():
-    m = new_machine(cfg(ModelKind.MULTIPASS), b"ab")
+    m = Machine(cfg(ModelKind.MULTIPASS), b"ab")
     with pytest.raises(CapabilityError):
         m.begin_pass(INPUT, mode=REWRITE)
 
 
 def test_sort_pass_stability_and_counting():
-    m = new_machine(cfg(ModelKind.STREAM_SORT), b"baa")
+    m = Machine(cfg(ModelKind.STREAM_SORT), b"baa")
     m.sort_pass(key=lambda r: r)
     assert m.tapes[INPUT].records == [b"a", b"a", b"b"]
     led = m.ledger()
@@ -114,14 +114,14 @@ def test_sort_pass_stability_and_counting():
 
 
 def test_sort_pass_idempotent_on_sorted():
-    m = new_machine(cfg(ModelKind.STREAM_SORT), b"abc")
+    m = Machine(cfg(ModelKind.STREAM_SORT), b"abc")
     m.sort_pass(key=lambda r: r)
     assert m.tapes[INPUT].records == [b"a", b"b", b"c"]
     assert m.ledger().sort_passes == 1
 
 
 def test_sort_pass_wrong_model():
-    m = new_machine(cfg(ModelKind.MULTIPASS), b"ab")
+    m = Machine(cfg(ModelKind.MULTIPASS), b"ab")
     with pytest.raises(CapabilityError):
         m.sort_pass(key=lambda r: r)
 
@@ -129,14 +129,14 @@ def test_sort_pass_wrong_model():
 def test_sort_pass_matches_reference_stable_sort():
     rng = random.Random(5)
     records = [bytes([rng.randrange(4), i]) for i in range(64)]
-    m = new_machine(cfg(ModelKind.STREAM_SORT))
+    m = Machine(cfg(ModelKind.STREAM_SORT))
     m.tapes[INPUT].records = list(records)
     m.sort_pass(key=lambda r: r[:1])
     assert m.tapes[INPUT].records == sorted(records, key=lambda r: r[:1])
 
 
 def test_memory_charging():
-    m = new_machine(cfg(ModelKind.STANDARD, budget=100))
+    m = Machine(cfg(ModelKind.STANDARD, budget=100))
     m.charge_memory(64)
     m.charge_memory(32)
     assert m.ledger().peak_memory_bits == 96
@@ -145,14 +145,14 @@ def test_memory_charging():
 
 
 def test_memory_budget_overrun():
-    m = new_machine(cfg(ModelKind.STANDARD, budget=100))
+    m = Machine(cfg(ModelKind.STANDARD, budget=100))
     m.charge_memory(64)
     with pytest.raises(BudgetExceededError):
         m.charge_memory(64)
 
 
 def test_memory_release_below_zero():
-    m = new_machine(cfg(ModelKind.STANDARD, budget=100))
+    m = Machine(cfg(ModelKind.STANDARD, budget=100))
     m.charge_memory(10)
     with pytest.raises(ValueError):
         m.release_memory(11)
@@ -161,7 +161,7 @@ def test_memory_release_below_zero():
 
 
 def test_ledger_snapshots_are_independent():
-    m = new_machine(cfg(ModelKind.MULTIPASS), b"ab")
+    m = Machine(cfg(ModelKind.MULTIPASS), b"ab")
     a = m.ledger()
     b = m.ledger()
     assert a == b
@@ -172,16 +172,16 @@ def test_ledger_snapshots_are_independent():
 
 
 def test_reverse_read_only_in_read_write():
-    m = new_machine(cfg(ModelKind.READ_WRITE, work_tapes=1), b"abc")
+    m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=1), b"abc")
     with m.begin_pass(INPUT, direction="rev") as p:
         assert p.read_all() == [b"c", b"b", b"a"]
-    m2 = new_machine(cfg(ModelKind.MULTIPASS), b"abc")
+    m2 = Machine(cfg(ModelKind.MULTIPASS), b"abc")
     with pytest.raises(CapabilityError):
         m2.begin_pass(INPUT, direction="rev")
 
 
 def test_per_pass_tape_bits_recorded():
-    m = new_machine(cfg(ModelKind.W_STREAMS), b"ab")
+    m = Machine(cfg(ModelKind.W_STREAMS), b"ab")
     with m.begin_pass(INPUT, mode=REWRITE) as p:
         for rec in p:
             p.write(rec + rec)
@@ -190,7 +190,7 @@ def test_per_pass_tape_bits_recorded():
 
 def test_tape_merge_sort_is_stable():
     rng = random.Random(11)
-    m = new_machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"")
+    m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"")
     records = [bytes([rng.randrange(3), i]) for i in range(97)]
     m.tapes["work0"].records = list(records)
     tape_merge_sort(m, "work0", lambda r: r[:1], "work1", "work2")
@@ -200,7 +200,7 @@ def test_tape_merge_sort_is_stable():
 
 
 def test_overlapping_passes_on_one_tape_rejected():
-    m = new_machine(cfg(ModelKind.MULTIPASS), b"ab")
+    m = Machine(cfg(ModelKind.MULTIPASS), b"ab")
     p = m.begin_pass(INPUT)
     with pytest.raises(MachineError):
         m.begin_pass(INPUT)
@@ -208,7 +208,7 @@ def test_overlapping_passes_on_one_tape_rejected():
 
 
 def test_trace_line_format():
-    m = new_machine(cfg(ModelKind.MULTIPASS), b"abc")
+    m = Machine(cfg(ModelKind.MULTIPASS), b"abc")
     lines = []
     m.trace = lines.append
     m.charge_memory(12)
@@ -225,7 +225,7 @@ def _sorted_twice(records, key, tape_id="work0", scratch=("work1", "work2"), scr
     """
     sides = []
     for sort in (tape_merge_sort, faithful_tape_merge_sort):
-        m = new_machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"")
+        m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"")
         m.tapes[tape_id].records = list(records)
         for name in scratch:
             m.tapes[name].records = list(scratch_records)
@@ -271,7 +271,7 @@ def test_tape_bits_track_every_change():
         for tape in machine.tapes.values():
             assert tape.bits() == 8 * sum(map(len, tape.records))
 
-    m = new_machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"abcde")
+    m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"abcde")
     lines = []
     m.trace = lines.append
     check(m)
@@ -302,7 +302,7 @@ def test_tape_bits_track_every_change():
     check(m)
     assert m.tapes[OUTPUT].bits() == 24
 
-    s = new_machine(cfg(ModelKind.STREAM_SORT), b"cab")
+    s = Machine(cfg(ModelKind.STREAM_SORT), b"cab")
     with s.begin_pass(INPUT, mode=REWRITE) as p:
         for rec in p:
             p.write(rec + b"!")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -428,6 +429,57 @@ def test_containers_are_pinned(corpus):
         container = block_encode(s, sigma, plan, known_n=False, alphabet=alphabet)
         got[name, "block-kth-unknown-n"] = hashlib.sha256(container).hexdigest()
     assert got == CONTAINER_PINS
+
+
+# (passes, sort_passes, peak_memory_bits, total_output_bits) of every
+# PIPELINES entry's streaming encoder on the corpus, each on a machine of its
+# own model and work tapes with a 2^40-bit budget, at its CLI default k, c =
+# 0.5 and epsilon = 0.25, as ``sbc bench`` runs them.  The peaks include
+# what the coders charge.  Computed on the code as it stood before the range
+# coder was folded into SymbolEncoder and SymbolDecoder.
+MODEL_LEDGER_PINS = {
+    ("covering.txt", "bwt-mtf-rle-ac"): (1, 0, 310, 1624),
+    ("covering.txt", "bwt-dc-ac"): (3, 0, 328, 1424),
+    ("covering.txt", "st-dc-ac"): (25, 5, 284, 4480),
+    ("covering.txt", "block-kth"): (1, 0, 457, 11976),
+    ("covering.txt", "kth-order"): (1, 0, 392, 2104),
+    ("english.txt", "bwt-mtf-rle-ac"): (1, 0, 1048, 8336),
+    ("english.txt", "bwt-dc-ac"): (3, 0, 1120, 8672),
+    ("english.txt", "st-dc-ac"): (27, 5, 680, 9928),
+    ("english.txt", "block-kth"): (1, 0, 744, 31976),
+    ("english.txt", "kth-order"): (1, 0, 173592, 11528),
+    ("mixed.bin", "bwt-mtf-rle-ac"): (1, 0, 351, 5752),
+    ("mixed.bin", "bwt-dc-ac"): (3, 0, 376, 8424),
+    ("mixed.bin", "st-dc-ac"): (25, 5, 308, 8312),
+    ("mixed.bin", "block-kth"): (1, 0, 485, 15880),
+    ("mixed.bin", "kth-order"): (1, 0, 1568, 4224),
+    ("periodic.txt", "bwt-mtf-rle-ac"): (1, 0, 370, 192),
+    ("periodic.txt", "bwt-dc-ac"): (3, 0, 400, 160),
+    ("periodic.txt", "st-dc-ac"): (25, 5, 320, 1752),
+    ("periodic.txt", "block-kth"): (1, 0, 508, 14104),
+    ("periodic.txt", "kth-order"): (1, 0, 1056, 656),
+    ("service.log", "bwt-mtf-rle-ac"): (1, 0, 1268, 5432),
+    ("service.log", "bwt-dc-ac"): (3, 0, 1452, 5920),
+    ("service.log", "st-dc-ac"): (27, 5, 848, 5624),
+    ("service.log", "block-kth"): (1, 0, 842, 47688),
+    ("service.log", "kth-order"): (1, 0, 150480, 10784),
+}
+
+
+def test_model_ledgers_are_pinned(corpus):
+    got = {}
+    for name, data in corpus.items():
+        s, alphabet = ranks_of(data)
+        sigma, alphabet = len(alphabet), bytes(alphabet)
+        for entry in PIPELINES.values():
+            new_machine = functools.partial(
+                Machine, MachineConfig(entry.model, 1 << 40, work_tapes=entry.work_tapes))
+            _, machine = entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25,
+                                      new_machine)
+            led = machine.ledger()
+            got[name, entry.name] = (led.passes, led.sort_passes, led.peak_memory_bits,
+                                     led.total_output_bits)
+    assert got == MODEL_LEDGER_PINS
 
 
 def wide_ranks(n, seed, sigma=250, likely=8, noise=0.1):
