@@ -11,7 +11,6 @@ host memory exhausted.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -119,6 +118,16 @@ def _ledger_payload(machine: Optional[Machine]) -> dict:
     }
 
 
+def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes, k: int,
+              c: float, epsilon: float, machine: Optional[Machine]):
+    """Encode with one pipeline on the given machine; returns (container, report)."""
+    container = entry.encode(ranks, sigma, alphabet, k, c, epsilon, machine)
+    report = {"pipeline": entry.name, "n": len(ranks), "sigma": sigma,
+              "size_bits": 8 * len(container)}
+    report.update(_ledger_payload(machine))
+    return container, report
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -126,18 +135,13 @@ def _cmd_compress(args) -> int:
     data = _read_input(args.input)
     ranks, sigma, alphabet = _ranks_of(data, args.sigma)
     entry = pl.PIPELINES[args.pipeline]
-    new_machine = None
+    machine = None
     if args.model:
         entry.check_model(ModelKind(args.model))
-        new_machine = functools.partial(_machine_for, args, entry.model,
-                                        work_tapes=entry.work_tapes)
+        machine = _machine_for(args, entry.model, bytes(ranks), work_tapes=entry.work_tapes)
     k = args.k if args.k is not None else entry.default_k(len(ranks))
-    container, machine = entry.encode(ranks, sigma, alphabet, k, args.c, args.epsilon,
-                                      new_machine)
+    container, report = _compress(entry, ranks, sigma, alphabet, k, args.c, args.epsilon, machine)
     _write_output(args.output, container)
-    report = {"pipeline": entry.name, "n": len(ranks), "sigma": sigma,
-              "size_bits": 8 * len(container)}
-    report.update(_ledger_payload(machine))
     _emit_json(args, report)
     return 0
 
@@ -287,25 +291,22 @@ def _cmd_adversary(args) -> int:
 _BENCH_COLUMNS = [
     "file", "pipeline", "k", "c", "epsilon", "model",
     "n", "sigma", "h0", "h1", "h2", "h3", "h4",
-    "size_bits", "passes", "sort_passes", "peak_mem_bits", "wall_time",
+    "size_bits", "passes", "sort_passes", "peak_memory_bits", "total_output_bits", "wall_time",
 ]
 
 
-def _bench_cell(data: bytes, pipeline: str, k: int, c: float, epsilon: float) -> dict:
+def _bench_cell(data: bytes, entry: pl.Pipeline, k: Optional[int], c: float,
+                epsilon: float) -> dict:
     ranks, sigma, alphabet = _ranks_of(data, None)
-    entry = pl.PIPELINES[pipeline]
-    new_machine = functools.partial(
-        Machine, MachineConfig(entry.model, _DEFAULT_BUDGET, work_tapes=entry.work_tapes))
+    if k is None:
+        k = entry.default_k(len(ranks))
+    machine = Machine(MachineConfig(entry.model, _DEFAULT_BUDGET, work_tapes=entry.work_tapes),
+                      bytes(ranks))
     started = time.perf_counter()
-    container, machine = entry.encode(ranks, sigma, alphabet, k, c, epsilon, new_machine)
+    _, report = _compress(entry, ranks, sigma, alphabet, k, c, epsilon, machine)
     wall = time.perf_counter() - started
-    led = machine.ledger()
-    return {
-        "pipeline": pipeline, "k": k, "c": c, "epsilon": epsilon, "model": entry.model.value,
-        "n": len(ranks), "sigma": sigma,
-        "size_bits": 8 * len(container), "passes": led.passes, "sort_passes": led.sort_passes,
-        "peak_mem_bits": led.peak_memory_bits, "wall_time": f"{wall:.6f}",
-    }
+    report.update(k=k, c=c, epsilon=epsilon, model=entry.model.value, wall_time=f"{wall:.6f}")
+    return report
 
 
 def _cmd_bench(args) -> int:
@@ -332,8 +333,7 @@ def _cmd_bench(args) -> int:
             continue
         entropy = {f"h{kk}": f"{ent.hk(data, kk):.6f}" if data else "" for kk in range(5)}
         for pipeline in pipelines:
-            row = _bench_cell(data, pipeline, args.k if args.k is not None else 2,
-                              args.c, args.epsilon)
+            row = _bench_cell(data, pl.PIPELINES[pipeline], args.k, args.c, args.epsilon)
             row.update(entropy, file=fname)
             rows.append(row)
     rows.sort(key=lambda r: (r["file"], r["pipeline"], r["k"], r["c"], r["epsilon"], r["model"]))

@@ -482,11 +482,12 @@ def _decode_block_kth(header: ContainerHeader, payload: bytes) -> List[int]:
 class Pipeline:
     """One compressor: its name, streaming machine, encoder and decoder.
 
-    ``encode(s, sigma, alphabet, k, c, epsilon, new_machine)`` returns
-    ``(container, machine)``: in memory when ``new_machine`` is None, else
-    on ``new_machine(input_tape)``, a machine of ``model`` with
-    ``work_tapes`` work tapes.  ``decode(header, payload)`` returns the
-    ranks; it is None for encode-only pipelines.
+    ``encode(s, sigma, alphabet, k, c, epsilon, machine)`` returns the
+    container.  The caller owns the machine: None runs the pipeline in
+    memory; otherwise it is a machine of ``model`` with ``work_tapes`` work
+    tapes over ``bytes(s)``, and the pipeline streams on it.
+    ``decode(header, payload)`` returns the ranks; it is None for
+    encode-only pipelines.
     """
 
     id: PipelineId
@@ -494,7 +495,7 @@ class Pipeline:
     model: ModelKind
     work_tapes: int
     default_k: Callable[[int], int]  # input length -> k for ``sbc compress``; 255: none
-    encode: Callable[..., Tuple[bytes, Optional[Machine]]]
+    encode: Callable[..., bytes]
     decode: Optional[Callable[[ContainerHeader, bytes], List[int]]]
 
     def check_model(self, model: ModelKind) -> None:
@@ -502,32 +503,30 @@ class Pipeline:
             raise CapabilityError(f"{self.name} streams on the {self.model.value} model")
 
 
-def _run_bwt(pipeline, encode, encode_stream, s, sigma, alphabet, k, c, epsilon, new_machine):
+def _run_bwt(pipeline, encode, encode_stream, s, sigma, alphabet, k, c, epsilon, machine):
     """Encoder of a transform pipeline; its machine streams the host transform."""
-    if new_machine is None:
-        return encode(s, sigma, alphabet), None
-    machine = new_machine(bytes(x + 1 for x in bwt(s, sigma)))  # end marker 0
+    if machine is None:
+        return encode(s, sigma, alphabet)
+    # Host stage: the transform replaces the input on the tape, end marker 0.
+    machine.tapes[INPUT].records = [bytes((x + 1,)) for x in bwt(s, sigma)]
     payload = encode_stream(machine, sigma)
-    return _container(pipeline, sigma, K_AUTO, len(s), payload, alphabet), machine
+    return _container(pipeline, sigma, K_AUTO, len(s), payload, alphabet)
 
 
-def _run_st_dc_ac(s, sigma, alphabet, k, c, epsilon, new_machine):
-    if new_machine is None:
-        return encode_st_dc_ac(s, sigma, k, alphabet), None
+def _run_st_dc_ac(s, sigma, alphabet, k, c, epsilon, machine):
+    if machine is None:
+        return encode_st_dc_ac(s, sigma, k, alphabet)
     from .stream_st import streamsort_st_best_k  # stream_st imports this module
-    machine = new_machine(b"")
-    return streamsort_st_best_k(s, k, machine=machine, sigma=sigma, alphabet=alphabet), machine
+    return streamsort_st_best_k(s, k, machine=machine, sigma=sigma, alphabet=alphabet)
 
 
-def _run_block_kth(s, sigma, alphabet, k, c, epsilon, new_machine):
-    machine = new_machine(bytes(s)) if new_machine else None
+def _run_block_kth(s, sigma, alphabet, k, c, epsilon, machine):
     plan = BlockPlan.for_length(len(s), c, epsilon)
-    return block_encode(s, sigma, plan, alphabet=alphabet, machine=machine), machine
+    return block_encode(s, sigma, plan, alphabet=alphabet, machine=machine)
 
 
-def _run_kth_order(s, sigma, alphabet, k, c, epsilon, new_machine):
-    machine = new_machine(bytes(s)) if new_machine else None
-    return encode_kth_order(s, sigma, k, alphabet, machine=machine), machine
+def _run_kth_order(s, sigma, alphabet, k, c, epsilon, machine):
+    return encode_kth_order(s, sigma, k, alphabet, machine=machine)
 
 
 def _bwt_decode(decode_body, header: ContainerHeader, payload: bytes) -> List[int]:

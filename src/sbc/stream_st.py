@@ -43,7 +43,8 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
     """Compute the length-k context sort of s+sentinel on a streamsort tape.
 
     A given machine's input tape is the input; ``s`` gives only its length,
-    the alphabet check and, if ``sigma`` is None, the alphabet size.
+    the alphabet check and, if ``sigma`` is None, the alphabet size.  A
+    given ``stats`` dict receives the number of ``pad_passes``.
     """
     s = list(s)
     n = len(s)
@@ -122,49 +123,34 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
         p.write_many([rec[key_bytes:key_bytes + 1] for rec in recs])
 
     machine.release_memory(key_bits + control_bits)
-    result = [rec[0] - 1 for rec in machine.tapes[INPUT].records]
     if stats is not None:
         stats["pad_passes"] = pad_passes
-        stats["key_bits"] = key_bits
-        ledger = machine.ledger()
-        stats["passes"] = ledger.passes
-        stats["sort_passes"] = ledger.sort_passes
-        stats["peak_memory_bits"] = ledger.peak_memory_bits
-    return result
+    return [rec[0] - 1 for rec in machine.tapes[INPUT].records]
 
 
 def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine] = None, *,
                          sigma: int, alphabet: Optional[bytes] = None) -> bytes:
     """Encode via the context sort for every k up to k_max, keep the shortest.
 
-    Each k runs on a fresh machine copy (the model cannot restore the
-    original string after rewriting the tape); pass counts, sort passes and
-    peak memory are folded into the caller's streamsort machine so the total
-    matches the advertised O(log n * log log n) shape.
+    Every k runs on one streamsort machine: the caller's, or else a
+    :func:`default_streamsort_machine`.  The sort rewrites the input tape
+    and the model cannot restore it, so ``s`` is loaded onto the input tape
+    again before each k; that load is host work, not a pass.  The ledger
+    sums the passes of every k, and its peak is the largest of any k.
     """
     s = list(s)
-    if machine is not None and machine.config.model is not ModelKind.STREAM_SORT:
+    if machine is None:
+        machine = default_streamsort_machine(bytes(s))
+    elif machine.config.model is not ModelKind.STREAM_SORT:
         raise CapabilityError("this transform runs in the streamsort model")
 
     def payload_for(k: int) -> bytes:
-        if machine is not None:
-            child = Machine(machine.config, bytes(s))
-        else:
-            child = default_streamsort_machine(bytes(s))
-        streamsort_st(s, k, machine=child, sigma=sigma)
+        machine.tapes[INPUT].records = [bytes((c,)) for c in s]
+        streamsort_st(s, k, machine=machine, sigma=sigma)
         # One more sweep feeds the transformed tape through the coder.
-        with child.begin_pass(INPUT) as p:
-            payload = _dc_ac_payload([rec[0] for rec in p.read_all()], sigma + 1, child)
-        if machine is not None:
-            ledger = child.ledger()
-            machine._ledger.passes += ledger.passes
-            machine._ledger.sort_passes += ledger.sort_passes
-            machine._ledger.per_pass_tape_bits.extend(ledger.per_pass_tape_bits)
-            machine.charge_memory(ledger.peak_memory_bits)
-            machine.release_memory(ledger.peak_memory_bits)
-        return payload
+        with machine.begin_pass(INPUT) as p:
+            return _dc_ac_payload([rec[0] for rec in p.read_all()], sigma + 1, machine)
 
     best_k, payload = _best_k(k_max, payload_for)
-    if machine is not None:
-        machine.write_output(payload)
+    machine.write_output(payload)
     return _container(PipelineId.ST_DC_AC, sigma, best_k, len(s), payload, alphabet)

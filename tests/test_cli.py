@@ -188,6 +188,19 @@ def test_pipeline_model_matches_library(name, tmp_path):
                          str(src), "-o", str(streamed)]) == 1
 
 
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_model_trace_has_one_line_per_pass(name, tmp_path, capsys):
+    entry = PIPELINES[name]
+    for fname in sorted(os.listdir(CORPUS)):
+        assert main(["compress", "--pipeline", name, "--model", entry.model.value, "--json",
+                     "--trace", os.path.join(CORPUS, fname), "-o", str(tmp_path / "out")]) == 0
+        *trace, report = capsys.readouterr().err.splitlines()
+        passes = json.loads(report)["passes"]
+        # A pass traces when it closes, so passes opened together close out of order.
+        numbers = sorted(int(line.split()[0].removeprefix("pass=")) for line in trace)
+        assert numbers == list(range(1, passes + 1))
+
+
 def test_st_pipeline_is_encode_only():
     comp = run_cli(["compress", "--pipeline", "st-dc-ac", "--k", "2"], b"banana banana")
     assert comp.returncode == 0
@@ -310,11 +323,11 @@ def test_bench_csv(tmp_path):
     assert out.returncode == 0
     lines = out.stdout.decode().strip().splitlines()
     header = lines[0].split(",")
-    assert len(header) == 18
+    assert len(header) == 19
     assert lines[0].startswith("file,pipeline,")
     assert len(lines) == 1 + 2 * 2
     for row in lines[1:]:
-        assert len(row.split(",")) == 18
+        assert len(row.split(",")) == 19
 
 
 def test_bench_reproduces_experiment_sizes(tmp_path):

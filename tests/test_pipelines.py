@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import random
@@ -6,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from conftest import ranks_of
+from conftest import CORPUS_DIR, ranks_of
 from sbc.adversary import db_power, de_bruijn
+from sbc.cli import main as cli_main
 from sbc.entropy import hk
 from sbc.machine import Machine, MachineConfig, ModelKind
 from sbc.pipelines import (
@@ -423,7 +423,7 @@ def test_containers_are_pinned(corpus):
         s, alphabet = ranks_of(data)
         sigma, alphabet = len(alphabet), bytes(alphabet)
         for entry in PIPELINES.values():
-            container, _ = entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, None)
+            container = entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, None)
             got[name, entry.name] = hashlib.sha256(container).hexdigest()
         plan = BlockPlan.for_length(len(s), 0.5, 0.25)
         container = block_encode(s, sigma, plan, known_n=False, alphabet=alphabet)
@@ -431,38 +431,40 @@ def test_containers_are_pinned(corpus):
     assert got == CONTAINER_PINS
 
 
-# (passes, sort_passes, peak_memory_bits, total_output_bits) of every
-# PIPELINES entry's streaming encoder on the corpus, each on a machine of its
-# own model and work tapes with a 2^40-bit budget, at its CLI default k, c =
-# 0.5 and epsilon = 0.25, as ``sbc bench`` runs them.  The peaks include
-# what the coders charge.  Computed on the code as it stood before the range
-# coder was folded into SymbolEncoder and SymbolDecoder.
+# (passes, sort_passes, peak_memory_bits, total_output_bits,
+# sum(per_pass_tape_bits)) of every PIPELINES entry's streaming encoder on
+# the corpus, each on a machine of its own model and work tapes over the
+# input with a 2^40-bit budget, at its CLI default k, c = 0.5 and epsilon =
+# 0.25, as ``sbc bench`` runs them.  The peaks include what the coders
+# charge.  The first four were computed on the code as it stood before the
+# range coder was folded into SymbolEncoder and SymbolDecoder; the tape-bit
+# sums on the code as it stood before best-k ran every k on one machine.
 MODEL_LEDGER_PINS = {
-    ("covering.txt", "bwt-mtf-rle-ac"): (1, 0, 310, 1624),
-    ("covering.txt", "bwt-dc-ac"): (3, 0, 328, 1424),
-    ("covering.txt", "st-dc-ac"): (25, 5, 284, 4480),
-    ("covering.txt", "block-kth"): (1, 0, 457, 11976),
-    ("covering.txt", "kth-order"): (1, 0, 392, 2104),
-    ("english.txt", "bwt-mtf-rle-ac"): (1, 0, 1048, 8336),
-    ("english.txt", "bwt-dc-ac"): (3, 0, 1120, 8672),
-    ("english.txt", "st-dc-ac"): (27, 5, 680, 9928),
-    ("english.txt", "block-kth"): (1, 0, 744, 31976),
-    ("english.txt", "kth-order"): (1, 0, 173592, 11528),
-    ("mixed.bin", "bwt-mtf-rle-ac"): (1, 0, 351, 5752),
-    ("mixed.bin", "bwt-dc-ac"): (3, 0, 376, 8424),
-    ("mixed.bin", "st-dc-ac"): (25, 5, 308, 8312),
-    ("mixed.bin", "block-kth"): (1, 0, 485, 15880),
-    ("mixed.bin", "kth-order"): (1, 0, 1568, 4224),
-    ("periodic.txt", "bwt-mtf-rle-ac"): (1, 0, 370, 192),
-    ("periodic.txt", "bwt-dc-ac"): (3, 0, 400, 160),
-    ("periodic.txt", "st-dc-ac"): (25, 5, 320, 1752),
-    ("periodic.txt", "block-kth"): (1, 0, 508, 14104),
-    ("periodic.txt", "kth-order"): (1, 0, 1056, 656),
-    ("service.log", "bwt-mtf-rle-ac"): (1, 0, 1268, 5432),
-    ("service.log", "bwt-dc-ac"): (3, 0, 1452, 5920),
-    ("service.log", "st-dc-ac"): (27, 5, 848, 5624),
-    ("service.log", "block-kth"): (1, 0, 842, 47688),
-    ("service.log", "kth-order"): (1, 0, 150480, 10784),
+    ("covering.txt", "bwt-mtf-rle-ac"): (1, 0, 310, 1624, 16392),
+    ("covering.txt", "bwt-dc-ac"): (3, 0, 328, 1424, 19464),
+    ("covering.txt", "st-dc-ac"): (25, 5, 284, 4480, 786736),
+    ("covering.txt", "block-kth"): (1, 0, 457, 11976, 16384),
+    ("covering.txt", "kth-order"): (1, 0, 392, 2104, 16384),
+    ("english.txt", "bwt-mtf-rle-ac"): (1, 0, 1048, 8336, 22856),
+    ("english.txt", "bwt-dc-ac"): (3, 0, 1120, 8672, 40728),
+    ("english.txt", "st-dc-ac"): (27, 5, 680, 9928, 1691200),
+    ("english.txt", "block-kth"): (1, 0, 744, 31976, 22848),
+    ("english.txt", "kth-order"): (1, 0, 173592, 11528, 22848),
+    ("mixed.bin", "bwt-mtf-rle-ac"): (1, 0, 351, 5752, 16392),
+    ("mixed.bin", "bwt-dc-ac"): (3, 0, 376, 8424, 41160),
+    ("mixed.bin", "st-dc-ac"): (25, 5, 308, 8312, 852304),
+    ("mixed.bin", "block-kth"): (1, 0, 485, 15880, 16384),
+    ("mixed.bin", "kth-order"): (1, 0, 1568, 4224, 16384),
+    ("periodic.txt", "bwt-mtf-rle-ac"): (1, 0, 370, 192, 17608),
+    ("periodic.txt", "bwt-dc-ac"): (3, 0, 400, 160, 17800),
+    ("periodic.txt", "st-dc-ac"): (25, 5, 320, 1752, 915536),
+    ("periodic.txt", "block-kth"): (1, 0, 508, 14104, 17600),
+    ("periodic.txt", "kth-order"): (1, 0, 1056, 656, 17600),
+    ("service.log", "bwt-mtf-rle-ac"): (1, 0, 1268, 5432, 33712),
+    ("service.log", "bwt-dc-ac"): (3, 0, 1452, 5920, 46416),
+    ("service.log", "st-dc-ac"): (27, 5, 848, 5624, 2494544),
+    ("service.log", "block-kth"): (1, 0, 842, 47688, 33704),
+    ("service.log", "kth-order"): (1, 0, 150480, 10784, 33704),
 }
 
 
@@ -472,14 +474,25 @@ def test_model_ledgers_are_pinned(corpus):
         s, alphabet = ranks_of(data)
         sigma, alphabet = len(alphabet), bytes(alphabet)
         for entry in PIPELINES.values():
-            new_machine = functools.partial(
-                Machine, MachineConfig(entry.model, 1 << 40, work_tapes=entry.work_tapes))
-            _, machine = entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25,
-                                      new_machine)
+            machine = Machine(MachineConfig(entry.model, 1 << 40, work_tapes=entry.work_tapes),
+                              bytes(s))
+            entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, machine)
             led = machine.ledger()
             got[name, entry.name] = (led.passes, led.sort_passes, led.peak_memory_bits,
-                                     led.total_output_bits)
+                                     led.total_output_bits, sum(led.per_pass_tape_bits))
     assert got == MODEL_LEDGER_PINS
+
+
+def test_bench_rows_match_model_ledger_pins(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert cli_main(["bench", CORPUS_DIR, "--pipelines", ",".join(PIPELINES), "-o", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    got = {}
+    for row in rows:
+        cell = dict(zip(header, row))
+        got[cell["file"], cell["pipeline"]] = tuple(int(cell[col]) for col in (
+            "passes", "sort_passes", "peak_memory_bits", "total_output_bits"))
+    assert got == {key: pin[:4] for key, pin in MODEL_LEDGER_PINS.items()}
 
 
 def wide_ranks(n, seed, sigma=250, likely=8, noise=0.1):

@@ -73,7 +73,7 @@ def test_wrong_model_rejected():
     machine = Machine(MachineConfig(ModelKind.MULTIPASS, memory_budget_bits=1 << 16), b"\x00")
     with pytest.raises(CapabilityError):
         streamsort_st([0], 1, machine=machine, sigma=2)
-    # best-k folds child ledgers into the given machine, so it must be a streamsort one.
+    # best-k runs every k on the given machine, so it must be a streamsort one.
     for config in (MachineConfig(ModelKind.STANDARD, memory_budget_bits=1 << 16),
                    MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=1 << 16, work_tapes=4)):
         machine = Machine(config)
@@ -101,6 +101,16 @@ def test_best_k_is_min_over_candidates():
     for k_max in (-1, 255):
         with pytest.raises(ValueError):
             streamsort_st_best_k(s, k_max, sigma=2)
+
+
+def test_best_k_loads_the_string_onto_an_empty_machine():
+    rng = random.Random(4)
+    for sigma, n, k_max in ((2, 300, 3), (5, 120, 2), (1, 7, 1), (3, 0, 2)):
+        s = [rng.randrange(sigma) for _ in range(n)]
+        machine = Machine(MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=1 << 16))
+        assert (streamsort_st_best_k(s, k_max, machine=machine, sigma=sigma)
+                == streamsort_st_best_k(s, k_max, sigma=sigma))
+        assert machine.ledger().sort_passes == k_max + 1
 
 
 def test_best_k_picks_context_on_markov_source():

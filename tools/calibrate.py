@@ -2,9 +2,10 @@
 """Measure the implementation constants asserted by the regression tests.
 
 Run once from the repository root and commit the resulting
-tests/fixtures/calibration.json.  The values are properties of this
-implementation (coder overheads, pass-accounting granularity), frozen with
-headroom so the suite flags regressions rather than re-deriving bounds.
+tests/fixtures/calibration.json; the suite checks that :func:`measure`
+still reproduces it.  The values are properties of this implementation
+(coder overheads, pass-accounting granularity), frozen with headroom so
+the suite flags regressions rather than re-deriving bounds.
 """
 
 import json
@@ -21,7 +22,8 @@ from sbc.pipelines import BlockPlan, block_encode, encode_bwt_dc_ac, encode_bwt_
 from sbc.stream_bwt import default_rw_machine, rw_bwt_encode
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
 
-CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "fixtures", "corpus")
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "fixtures")
+CORPUS = os.path.join(FIXTURES, "corpus")
 
 
 def ranks_of(data):
@@ -30,7 +32,8 @@ def ranks_of(data):
     return [index[b] for b in data], len(alphabet)
 
 
-def main():
+def measure():
+    """The calibration constants, as tests/fixtures/calibration.json holds them."""
     out = {}
 
     # Pass-count shape of the doubling transform, worst case input.
@@ -78,7 +81,6 @@ def main():
             nhk = n * hk(ranks, k)
             c1 = max(c1, (size_mtf - 3.4 * nhk) / sigma**k)
             c2 = max(c2, (size_dc - 1.8 * nhk) / (sigma**k * math.log2(n)))
-        print(f"{name}: n={n} sigma={sigma} mtf={size_mtf} dc={size_dc}")
     out["bound_c1"] = math.ceil(max(c1, 1) * 1.15)
     out["bound_c2"] = math.ceil(max(c2, 1) * 1.15)
 
@@ -96,11 +98,12 @@ def main():
     # Separation ratio floor.
     report = separation_experiment(2**16, 0.5, 0.25)
     out["separation_min_ratio"] = math.floor(report.ratio * 0.85 * 100) / 100
-    print(f"separation ratio at 2^16: {report.ratio:.2f}")
+    return out
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "fixtures",
-                        "calibration.json")
-    with open(path, "w") as fh:
+
+def main():
+    out = measure()
+    with open(os.path.join(FIXTURES, "calibration.json"), "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(out, indent=2, sort_keys=True))
