@@ -19,13 +19,16 @@ state they hold via :meth:`Machine.charge_memory` and release them when
 done.  Host-language overhead (lists, dicts, interpreter frames) is
 deliberately not counted; the budget models algorithmic state only.
 
-A pass is one one-directional sweep of one tape head.  In the read-write
-model every sweep of every tape is counted; in the other models the
-write-only output head is free (output is produced "on the way" during the
-single data pass).  A rewrite pass in wstreams/streamsort may grow the
-tape by at most ``expansion_factor`` times, plus a one-record allowance so
-that boundary markers (for example an appended terminator) are expressible
-on tiny tapes.
+A pass is one whole one-directional sweep of one tape head: a pass reads
+the tape with one :meth:`TapePass.read_all` and writes it with
+:meth:`TapePass.write_many`.  In the read-write model every sweep of every
+tape is counted; in the other models the write-only output head is free
+(output is produced "on the way" during the single data pass).  Passes are
+numbered in the order they close, so the N-th trace line describes the
+N-th entry of the ledger's ``per_pass_tape_bits``.  A rewrite pass in
+wstreams/streamsort may grow the tape by at most ``expansion_factor``
+times, plus a one-record allowance so that boundary markers (for example
+an appended terminator) are expressible on tiny tapes.
 
 Tapes store byte-string records.  Record framing is what makes expansion
 accounting exact: the bit size of a tape is eight times the sum of its
@@ -42,7 +45,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 class MachineError(Exception):
@@ -146,85 +149,47 @@ class Tape:
 
 
 class TapePass:
-    """One one-directional sweep of a single tape head.
+    """One whole one-directional sweep of a single tape head.
 
-    Use as a context manager, or call :meth:`close` explicitly; the sweep's
-    effects (tape replacement, expansion check, trace line) happen at close.
+    A read or rewrite pass reads the tape with :meth:`read_all`; a write or
+    rewrite pass writes it with :meth:`write_many`.  Use as a context
+    manager, or call :meth:`close` explicitly; the sweep's effects (tape
+    replacement, expansion check, pass number and trace line) happen at
+    close.
     """
 
     __slots__ = (
-        "machine", "tape_id", "direction", "mode", "index",
-        "_pos", "_writes", "_bytes_read", "_bytes_written",
+        "machine", "tape_id", "direction", "mode",
+        "_swept", "_writes", "_bytes_read", "_bytes_written",
         "_bits_before", "_max_rec_bits", "closed",
     )
 
-    def __init__(self, machine: "Machine", tape_id: str, direction: str, mode: str, index: int):
+    def __init__(self, machine: "Machine", tape_id: str, direction: str, mode: str):
         self.machine = machine
         self.tape_id = tape_id
         self.direction = direction
         self.mode = mode
-        self.index = index
-        tape = machine.tapes[tape_id]
-        self._pos = 0 if direction == FORWARD else len(tape.records) - 1
+        self._swept = False
         self._writes: list = []
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bits_before = tape.bits()
+        self._bits_before = machine.tapes[tape_id].bits()
         self._max_rec_bits = 0
         self.closed = False
 
-    # -- reading ---------------------------------------------------------
-
-    def read(self) -> Optional[bytes]:
-        if self.mode == WRITE:
-            raise MachineError("write pass cannot read")
-        records = self.machine.tapes[self.tape_id].records
-        if self.direction == FORWARD:
-            if self._pos >= len(records):
-                return None
-            rec = records[self._pos]
-            self._pos += 1
-        else:
-            if self._pos < 0:
-                return None
-            rec = records[self._pos]
-            self._pos -= 1
-        self._bytes_read += len(rec)
-        return rec
-
     def read_all(self) -> list:
-        """Sweep the head to the end, returning the remaining records."""
+        """Sweep the head over the tape, returning a copy of its records in sweep order.
+
+        The head then rests at the end, so a second call returns ``[]``.
+        """
         if self.mode == WRITE:
             raise MachineError("write pass cannot read")
+        if self._swept:
+            return []
+        self._swept = True
         tape = self.machine.tapes[self.tape_id]
-        records = tape.records
-        if self.direction == FORWARD:
-            whole = self._pos == 0
-            out = records[self._pos:]
-            self._pos = len(records)
-        else:
-            whole = self._pos == len(records) - 1
-            out = records[self._pos::-1] if self._pos >= 0 else []
-            self._pos = -1
-        self._bytes_read += tape._nbytes if whole else sum(map(len, out))
-        return out
-
-    def __iter__(self) -> Iterator[bytes]:
-        while True:
-            rec = self.read()
-            if rec is None:
-                return
-            yield rec
-
-    # -- writing ---------------------------------------------------------
-
-    def write(self, rec: bytes) -> None:
-        if self.mode == READ:
-            raise MachineError("read pass cannot write")
-        self._writes.append(rec)
-        self._bytes_written += len(rec)
-        if 8 * len(rec) > self._max_rec_bits:
-            self._max_rec_bits = 8 * len(rec)
+        self._bytes_read += tape._nbytes
+        return tape.records[::-1] if self.direction == REVERSE else tape.records[:]
 
     def write_many(self, recs: Sequence[bytes]) -> None:
         if self.mode == READ:
@@ -281,8 +246,7 @@ class TapePass:
         if self.mode != READ and rejected is None:
             tape._records = self._writes
             tape._nbytes = self._bytes_written
-        machine._finish_pass(self.index, self.tape_id, self.direction,
-                             self._bytes_read, self._bytes_written)
+        machine._finish_pass(self.tape_id, self.direction, self._bytes_read, self._bytes_written)
         if rejected is not None:
             raise rejected
 
@@ -317,7 +281,7 @@ class Machine:
         if mode == READ and tape_id == INPUT:
             self._input_reads += 1
         self._ledger.passes += 1
-        handle = TapePass(self, tape_id, direction, mode, self._ledger.passes)
+        handle = TapePass(self, tape_id, direction, mode)
         self._open[tape_id] = handle
         return handle
 
@@ -361,15 +325,18 @@ class Machine:
         tape.records.sort(key=key)
         self._ledger.sort_passes += 1
         self._ledger.passes += 1
-        self._finish_pass(self._ledger.passes, INPUT, FORWARD, tape._nbytes, tape._nbytes)
+        self._finish_pass(INPUT, FORWARD, tape._nbytes, tape._nbytes)
 
-    def _finish_pass(self, index: int, tape_id: str, direction: str,
-                     bytes_in: int, bytes_out: int) -> None:
-        """Record a finished pass: the tape's size in the ledger, and its trace line."""
-        self._ledger.per_pass_tape_bits.append(self.tapes[tape_id].bits())
+    def _finish_pass(self, tape_id: str, direction: str, bytes_in: int, bytes_out: int) -> None:
+        """Record a finished pass: the tape's size in the ledger, and its trace line.
+
+        Passes are numbered as they close: pass N is ``per_pass_tape_bits[N-1]``.
+        """
+        tape_bits = self._ledger.per_pass_tape_bits
+        tape_bits.append(self.tapes[tape_id].bits())
         if self.trace is not None:
             self.trace(
-                f"pass={index} tape={tape_id} dir={direction} "
+                f"pass={len(tape_bits)} tape={tape_id} dir={direction} "
                 f"bytes_in={bytes_in} bytes_out={bytes_out} "
                 f"mem_peak={self._ledger.peak_memory_bits}"
             )

@@ -220,7 +220,7 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     The payload is written to the output tape and returned.
     """
     with machine.begin_pass(INPUT) as p:
-        payload = _mtf_rle_ac_payload((rec[0] for rec in p), sigma + 1, machine)
+        payload = _mtf_rle_ac_payload([rec[0] for rec in p.read_all()], sigma + 1, machine)
     machine.write_output(payload)
     return payload
 
@@ -285,26 +285,27 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     # first, plus each symbol's first occurrence as a side product.
     next_start: dict = {}
     first: dict = {sym: None for sym in range(sigma_total)}
+    gaps: List[bytes] = []
     run_end = None
     run_sym = None
     pos = n
     with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
             machine.begin_pass("work0", mode=WRITE) as wp:
-        for rec in rp:
+        for rec in rp.read_all():
             pos -= 1
             sym = rec[0]
             first[sym] = pos
             if sym != run_sym:
                 if run_sym is not None:
                     nxt = next_start.get(run_sym)
-                    gap = 0 if nxt is None else nxt - run_end
-                    wp.write(write_varint(gap))
+                    gaps.append(write_varint(0 if nxt is None else nxt - run_end))
                     next_start[run_sym] = pos + 1
                 run_sym = sym
                 run_end = pos
         if run_sym is not None:
             nxt = next_start.get(run_sym)
-            wp.write(write_varint(0 if nxt is None else nxt - run_end))
+            gaps.append(write_varint(0 if nxt is None else nxt - run_end))
+        wp.write_many(gaps)
     # Replay reversed run records forward and code everything.
     with machine.begin_pass("work0", direction=REVERSE) as rp:
         payload = _dc_ac_code(map(first.get, range(sigma_total)),
@@ -350,7 +351,7 @@ def encode_kth_order(s: Sequence[int], sigma: int, k: int,
         if len(machine.tapes[INPUT].records) != len(s):
             raise ValueError("machine input does not match the string")
         with machine.begin_pass(INPUT) as p:
-            payload = kth_order_encode([rec[0] for rec in p], sigma, k, machine)
+            payload = kth_order_encode([rec[0] for rec in p.read_all()], sigma, k, machine)
         machine.write_output(payload)
     else:
         payload = kth_order_encode(list(s), sigma, k)
@@ -443,7 +444,7 @@ def block_encode(s: Sequence[int], sigma: int, plan: BlockPlan, known_n: bool = 
         if len(machine.tapes[INPUT].records) != n:
             raise ValueError("machine input does not match the string")
         with machine.begin_pass(INPUT) as p:
-            run(rec[0] for rec in p)
+            run(rec[0] for rec in p.read_all())
             for frame in frames:
                 machine.write_output(frame)
     else:

@@ -221,8 +221,7 @@ def test_criterion_9_model_guards_and_exit_codes():
         machine = Machine(MachineConfig(ModelKind.W_STREAMS, 1024), bytes(64))
         with pytest.raises(ExpansionError):
             with machine.begin_pass(INPUT, mode=REWRITE) as p:
-                for rec in p:
-                    p.write(rec * 3)
+                p.write_many([rec * 3 for rec in p.read_all()])
 
         def run_cli(args, data=b""):
             return subprocess.run([sys.executable, "-m", "sbc", *args],

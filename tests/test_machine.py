@@ -50,7 +50,7 @@ def test_config_rejections():
 def test_standard_single_input_pass():
     m = Machine(cfg(ModelKind.STANDARD), b"xy")
     with m.begin_pass(INPUT) as p:
-        assert [r for r in p] == [b"x", b"y"]
+        assert p.read_all() == [b"x", b"y"]
     with pytest.raises(CapabilityError):
         m.begin_pass(INPUT)
     assert m.ledger().passes == 1
@@ -78,15 +78,14 @@ def test_wstreams_expansion_enforced():
     m.trace = lines.append
     with pytest.raises(ExpansionError):
         with m.begin_pass(INPUT, mode=REWRITE) as p:
-            for rec in p:
-                p.write(rec * 3)  # triples the tape against a factor-two bound
+            # triples the tape against a factor-two bound
+            p.write_many([rec * 3 for rec in p.read_all()])
     # The rejected pass is counted and closed; the tape keeps its records.
     assert m.tapes[INPUT].records == [bytes(1)] * 100
     assert m.ledger().passes == 1 and m.ledger().per_pass_tape_bits == [800]
     assert lines == ["pass=1 tape=input dir=fwd bytes_in=100 bytes_out=300 mem_peak=0"]
     with m.begin_pass(INPUT, mode=REWRITE) as p:
-        for rec in p:
-            p.write(rec + rec)
+        p.write_many([rec + rec for rec in p.read_all()])
     assert m.tapes[INPUT].bits() == 1600
     assert m.ledger().per_pass_tape_bits == [800, 1600]
 
@@ -94,8 +93,7 @@ def test_wstreams_expansion_enforced():
 def test_wstreams_doubling_is_fine():
     m = Machine(cfg(ModelKind.W_STREAMS), bytes(100))
     with m.begin_pass(INPUT, mode=REWRITE) as p:
-        for rec in p:
-            p.write(rec + rec)
+        p.write_many([rec + rec for rec in p.read_all()])
     assert m.tapes[INPUT].bits() == 1600
 
 
@@ -183,9 +181,20 @@ def test_reverse_read_only_in_read_write():
 def test_per_pass_tape_bits_recorded():
     m = Machine(cfg(ModelKind.W_STREAMS), b"ab")
     with m.begin_pass(INPUT, mode=REWRITE) as p:
-        for rec in p:
-            p.write(rec + rec)
+        p.write_many([rec + rec for rec in p.read_all()])
     assert m.ledger().per_pass_tape_bits == [32]
+
+
+def test_read_all_returns_a_copy():
+    m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=1), b"abc")
+    for direction in ("fwd", "rev"):
+        with m.begin_pass(INPUT, direction=direction) as p:
+            records = p.read_all()
+            records[0] = b"zzzz"
+            records.append(b"y")
+            del records[1]
+        assert m.tapes[INPUT].records == [b"a", b"b", b"c"]
+        assert m.tapes[INPUT].bits() == 24
 
 
 def test_tape_merge_sort_is_stable():
@@ -276,16 +285,16 @@ def test_tape_bits_track_every_change():
     m.trace = lines.append
     check(m)
     with m.begin_pass(INPUT) as p:
-        p.read()
         p.read_all()
+        assert p.read_all() == []  # the head rests at the end
     check(m)
     with m.begin_pass(INPUT, direction="rev") as p:
-        p.read()
         p.read_all()
+        assert p.read_all() == []
     check(m)
     assert [line.split()[3] for line in lines] == ["bytes_in=5", "bytes_in=5"]
     with m.begin_pass("work0", mode=WRITE) as p:
-        p.write(b"xyz")
+        p.write_many([b"xyz"])
         p.write_many([b"", b"pq", b"r"])
     check(m)
     with m.begin_pass(INPUT, mode=REWRITE) as p:
@@ -304,14 +313,12 @@ def test_tape_bits_track_every_change():
 
     s = Machine(cfg(ModelKind.STREAM_SORT), b"cab")
     with s.begin_pass(INPUT, mode=REWRITE) as p:
-        for rec in p:
-            p.write(rec + b"!")
+        p.write_many([rec + b"!" for rec in p.read_all()])
     check(s)
     s.sort_pass(key=lambda r: r)
     check(s)
     with pytest.raises(ExpansionError):
         with s.begin_pass(INPUT, mode=REWRITE) as p:
-            for rec in p:
-                p.write(rec * 10)
+            p.write_many([rec * 10 for rec in p.read_all()])
     check(s)
     assert s.tapes[INPUT].records == [b"a!", b"b!", b"c!"]

@@ -432,39 +432,66 @@ def test_containers_are_pinned(corpus):
 
 
 # (passes, sort_passes, peak_memory_bits, total_output_bits,
-# sum(per_pass_tape_bits)) of every PIPELINES entry's streaming encoder on
-# the corpus, each on a machine of its own model and work tapes over the
-# input with a 2^40-bit budget, at its CLI default k, c = 0.5 and epsilon =
-# 0.25, as ``sbc bench`` runs them.  The peaks include what the coders
-# charge.  The first four were computed on the code as it stood before the
-# range coder was folded into SymbolEncoder and SymbolDecoder; the tape-bit
-# sums on the code as it stood before best-k ran every k on one machine.
+# sum(per_pass_tape_bits), sha256 of the newline-joined trace lines) of
+# every PIPELINES entry's streaming encoder on the corpus, each on a machine
+# of its own model and work tapes over the input with a 2^40-bit budget, at
+# its CLI default k, c = 0.5 and epsilon = 0.25, as ``sbc bench`` runs
+# them.  The peaks include what the coders charge.  The first four were
+# computed on the code as it stood before the range coder was folded into
+# SymbolEncoder and SymbolDecoder; the tape-bit sums on the code as it
+# stood before best-k ran every k on one machine; the trace hashes on the
+# code as it stood before passes were numbered as they close.
 MODEL_LEDGER_PINS = {
-    ("covering.txt", "bwt-mtf-rle-ac"): (1, 0, 310, 1624, 16392),
-    ("covering.txt", "bwt-dc-ac"): (3, 0, 328, 1424, 19464),
-    ("covering.txt", "st-dc-ac"): (25, 5, 284, 4480, 786736),
-    ("covering.txt", "block-kth"): (1, 0, 457, 11976, 16384),
-    ("covering.txt", "kth-order"): (1, 0, 392, 2104, 16384),
-    ("english.txt", "bwt-mtf-rle-ac"): (1, 0, 1048, 8336, 22856),
-    ("english.txt", "bwt-dc-ac"): (3, 0, 1120, 8672, 40728),
-    ("english.txt", "st-dc-ac"): (27, 5, 680, 9928, 1691200),
-    ("english.txt", "block-kth"): (1, 0, 744, 31976, 22848),
-    ("english.txt", "kth-order"): (1, 0, 173592, 11528, 22848),
-    ("mixed.bin", "bwt-mtf-rle-ac"): (1, 0, 351, 5752, 16392),
-    ("mixed.bin", "bwt-dc-ac"): (3, 0, 376, 8424, 41160),
-    ("mixed.bin", "st-dc-ac"): (25, 5, 308, 8312, 852304),
-    ("mixed.bin", "block-kth"): (1, 0, 485, 15880, 16384),
-    ("mixed.bin", "kth-order"): (1, 0, 1568, 4224, 16384),
-    ("periodic.txt", "bwt-mtf-rle-ac"): (1, 0, 370, 192, 17608),
-    ("periodic.txt", "bwt-dc-ac"): (3, 0, 400, 160, 17800),
-    ("periodic.txt", "st-dc-ac"): (25, 5, 320, 1752, 915536),
-    ("periodic.txt", "block-kth"): (1, 0, 508, 14104, 17600),
-    ("periodic.txt", "kth-order"): (1, 0, 1056, 656, 17600),
-    ("service.log", "bwt-mtf-rle-ac"): (1, 0, 1268, 5432, 33712),
-    ("service.log", "bwt-dc-ac"): (3, 0, 1452, 5920, 46416),
-    ("service.log", "st-dc-ac"): (27, 5, 848, 5624, 2494544),
-    ("service.log", "block-kth"): (1, 0, 842, 47688, 33704),
-    ("service.log", "kth-order"): (1, 0, 150480, 10784, 33704),
+    ("covering.txt", "bwt-mtf-rle-ac"): (1, 0, 310, 1624, 16392,
+        "6f29fa72da55c33834d5b568f89c6fad46d8e54bf124f896647df19ffe9de6cb"),
+    ("covering.txt", "bwt-dc-ac"): (3, 0, 328, 1424, 19464,
+        "3ed047fe5d4bdeea6ae6fbfab351f95d956fe87067014b12ad6c65a70a19c6f9"),
+    ("covering.txt", "st-dc-ac"): (25, 5, 284, 4480, 786736,
+        "d704b0c2e42f3d9899e43133429c67799bbc37187e2ee9970697600a9a1cc17d"),
+    ("covering.txt", "block-kth"): (1, 0, 457, 11976, 16384,
+        "64d71c917c8ced597756946bda84cd78f7bc3d510ce1df0e98f532f3ec25ce70"),
+    ("covering.txt", "kth-order"): (1, 0, 392, 2104, 16384,
+        "211a800404270fce6a8be495947f9e2e0ac6dd5078d151af52c2e3b6a7ff0da5"),
+    ("english.txt", "bwt-mtf-rle-ac"): (1, 0, 1048, 8336, 22856,
+        "c7bcc1bb1c3c881e33eb92b37fdbcb494a47121c862241d631716ce4c91df16b"),
+    ("english.txt", "bwt-dc-ac"): (3, 0, 1120, 8672, 40728,
+        "9a594a496540f1e61d67a392201f8785f7dc6b2a22190a97fd9d1d5be4720bc8"),
+    ("english.txt", "st-dc-ac"): (27, 5, 680, 9928, 1691200,
+        "659e39dc6fa4f96a18c721063a25e17d10be7ce967294506ebbb16f4c8cb8ed8"),
+    ("english.txt", "block-kth"): (1, 0, 744, 31976, 22848,
+        "f230a8eb27b67ff4283ea05ff1e5a07c520a7d756f2f557e686c4c343cc2955b"),
+    ("english.txt", "kth-order"): (1, 0, 173592, 11528, 22848,
+        "5b867e6bae2a33fc28087630ae2ad22cad8e83fea714d6bc4ccf59907da03c40"),
+    ("mixed.bin", "bwt-mtf-rle-ac"): (1, 0, 351, 5752, 16392,
+        "5e61112eff416bc1a9cf5626eebbbc8956f53667630208e94162dff9ddd317a7"),
+    ("mixed.bin", "bwt-dc-ac"): (3, 0, 376, 8424, 41160,
+        "7847aaa297ef42c12855af02e1f1cf7f9f77ea00522fc02fa3a1aa1e9f4cfd5d"),
+    ("mixed.bin", "st-dc-ac"): (25, 5, 308, 8312, 852304,
+        "1d7da906fd8f7be5419a4a031a67c08e25e6df4a6950c2a8f9cd29b668fec2c0"),
+    ("mixed.bin", "block-kth"): (1, 0, 485, 15880, 16384,
+        "b70dd778d4e3ec2f92aa037e03c4156667b9d35713450d2def4b5decbeab2c8f"),
+    ("mixed.bin", "kth-order"): (1, 0, 1568, 4224, 16384,
+        "51d5125ff77931612dd52787913fb3714a47a340ec8de4a94763376a0a678da4"),
+    ("periodic.txt", "bwt-mtf-rle-ac"): (1, 0, 370, 192, 17608,
+        "850a82298698996459d80214f08c0ce880936c5af5244bd722469b1d5d547ac8"),
+    ("periodic.txt", "bwt-dc-ac"): (3, 0, 400, 160, 17800,
+        "4f6df2b4141320b6b98106117ce95730e71584d84c5a45966597285cd1895eaa"),
+    ("periodic.txt", "st-dc-ac"): (25, 5, 320, 1752, 915536,
+        "a3e57aedeac1c6c26bdbed0198148e389ba297b16e24f1971212742ea9676f86"),
+    ("periodic.txt", "block-kth"): (1, 0, 508, 14104, 17600,
+        "0bf5dcf26fbc80b8e8439f55949ae614deb3d7d5b5a923b193be922153a3244a"),
+    ("periodic.txt", "kth-order"): (1, 0, 1056, 656, 17600,
+        "f95a63712da15ddc8fa5f2bc2a06f1b8bd657837a46dd7de176fa1bc4218ae14"),
+    ("service.log", "bwt-mtf-rle-ac"): (1, 0, 1268, 5432, 33712,
+        "428d9135935e33a7062abaa9f9f2ca550e0539e3a99f38bc056c5d7c2f0b8784"),
+    ("service.log", "bwt-dc-ac"): (3, 0, 1452, 5920, 46416,
+        "b8c263bdfff481b47db75fd0f9eabbbf678bf61a4ccfaa92518e49820acabdd9"),
+    ("service.log", "st-dc-ac"): (27, 5, 848, 5624, 2494544,
+        "b8938e0d8fb7ade57c9c47c636224858ff0152808c5d613fb043d8a2891afab0"),
+    ("service.log", "block-kth"): (1, 0, 842, 47688, 33704,
+        "1c71d0155811c3027959aac19c59cc04ac32cc5891235e60404dea85d859f088"),
+    ("service.log", "kth-order"): (1, 0, 150480, 10784, 33704,
+        "fe8cc6b8df5546c8956bad5b15a96fe2268afe8dd98759bea3eda66daba085b6"),
 }
 
 
@@ -476,10 +503,13 @@ def test_model_ledgers_are_pinned(corpus):
         for entry in PIPELINES.values():
             machine = Machine(MachineConfig(entry.model, 1 << 40, work_tapes=entry.work_tapes),
                               bytes(s))
+            lines = []
+            machine.trace = lines.append
             entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, machine)
             led = machine.ledger()
             got[name, entry.name] = (led.passes, led.sort_passes, led.peak_memory_bits,
-                                     led.total_output_bits, sum(led.per_pass_tape_bits))
+                                     led.total_output_bits, sum(led.per_pass_tape_bits),
+                                     hashlib.sha256("\n".join(lines).encode()).hexdigest())
     assert got == MODEL_LEDGER_PINS
 
 

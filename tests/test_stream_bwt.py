@@ -273,37 +273,38 @@ def test_rw_runs_match_faithful_merge_sort(monkeypatch):
 # Ledgers of the read-write runs, pinned: passes, peak charged bits, output
 # bits, then the count, sum and sha256 of per_pass_tape_bits (comma-joined)
 # and the sha256 of the newline-joined trace lines.  A change that moves any
-# of them changes what the machine charges and must say why.
+# of them changes what the machine charges and must say why.  The trace
+# hashes were computed after passes were numbered in the order they close.
 GOLDEN_LEDGERS = {
     ("mississippi", "rw_bwt_encode"): (
         243, 2496, 96, 243, 275224,
         "747b693d79524dee240a8c32f31d184699874a3bcaaf4cc750ec0ebb068fef49",
-        "11715cd160125aceba8d539194b332a0ff4fb052bfaa3011ae50563700fa8bc7",
+        "3c73a5ed40a5fc828b9306a18551f522efca661712f7bb3caff528b11cac6cf6",
     ),
     ("mississippi", "rw_bwt_invert"): (
         270, 2496, 88, 270, 237312,
         "ed4f3c980f6a57e1298e488fce6836a399370563615a6da19e63d2710acc7093",
-        "19011c283e0e60020fba3cc9c11a00ef46f24a870da72b69a4d695ee14ab58b1",
+        "cecaed4e1405adf126b2239c4cedf4665779cca0d4c61b5ef9dacc0857a8a1f6",
     ),
     ("mississippi", "rw_suffix_array"): (
         243, 2496, 384, 243, 275224,
         "747b693d79524dee240a8c32f31d184699874a3bcaaf4cc750ec0ebb068fef49",
-        "11715cd160125aceba8d539194b332a0ff4fb052bfaa3011ae50563700fa8bc7",
+        "3c73a5ed40a5fc828b9306a18551f522efca661712f7bb3caff528b11cac6cf6",
     ),
     ("random300", "rw_bwt_encode"): (
         683, 2496, 2408, 683, 19006336,
         "2151d5f93eba78b33cfc28bcdf49e84f77441ec0ba1da2b777c986bfda60fe5e",
-        "67331ad3260269df6c0a98b1deb3bbe71eeeea4197a16efc26737abb61a618aa",
+        "3a67a13d07b7acc0afe716e6244d42d41a9fa431eccbaefb81d3f87775a5522b",
     ),
     ("random300", "rw_bwt_invert"): (
         1140, 2496, 2400, 1140, 25409216,
         "faf040a4d5d797a446ec9b86cc24c556cc805b71b2d175081ba15779c34873c4",
-        "49fa66492d5cb765f65b4f2458ecf5e298de940ac017eb74301a8f11b06a223a",
+        "74e00bbccb127c08a03612df1c80815aad3e1c8d0f37bc0bddcd05fc55ccbf21",
     ),
     ("random300", "rw_suffix_array"): (
         683, 2496, 9632, 683, 19006336,
         "2151d5f93eba78b33cfc28bcdf49e84f77441ec0ba1da2b777c986bfda60fe5e",
-        "67331ad3260269df6c0a98b1deb3bbe71eeeea4197a16efc26737abb61a618aa",
+        "3a67a13d07b7acc0afe716e6244d42d41a9fa431eccbaefb81d3f87775a5522b",
     ),
 }
 
