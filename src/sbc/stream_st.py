@@ -7,8 +7,14 @@ the pad-pass count exactly ceil(log2(target/8)) for a target of
 ceil(log2 n) bits.  One more rewrite pass tracks the last k characters in
 a logarithmic register and writes them, most recent first, as a fixed
 width key in front of each record, appending the end-marker record with
-its own key.  A single stable sort pass by key then realizes the
-transform, and a final rewrite strips keys and padding.
+its own key.  The register is one integer of k fields of
+ceil(log2(sigma+1)) bits, the marker as 0 and rank r as r+1, most recent
+character in the top field; each record shifts the oldest field out and
+its own character in.  Every field holds its whole value and the key has
+a fixed width, so comparing keys as big-endian bytes compares the
+integers, which compares the contexts as tuples.  A single stable sort
+pass by key then realizes the transform, and a final rewrite strips keys
+and padding.
 
 Context keys wrap through the end marker cyclically, so the pass that
 precedes key attachment memorizes the string's tail (k characters, still a
@@ -17,6 +23,7 @@ logarithmic register) to seed the tracker.
 
 from __future__ import annotations
 
+from itertools import cycle, islice
 from typing import Dict, List, Optional, Sequence
 
 from .coders import _ceil_log2
@@ -92,28 +99,22 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
     machine.charge_memory(key_bits + control_bits)
 
     # The tracker holds the context of the next position, most recent
-    # first; position 0's context wraps through the end marker into the
-    # memorized tail.
-    tracker: List[int] = []
-    wrap = [0] + [c + 1 for c in reversed(tail)]
-    while k and len(tracker) < k:
-        tracker.extend(wrap)
-    tracker = tracker[:k]
-
-    def pack_key(ctx: List[int]) -> bytes:
-        value = 0
-        for v in ctx:
-            value = (value << char_width) | v
-        return value.to_bytes(key_bytes, "big")
+    # first, packed char_width bits per character; position 0's context
+    # wraps through the end marker into the memorized tail.
+    tracker = 0
+    for v in islice(cycle([0] + [c + 1 for c in reversed(tail)]), k):
+        tracker = (tracker << char_width) | v
+    shift = char_width * (k - 1)
 
     with machine.begin_pass(INPUT, mode=REWRITE) as p:
         recs = p.read_all()
         new = []
         for rec in recs:
-            new.append(pack_key(tracker) + bytes([rec[0] + 1]) + rec[1:])
+            c = rec[0] + 1
+            new.append(tracker.to_bytes(key_bytes, "big") + bytes((c,)) + rec[1:])
             if k:
-                tracker = [rec[0] + 1] + tracker[:k - 1]
-        new.append(pack_key(tracker) + b"\x00" * width_bytes)  # the end marker's record
+                tracker = (c << shift) | (tracker >> char_width)
+        new.append(tracker.to_bytes(key_bytes, "big") + b"\x00" * width_bytes)  # the end marker's record
         p.write_many(new)
 
     machine.sort_pass(key=lambda rec: rec[:key_bytes])

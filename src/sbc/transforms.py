@@ -16,14 +16,20 @@ reversed(s)+terminator, since the sentinel ends every comparison; one
 linear-time suffix sorter computes it, and sorts the suffixes of a doubled
 sequence for the cyclic order of :func:`cyclic_context_order`.  The
 length-k variant compares only the k nearest context characters, breaking
-ties by original position.
+ties by original position.  It packs each context into one integer of k
+digits in base sigma+1, most recent character first; digits order as the
+characters do and every key has the same number of digits, so integer
+order is the tuple order and one sort by integer keys does the work.
+Distance coding finds its runs with one C-level scan for unequal
+neighbours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import ne
 from typing import Dict, Iterable, List, Optional, Sequence
 
 SENTINEL = -1
@@ -176,16 +182,37 @@ def bwt_inverse(t: Sequence[int]) -> List[int]:
 
 
 def st(s: Sequence[int], k: int, sigma: Optional[int] = None) -> List[int]:
-    """Length-k context sort of s+sentinel, stable in the original positions."""
+    """Length-k context sort of s+sentinel, stable in the original positions.
+
+    The k nearest context characters, most recent first, are packed into
+    one integer in base sigma+1 (256 when ``sigma`` is None; ranks stop at
+    254): the marker is digit 0 and rank r is digit r+1.  Every key has
+    exactly k digits, so integer order is the lexicographic order of the
+    context tuples, and the stable sort breaks ties by position.  Rotations
+    of s+sentinel are pairwise distinct, so for k > len(s) the order is the
+    full backward-context order of :func:`bwt`.
+    """
     if k < 0:
         raise ValueError("context length must be >= 0")
     s = list(s)
+    if k > len(s):
+        return bwt(s, sigma)
     _validate_ranks(s, sigma)
     extended = s + [SENTINEL]
-    m = len(extended)
-    keys = [tuple(extended[(i - 1 - j) % m] for j in range(k)) for i in range(m)]
-    order = sorted(range(m), key=lambda i: (keys[i], i))
-    return [extended[i] for i in order]
+    if k == 0:
+        return extended
+    base = 256 if sigma is None else sigma + 1
+    top = base ** (k - 1)
+    # One step shifts the oldest digit out and the newest in at the top;
+    # k steps over the tail give position 0 its context through the marker.
+    key = 0
+    for c in extended[-k:]:
+        key = (c + 1) * top + key // base
+    keys = []
+    for c in extended:
+        keys.append(key)
+        key = (c + 1) * top + key // base
+    return [extended[i] for i in sorted(range(len(extended)), key=keys.__getitem__)]
 
 
 # -- move-to-front -------------------------------------------------------
@@ -227,28 +254,27 @@ def dc_encode(seq: Sequence, alphabet: Optional[Iterable] = None) -> DcStream:
         alphabet = sorted(set(seq))
     alphabet = list(alphabet)
     allowed = set(alphabet)
-    for c in seq:
-        if c not in allowed:
-            raise ValueError(f"symbol {c!r} not in alphabet")
+    if not allowed.issuperset(seq):
+        bad = next(c for c in seq if c not in allowed)
+        raise ValueError(f"symbol {bad!r} not in alphabet")
 
-    runs: List[tuple] = []  # (symbol, start, end) inclusive
-    for i, c in enumerate(seq):
-        if runs and runs[-1][0] == c and runs[-1][2] == i - 1:
-            runs[-1] = (c, runs[-1][1], i)
-        else:
-            runs.append((c, i, i))
+    n = len(seq)
+    starts = [0] if n else []  # the start of every maximal run
+    starts.extend(compress(range(1, n), map(ne, seq[1:], seq)))
 
-    first: Dict = {a: None for a in alphabet}
-    next_start: Dict = {}
-    gaps_rev: List[int] = []
-    for sym, start, end in reversed(runs):
-        nxt = next_start.get(sym)
-        gaps_rev.append(0 if nxt is None else nxt - end)
-        next_start[sym] = start
-    for sym, start, _ in runs:
-        if first[sym] is None:
-            first[sym] = start
-    return DcStream(first, len(seq), gaps_rev[::-1])
+    # Walking the runs backwards, first[sym] is the start of sym's next run;
+    # once every run is seen, it is sym's first occurrence.
+    first: Dict = dict.fromkeys(alphabet)
+    gaps: List[int] = []
+    end = n  # one past the current run
+    for start in reversed(starts):
+        sym = seq[start]
+        nxt = first[sym]
+        gaps.append(0 if nxt is None else nxt - (end - 1))
+        first[sym] = start
+        end = start
+    gaps.reverse()
+    return DcStream(first, n, gaps)
 
 
 def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:

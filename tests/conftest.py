@@ -174,6 +174,40 @@ def oracle_st(s, k):
     return [extended[i] for i in order]
 
 
+def oracle_dc_encode(seq, alphabet=None):
+    """The distance encoder by building one (symbol, start, end) run per character.
+
+    ``sbc.transforms.dc_encode`` worked this way before it found run starts
+    with one scan; it must give the same first occurrences, length and gaps,
+    and name the same offending symbol.
+    """
+    seq = list(seq)
+    if alphabet is None:
+        alphabet = sorted(set(seq))
+    alphabet = list(alphabet)
+    allowed = set(alphabet)
+    for c in seq:
+        if c not in allowed:
+            raise ValueError(f"symbol {c!r} not in alphabet")
+    runs = []  # (symbol, start, end) inclusive
+    for i, c in enumerate(seq):
+        if runs and runs[-1][0] == c and runs[-1][2] == i - 1:
+            runs[-1] = (c, runs[-1][1], i)
+        else:
+            runs.append((c, i, i))
+    first = {a: None for a in alphabet}
+    next_start = {}
+    gaps_rev = []
+    for sym, start, end in reversed(runs):
+        nxt = next_start.get(sym)
+        gaps_rev.append(0 if nxt is None else nxt - end)
+        next_start[sym] = start
+    for sym, start, _ in runs:
+        if first[sym] is None:
+            first[sym] = start
+    return first, len(seq), gaps_rev[::-1]
+
+
 def oracle_dc_reconstruct(first_occurrence, n, next_gap):
     """The distance decoder by scanning every pending symbol per run.
 

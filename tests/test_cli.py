@@ -254,6 +254,14 @@ def test_transform_st_and_dc_produce_output():
     assert out.returncode == 0 and len(out.stdout) > 0
 
 
+def test_transform_st_beyond_the_string_is_the_bwt():
+    # Contexts longer than the string are whole rotations, so the cost must
+    # not grow with k.
+    out = run_cli(["transform", "--op", "st", "--k", "1000000000"], b"mississippi")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == b"ms\xffspipissii"
+
+
 def test_transform_negative_k_is_usage_error():
     out = run_cli(["transform", "--op", "st", "--k", "-1"], b"mississippi")
     assert out.returncode == 1, out.stderr

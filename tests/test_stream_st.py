@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from sbc.machine import CapabilityError, Machine, MachineConfig, MachineLedger, ModelKind
+from sbc.machine import INPUT, CapabilityError, Machine, MachineConfig, MachineLedger, ModelKind
 from sbc.pipelines import parse_container
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
 from sbc.transforms import st
@@ -32,6 +32,58 @@ def test_matches_reference_random():
         s = [rng.randrange(sigma) for _ in range(rng.randrange(0, 300))]
         k = rng.randrange(5)
         assert streamsort_st(s, k, sigma=sigma) == st(s, k)
+
+
+def tuple_key_records(s, k, sigma, width_bytes):
+    """The key pass's records as a per-tuple tracker and packer wrote them.
+
+    The tracker is a list of the k nearest shifted characters, most recent
+    first, packed char_width bits each into a big-endian key.
+    """
+    char_width = max(1, sigma.bit_length())
+    key_bytes = (k * char_width + 7) // 8
+
+    def pack_key(ctx):
+        value = 0
+        for v in ctx:
+            value = (value << char_width) | v
+        return value.to_bytes(key_bytes, "big")
+
+    tracker = []
+    wrap = [0] + [c + 1 for c in reversed(s[-k:] if k else [])]
+    while k and len(tracker) < k:
+        tracker.extend(wrap)
+    tracker = tracker[:k]
+    records = []
+    for c in s:
+        records.append(pack_key(tracker) + bytes([c + 1]) + b"\x00" * (width_bytes - 1))
+        if k:
+            tracker = [c + 1] + tracker[:k - 1]
+    records.append(pack_key(tracker) + b"\x00" * width_bytes)
+    return records
+
+
+def test_packed_keys_match_tuple_keys():
+    # sigma=5 and 17 put a key field across a byte boundary; the short
+    # inputs have k > n, so their keys wrap through the marker repeatedly.
+    rng = random.Random(5)
+    cases = [(5, 3, 40), (17, 2, 40), (5, 3, 8), (17, 2, 300), (2, 8, 2), (2, 5, 0), (3, 4, 2),
+             (5, 0, 20), (250, 1, 50)]
+    for sigma, k, n in cases:
+        for _ in range(20):
+            s = [rng.randrange(sigma) for _ in range(n)]
+            machine = default_streamsort_machine(bytes(s))
+            keyed = []
+            sort_pass = machine.sort_pass
+
+            def capture(key):
+                keyed.extend(machine.tapes[INPUT].records)
+                sort_pass(key)
+
+            machine.sort_pass = capture
+            stats = {}
+            assert streamsort_st(s, k, machine=machine, sigma=sigma, stats=stats) == st(s, k)
+            assert keyed == tuple_key_records(s, k, sigma, 2 ** stats["pad_passes"]), (sigma, k, s)
 
 
 def test_pad_pass_arithmetic():

@@ -8,6 +8,7 @@ from conftest import (
     doubling_bwt,
     doubling_context_order,
     oracle_bwt,
+    oracle_dc_encode,
     oracle_dc_reconstruct,
     oracle_st,
     ranks_of,
@@ -193,6 +194,19 @@ def test_st_matches_brute_force():
         s = [rng.randrange(3) for _ in range(rng.randrange(0, 40))]
         for k in range(5):
             assert st(s, k) == oracle_st(s, k)
+    # Wider alphabets pack into bigger bases, and sigma=None packs in base
+    # 256, which rank 254 (the largest allowed) fills.  Inputs shorter than
+    # k wrap the context through the marker more than once; k >= m takes
+    # the full-order path.
+    assert st([1, 254, 0], 2) == oracle_st([1, 254, 0], 2)  # digit 255 must not carry
+    for sigma in (2, 5, 52, 250, 255):
+        for _ in range(60):
+            s = [rng.randrange(sigma) for _ in range(rng.randrange(0, 30))]
+            m = len(s) + 1
+            for k in sorted({0, 1, 2, 3, m - 1, m, m + 3}):
+                expected = oracle_st(s, k)
+                assert st(s, k, sigma) == expected, (sigma, s, k)
+                assert st(s, k) == expected, (s, k)
 
 
 def test_st_with_long_contexts_equals_bwt():
@@ -200,6 +214,8 @@ def test_st_with_long_contexts_equals_bwt():
     for _ in range(50):
         s = [rng.randrange(3) for _ in range(rng.randrange(0, 24))]
         assert st(s, len(s) + 1) == bwt(s)
+        # Beyond the string's length the cost no longer grows with k.
+        assert st(s, 10**9, 3) == bwt(s)
 
 
 def test_mtf_examples():
@@ -257,6 +273,35 @@ def test_dc_roundtrip_exhaustive():
         for trits in product(range(3), repeat=length):
             s = list(trits)
             assert reconstruct(dc_encode(s)) == s
+
+
+def test_dc_encode_matches_per_character_oracle():
+    rng = random.Random(13)
+    cases = [([], None), ([], range(3)), ([4] * 9, None), (list(range(12)), None),
+             (list(range(12))[::-1], range(15)), (["a"], ["b", "a"])]
+    for _ in range(400):
+        sigma = rng.randrange(1, 8)
+        s = [rng.randrange(sigma) for _ in range(rng.randrange(0, 60))]
+        cases.append((s, rng.choice([None, range(sigma), range(sigma + 3)])))
+    # The mixed hashable symbols of the decoder tests, none comparable.
+    symbols = ["a", 1, ("t",), "b", 2.5, frozenset({3}), None, "c"]
+    for _ in range(400):
+        alphabet = rng.sample(symbols, rng.randrange(1, len(symbols) + 1))
+        used = alphabet[:rng.randrange(1, len(alphabet) + 1)]
+        cases.append(([rng.choice(used) for _ in range(rng.randrange(0, 40))], alphabet))
+    for s, alphabet in cases:
+        stream = dc_encode(s, alphabet=alphabet)
+        first, n, gaps = oracle_dc_encode(s, alphabet=alphabet)
+        assert list(stream.first_occurrence.items()) == list(first.items()), (s, alphabet)
+        assert (stream.length, stream.gaps) == (n, gaps), (s, alphabet)
+
+
+def test_dc_encode_names_the_first_symbol_out_of_alphabet():
+    for s, alphabet, bad in (([0, 5, 7], range(3), 5), ([7, 0, 5], range(3), 7),
+                             (["a", "z", "y", "z"], ["a", "b"], "z"), ([2, 2, None], [2], None)):
+        for encode in (dc_encode, oracle_dc_encode):
+            with pytest.raises(ValueError, match=f"^symbol {bad!r} not in alphabet$"):
+                encode(s, alphabet=alphabet)
 
 
 def test_dc_decode_rejects_malformed():
