@@ -15,7 +15,6 @@ from .adversary import (
     verify_de_bruijn,
 )
 from .coders import (
-    ContextModelBank,
     FreqModel,
     kth_order_decode,
     kth_order_encode,

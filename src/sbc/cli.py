@@ -30,7 +30,6 @@ from .machine import (
     Machine,
     MachineConfig,
     MachineError,
-    MachineLedger,
     ModelKind,
 )
 
@@ -108,8 +107,11 @@ def _machine_for(args, model: ModelKind, input_data: bytes, work_tapes: int = 0)
     return machine
 
 
-def _ledger_payload(machine: Optional[Machine]) -> dict:
-    led = machine.ledger() if machine is not None else MachineLedger()
+def _ledger_payload(machine: Optional[Machine], stage: str) -> dict:
+    """The machine's ledger; work that ran on no machine names its host stage instead."""
+    if machine is None:
+        return {"host_stages": [stage]}
+    led = machine.ledger()
     return {
         "passes": led.passes,
         "sort_passes": led.sort_passes,
@@ -124,7 +126,7 @@ def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes,
     container = entry.encode(ranks, sigma, alphabet, k, c, epsilon, machine)
     report = {"pipeline": entry.name, "n": len(ranks), "sigma": sigma,
               "size_bits": 8 * len(container)}
-    report.update(_ledger_payload(machine))
+    report.update(_ledger_payload(machine, entry.name))
     return container, report
 
 
@@ -177,7 +179,7 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_transform(args) -> int:
     data = _read_input(args.input)
-    if args.op in ("bwt", "st", "dc") and 0xFF in data:
+    if args.op in ("bwt", "st") and 0xFF in data:
         raise ValueError("byte 0xff is reserved for the end marker")
     if args.op == "bwt":
         body = tr.bwt(list(data))
@@ -259,7 +261,7 @@ def _cmd_simulate(args) -> int:
     else:  # pragma: no cover
         raise _UsageError(f"unknown algorithm {args.algo}")
     _write_output(args.output, ("\n".join(out_lines) + "\n").encode())
-    _emit_json(args, _ledger_payload(machine))
+    _emit_json(args, _ledger_payload(machine, args.algo))
     return 0
 
 

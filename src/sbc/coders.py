@@ -35,8 +35,9 @@ rescale points and outputs are those of one flat list of counts, and
 ``state_bits`` and every ledger charge are unchanged.
 
 The order-k coder keeps one adaptive model per observed length-k context,
-creating models lazily so the memory charge grows with the number of
-contexts actually seen, bounded by sigma^k; at k = 0 it is the order-0 coder.
+keyed by the context read as one base-sigma integer, and creates models
+lazily so the memory charge grows with the number of contexts actually
+seen, bounded by sigma^k; at k = 0 it is the order-0 coder.
 """
 
 from __future__ import annotations
@@ -341,64 +342,64 @@ class SymbolDecoder:
         return acc
 
 
-class ContextModelBank:
-    """Lazily instantiated per-context models plus an order-0 fallback."""
-
-    def __init__(self, k: int, sigma: int, machine=None):
-        if k < 0:
-            raise ValueError("context length must be >= 0")
-        self.k = k
-        self.sigma = sigma
-        self.machine = machine
-        self.models: Dict[tuple, FreqModel] = {}
-        self.fallback = FreqModel(sigma)
-        _charge(machine, self.fallback.state_bits())
-
-    def model_for(self, ctx: tuple) -> FreqModel:
-        model = self.models.get(ctx)
-        if model is None:
-            model = FreqModel(self.sigma)
-            self.models[ctx] = model
-            key_bits = self.k * max(1, _ceil_log2(max(self.sigma, 2)))
-            _charge(self.machine, model.state_bits() + key_bits)
-        return model
-
-
 def kth_order_encode(symbols: Sequence[int], sigma: int, k: int, machine=None) -> bytes:
-    """Code each symbol with the model of its preceding k-tuple.
+    """Code each symbol with the model of its preceding k symbols.
 
-    The first k symbols, which have no full context yet, go through the
-    order-0 fallback model.  Single pass; decoding mirrors the context
-    tracking exactly.
+    The context is one integer, the k preceding symbols read as base-sigma
+    digits, oldest first.  The first k symbols, which have no full context
+    yet, go through the order-0 fallback model; a context's model is
+    created and charged the first time the context occurs.  Single pass;
+    decoding mirrors the context tracking exactly.
     """
     symbols = list(symbols)
     if not symbols:
         return b""
-    bank = ContextModelBank(k, sigma, machine)
+    if k < 0:
+        raise ValueError("context length must be >= 0")
+    fallback = FreqModel(sigma)
+    _charge(machine, fallback.state_bits())
     _charge(machine, 128 + 8 * k)
+    context_bits = fallback.state_bits() + k * max(1, _ceil_log2(max(sigma, 2)))
+    models: Dict[int, FreqModel] = {}
     enc = SymbolEncoder()
-    ctx: tuple = ()
-    for sym in symbols:
+    put = enc.put
+    ctx = 0
+    for sym in symbols[:k]:
         if not 0 <= sym < sigma:
             raise ValueError(f"symbol {sym} out of alphabet")
-        model = bank.model_for(ctx) if len(ctx) == k else bank.fallback
-        enc.put(model, sym)
-        if k:
-            ctx = (ctx + (sym,))[-k:]
+        put(fallback, sym)
+        ctx = ctx * sigma + sym
+    span = sigma ** min(k, len(symbols))  # k > n never reaches a full context
+    for sym in symbols[k:]:
+        if not 0 <= sym < sigma:
+            raise ValueError(f"symbol {sym} out of alphabet")
+        model = models.get(ctx)
+        if model is None:
+            model = models[ctx] = FreqModel(sigma)
+            _charge(machine, context_bits)
+        put(model, sym)
+        ctx = (ctx * sigma + sym) % span
     return enc.finish()
 
 
 def kth_order_decode(data: bytes, count: int, sigma: int, k: int) -> List[int]:
     if count == 0:
         return []
-    bank = ContextModelBank(k, sigma)
-    dec = SymbolDecoder(data)
-    out: List[int] = []
-    ctx: tuple = ()
-    for _ in range(count):
-        model = bank.model_for(ctx) if len(ctx) == k else bank.fallback
-        sym = dec.get(model)
+    if k < 0:
+        raise ValueError("context length must be >= 0")
+    fallback = FreqModel(sigma)
+    models: Dict[int, FreqModel] = {}
+    get = SymbolDecoder(data).get
+    out = [get(fallback) for _ in range(min(k, count))]
+    ctx = 0
+    for sym in out:
+        ctx = ctx * sigma + sym
+    span = sigma ** min(k, count)
+    for _ in range(count - len(out)):
+        model = models.get(ctx)
+        if model is None:
+            model = models[ctx] = FreqModel(sigma)
+        sym = get(model)
         out.append(sym)
-        if k:
-            ctx = (ctx + (sym,))[-k:]
+        ctx = (ctx * sigma + sym) % span
     return out

@@ -26,7 +26,7 @@ tape is counted; in the other models the write-only output head is free
 (output is produced "on the way" during the single data pass).  Passes are
 numbered in the order they close, so the N-th trace line describes the
 N-th entry of the ledger's ``per_pass_tape_bits``.  A rewrite pass in
-wstreams/streamsort may grow the tape by at most ``expansion_factor``
+wstreams/streamsort may grow the tape by at most ``EXPANSION_FACTOR``
 times, plus a one-record allowance so that boundary markers (for example
 an appended terminator) are expressible on tiny tapes.
 
@@ -84,19 +84,19 @@ REWRITE = "rewrite"
 
 _REWRITE_MODELS = (ModelKind.W_STREAMS, ModelKind.STREAM_SORT, ModelKind.READ_WRITE)
 
+#: The factor by which one wstreams/streamsort rewrite pass may grow a tape.
+EXPANSION_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class MachineConfig:
     model: ModelKind
     memory_budget_bits: int
-    expansion_factor: float = 2.0
     work_tapes: int = 0
 
     def __post_init__(self) -> None:
         if self.memory_budget_bits <= 0:
             raise ValueError("memory_budget_bits must be positive")
-        if self.expansion_factor < 1:
-            raise ValueError("expansion_factor must be >= 1")
         if self.work_tapes < 0:
             raise ValueError("work_tapes must be >= 0")
         if self.work_tapes and self.model is not ModelKind.READ_WRITE:
@@ -233,15 +233,12 @@ class TapePass:
             ModelKind.STREAM_SORT,
         ):
             out_bits = 8 * self._bytes_written
-            allowed = (
-                math.ceil(machine.config.expansion_factor * self._bits_before)
-                + self._max_rec_bits
-            )
+            allowed = math.ceil(EXPANSION_FACTOR * self._bits_before) + self._max_rec_bits
             if out_bits > allowed:
                 # The pass still counts and closes; the tape keeps its records.
                 rejected = ExpansionError(
                     f"rewrite pass wrote {out_bits} bits from {self._bits_before}; "
-                    f"allowed {allowed} at factor {machine.config.expansion_factor}"
+                    f"allowed {allowed} at factor {EXPANSION_FACTOR}"
                 )
         if self.mode != READ and rejected is None:
             tape._records = self._writes

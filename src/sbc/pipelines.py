@@ -258,10 +258,7 @@ def _dc_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
     for sym in range(sigma_total):
         v = dec.get_delta(fo_model) - 1
         first[sym] = None if v == 0 else v - 1
-    try:
-        return _dc_reconstruct(first, count, lambda: dec.get_delta(gap_model) - 1)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _dc_reconstruct(first, count, lambda: dec.get_delta(gap_model) - 1)
 
 
 def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
@@ -535,7 +532,9 @@ def _bwt_decode(decode_body, header: ContainerHeader, payload: bytes) -> List[in
 
 
 def _decode_kth_order(header: ContainerHeader, payload: bytes) -> List[int]:
-    return kth_order_decode(payload, header.n, header.sigma, 0 if header.k == K_AUTO else header.k)
+    if header.k == K_AUTO:  # encode_kth_order never writes the auto marker
+        raise FormatError("kth-order container without a context length")
+    return kth_order_decode(payload, header.n, header.sigma, header.k)
 
 
 #: The pipelines by CLI name.

@@ -40,8 +40,7 @@ from .pipelines import PipelineId, _best_k, _container, _dc_ac_payload
 
 def default_streamsort_machine(input_data: bytes = b"") -> Machine:
     budget_bits = 4096 + 64 * max(1, len(input_data)).bit_length()
-    cfg = MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=budget_bits,
-                        expansion_factor=2.0)
+    cfg = MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=budget_bits)
     return Machine(cfg, input_data)
 
 

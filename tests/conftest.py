@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sbc.coders import RESCALE_TOTAL
+from sbc.coders import RESCALE_TOTAL, FreqModel, SymbolEncoder, _ceil_log2, _charge
 from sbc.machine import WRITE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -206,6 +206,53 @@ def oracle_dc_encode(seq, alphabet=None):
         if first[sym] is None:
             first[sym] = start
     return first, len(seq), gaps_rev[::-1]
+
+
+class ContextModelBank:
+    """Lazily instantiated per-context models plus an order-0 fallback."""
+
+    def __init__(self, k: int, sigma: int, machine=None):
+        if k < 0:
+            raise ValueError("context length must be >= 0")
+        self.k = k
+        self.sigma = sigma
+        self.machine = machine
+        self.models = {}
+        self.fallback = FreqModel(sigma)
+        _charge(machine, self.fallback.state_bits())
+
+    def model_for(self, ctx: tuple) -> FreqModel:
+        model = self.models.get(ctx)
+        if model is None:
+            model = FreqModel(self.sigma)
+            self.models[ctx] = model
+            key_bits = self.k * max(1, _ceil_log2(max(self.sigma, 2)))
+            _charge(self.machine, model.state_bits() + key_bits)
+        return model
+
+
+def oracle_kth_order_encode(symbols, sigma, k, machine=None):
+    """The order-k encoder keyed by the tuple of the k preceding symbols.
+
+    ``sbc.coders.kth_order_encode`` worked this way, through a model bank,
+    before it kept the context as one base-sigma integer; it must give the
+    same payload and charge the machine the same amounts in the same order.
+    """
+    symbols = list(symbols)
+    if not symbols:
+        return b""
+    bank = ContextModelBank(k, sigma, machine)
+    _charge(machine, 128 + 8 * k)
+    enc = SymbolEncoder()
+    ctx: tuple = ()
+    for sym in symbols:
+        if not 0 <= sym < sigma:
+            raise ValueError(f"symbol {sym} out of alphabet")
+        model = bank.model_for(ctx) if len(ctx) == k else bank.fallback
+        enc.put(model, sym)
+        if k:
+            ctx = (ctx + (sym,))[-k:]
+    return enc.finish()
 
 
 def oracle_dc_reconstruct(first_occurrence, n, next_gap):

@@ -21,6 +21,7 @@ from sbc.pipelines import (
     encode_kth_order,
     encode_st_dc_ac,
     parse_container,
+    read_varint,
 )
 
 CORPUS = os.path.join(os.path.dirname(__file__), "fixtures", "corpus")
@@ -58,6 +59,22 @@ def test_compress_json_ledger_on_stderr():
     assert report["size_bits"] == 8 * len(comp.stdout)
     _, _, payload = parse_container(comp.stdout)
     assert report["total_output_bits"] == 8 * len(payload)
+
+
+def test_host_work_reports_host_stages():
+    # Work that ran on no machine reports the host stage, not an all-zero ledger.
+    comp = run_cli(["compress", "--pipeline", "kth-order", "--json"], b"abracadabra")
+    assert comp.returncode == 0, comp.stderr
+    report = json.loads(comp.stderr.decode().strip().splitlines()[-1])
+    assert report == {"pipeline": "kth-order", "n": 11, "sigma": 5,
+                      "size_bits": 8 * len(comp.stdout), "host_stages": ["kth-order"]}
+    sim = run_cli(["simulate", "--algo", "sort-chars", "--json"], b"banana")
+    assert sim.returncode == 0, sim.stderr
+    assert sim.stdout == b"aaabnn\n"
+    assert json.loads(sim.stderr.decode().strip().splitlines()[-1]) == {"host_stages": ["sort-chars"]}
+    sim = run_cli(["simulate", "--algo", "sort-numbers", "--json"], b"9 3 7 1")
+    assert sim.returncode == 0, sim.stderr
+    assert json.loads(sim.stderr.decode().strip().splitlines()[-1]) == {"host_stages": ["sort-numbers"]}
 
 
 def test_exit_codes_end_to_end():
@@ -238,6 +255,19 @@ def test_transform_bwt_unbwt():
 
 def test_transform_rejects_reserved_byte():
     assert run_cli(["transform", "--op", "bwt"], b"a\xffb").returncode == 2
+
+
+def test_transform_dc_accepts_byte_ff():
+    # Distance coding has no end marker, so 0xff is an ordinary symbol.
+    out = run_cli(["transform", "--op", "dc"], b"a\xffb")
+    assert out.returncode == 0, out.stderr
+    length, pos = read_varint(out.stdout, 0)
+    first = []
+    for _ in range(256):
+        entry, pos = read_varint(out.stdout, pos)
+        first.append(entry)
+    assert length == 3
+    assert first[0xFF] == 2  # first occurrence at position 1, stored plus one
 
 
 def test_transform_mtf():

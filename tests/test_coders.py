@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import FlatFreqModel, delta_code
+from conftest import FlatFreqModel, delta_code, oracle_kth_order_encode
 from sbc.coders import (
     _BLOCK,
     RESCALE_TOTAL,
@@ -395,6 +395,39 @@ def test_kth_order_roundtrip():
         k = rng.randrange(4)
         s = [rng.randrange(sigma) for _ in range(rng.randrange(0, 120))]
         payload = kth_order_encode(s, sigma, k)
+        assert kth_order_decode(payload, len(s), sigma, k) == s
+
+
+class _ChargeLog(Machine):
+    """A machine that records every amount charged to it."""
+
+    def __init__(self):
+        super().__init__(MachineConfig(ModelKind.STANDARD, memory_budget_bits=1 << 40))
+        self.charges = []
+
+    def charge_memory(self, bits):
+        self.charges.append(bits)
+        super().charge_memory(bits)
+
+
+def test_kth_order_matches_tuple_context_oracle():
+    rng = random.Random(14)
+    for sigma in (1, 2, 3, 52, 250):
+        for k in (0, 1, 2, 3):
+            # Skewed draws revisit contexts; n < k never reaches a full one.
+            for n in (0, 1, k, k + 1, 300, 2000):
+                s = [min(sigma - 1, int(rng.expovariate(0.3))) for _ in range(n)]
+                got, want = _ChargeLog(), _ChargeLog()
+                payload = kth_order_encode(s, sigma, k, machine=got)
+                assert payload == oracle_kth_order_encode(s, sigma, k, machine=want), (sigma, k, n)
+                assert got.charges == want.charges, (sigma, k, n)
+                assert kth_order_decode(payload, n, sigma, k) == s, (sigma, k, n)
+    for sigma, k in ((2, 7), (250, 40)):  # k > n
+        s = [rng.randrange(sigma) for _ in range(5)]
+        got, want = _ChargeLog(), _ChargeLog()
+        payload = kth_order_encode(s, sigma, k, machine=got)
+        assert payload == oracle_kth_order_encode(s, sigma, k, machine=want)
+        assert got.charges == want.charges
         assert kth_order_decode(payload, len(s), sigma, k) == s
 
 

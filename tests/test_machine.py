@@ -38,8 +38,6 @@ def test_machine_empty_input_allowed():
 
 def test_config_rejections():
     with pytest.raises(ValueError):
-        MachineConfig(ModelKind.W_STREAMS, 1024, expansion_factor=0.5)
-    with pytest.raises(ValueError):
         MachineConfig(ModelKind.STANDARD, 0)
     with pytest.raises(ValueError):
         MachineConfig(ModelKind.STANDARD, 1024, work_tapes=1)

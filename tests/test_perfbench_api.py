@@ -40,4 +40,7 @@ def test_workload_ops_run_traced(name):
     finally:
         tracer.uninstall()
     assert problems == []
-    assert {rec[spans.NAME] for rec in tracer.spans} >= {"transforms.bwt", "transforms.bwt_inverse"}
+    assert {rec[spans.NAME] for rec in tracer.spans} >= {
+        "transforms.bwt", "transforms.bwt_inverse",
+        "coders.kth_order_encode", "coders.kth_order_decode",
+    }

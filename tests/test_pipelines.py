@@ -124,6 +124,17 @@ def test_kth_order_rejects_marker_k():
         encode_kth_order([0, 1], 2, 255)
 
 
+def test_kth_order_decode_rejects_marker_k(tmp_path):
+    # No encoder writes k = 255 into a kth-order header, so no decoder accepts it.
+    forged = bytearray(encode_kth_order([0, 1, 1, 0], 2, 0))
+    forged[6] = 255  # the header's k byte
+    with pytest.raises(FormatError):
+        decode_container(bytes(forged))
+    path = tmp_path / "forged.sbc"
+    path.write_bytes(forged)
+    assert cli_main(["decompress", str(path), "-o", str(tmp_path / "out")]) == 2
+
+
 def test_large_alphabet_roundtrip():
     rng = random.Random(10)
     sigma = 200
