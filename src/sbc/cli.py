@@ -91,10 +91,6 @@ def _emit_json(args, payload: dict) -> None:
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _trace_enabled(args) -> bool:
-    return args.trace or os.environ.get("SBC_TRACE") == "1"
-
-
 def _machine_for(args, model: ModelKind, input_data: bytes, work_tapes: int = 0) -> Machine:
     cfg = MachineConfig(
         model,
@@ -102,7 +98,7 @@ def _machine_for(args, model: ModelKind, input_data: bytes, work_tapes: int = 0)
         work_tapes=work_tapes,
     )
     machine = Machine(cfg, input_data)
-    if _trace_enabled(args):
+    if args.trace:
         machine.trace = lambda line: sys.stderr.write(line + "\n")
     return machine
 
@@ -127,6 +123,8 @@ def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes,
     report = {"pipeline": entry.name, "n": len(ranks), "sigma": sigma,
               "size_bits": 8 * len(container)}
     report.update(_ledger_payload(machine, entry.name))
+    if machine is not None and entry.host_stages:
+        report["host_stages"] = list(entry.host_stages)
     return container, report
 
 
@@ -223,10 +221,9 @@ def _render_triples(triples) -> str:
 def _cmd_simulate(args) -> int:
     data = _read_input(args.input)
     out_lines: List[str] = []
-    trace = _trace_enabled(args)
 
     def on_round(triples):
-        if trace:
+        if args.trace:
             out_lines.append(_render_triples(triples))
             out_lines.append("")
 
@@ -380,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_trace(p):
         p.add_argument("--trace", action="store_true",
-                       help="emit per-pass trace lines (SBC_TRACE=1 does the same)")
+                       help="emit per-pass trace lines")
 
     p = sub.add_parser("compress", help="compress a byte stream into a container")
     add_io(p)
@@ -404,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="order-0..k entropy report as JSON")
     p.add_argument("inputs", nargs="*", default=None, help="input files (default: stdin)")
     p.add_argument("--output", "-o", default=None)
-    p.add_argument("--kmax", type=int, default=4)
+    p.add_argument("--kmax", type=non_negative_int, default=4)
 
     p = sub.add_parser("transform", help="raw transforms on byte streams")
     add_io(p)

@@ -161,7 +161,7 @@ class TapePass:
     __slots__ = (
         "machine", "tape_id", "direction", "mode",
         "_swept", "_writes", "_bytes_read", "_bytes_written",
-        "_bits_before", "_max_rec_bits", "closed",
+        "_bits_before", "closed",
     )
 
     def __init__(self, machine: "Machine", tape_id: str, direction: str, mode: str):
@@ -174,7 +174,6 @@ class TapePass:
         self._bytes_read = 0
         self._bytes_written = 0
         self._bits_before = machine.tapes[tape_id].bits()
-        self._max_rec_bits = 0
         self.closed = False
 
     def read_all(self) -> list:
@@ -198,9 +197,6 @@ class TapePass:
             return
         self._writes.extend(recs)
         self._bytes_written += sum(map(len, recs))
-        biggest = 8 * max(map(len, recs))
-        if biggest > self._max_rec_bits:
-            self._max_rec_bits = biggest
 
     def _sweep(self, nbytes: int, records: Optional[list] = None) -> None:
         """Move the head over ``nbytes`` bytes that the host computed itself.
@@ -233,7 +229,8 @@ class TapePass:
             ModelKind.STREAM_SORT,
         ):
             out_bits = 8 * self._bytes_written
-            allowed = math.ceil(EXPANSION_FACTOR * self._bits_before) + self._max_rec_bits
+            allowed = (math.ceil(EXPANSION_FACTOR * self._bits_before)
+                       + 8 * max(map(len, self._writes), default=0))
             if out_bits > allowed:
                 # The pass still counts and closes; the tape keeps its records.
                 rejected = ExpansionError(

@@ -25,8 +25,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, groupby
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coders import (
     FreqModel,
@@ -165,6 +165,25 @@ def _release(machine: Optional[Machine], bits: int) -> None:
         machine.release_memory(bits)
 
 
+def _code_input(s: Sequence[int], code: Callable[[List[int]], bytes],
+                machine: Optional[Machine]) -> bytes:
+    """Run a stage's ``code`` on its input and return the payload.
+
+    With no machine the input is ``s``.  With one, the input is its input
+    tape (``s`` gives only the length), swept in one read pass; ``code``
+    runs inside the open pass, so the pass's memory peak includes what the
+    coder charges, and the payload goes to the output tape.
+    """
+    if machine is None:
+        return code(list(s))
+    if len(machine.tapes[INPUT].records) != len(s):
+        raise ValueError("machine input does not match the string")
+    with machine.begin_pass(INPUT) as p:
+        payload = code([rec[0] for rec in p.read_all()])
+    machine.write_output(payload)
+    return payload
+
+
 # -- move-to-front + run-length + adaptive payload -------------------------
 
 
@@ -265,10 +284,11 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     """Distance-code a transformed stream using read-write tape passes.
 
     Gap emission looks forward to each symbol's next occurrence, so the
-    machine realization scans the input tape backwards with one
-    last-seen register per symbol, parks the per-run records on a work
-    tape, and replays them in forward order; constant passes, logarithmic
-    memory.  Requires a read-write machine with at least one work tape.
+    machine realization sweeps the input tape backwards, runs
+    :func:`dc_encode` on the swept symbols, parks the per-run gaps on a
+    work tape last run first, and replays them forward into the coder;
+    constant passes, logarithmic memory.  Requires a read-write machine
+    with at least one work tape.
     """
     if machine.config.model is not ModelKind.READ_WRITE:
         raise CapabilityError("streaming distance coding needs the read-write model")
@@ -277,35 +297,14 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     n = len(machine.tapes[INPUT].records)
     sigma_total = sigma + 1
     charged = _charge(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256)
-    # Reverse sweep: per maximal run, the distance from its end to the
-    # symbol's next occurrence (0 when it never recurs), emitted last run
-    # first, plus each symbol's first occurrence as a side product.
-    next_start: dict = {}
-    first: dict = {sym: None for sym in range(sigma_total)}
-    gaps: List[bytes] = []
-    run_end = None
-    run_sym = None
-    pos = n
     with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
             machine.begin_pass("work0", mode=WRITE) as wp:
-        for rec in rp.read_all():
-            pos -= 1
-            sym = rec[0]
-            first[sym] = pos
-            if sym != run_sym:
-                if run_sym is not None:
-                    nxt = next_start.get(run_sym)
-                    gaps.append(write_varint(0 if nxt is None else nxt - run_end))
-                    next_start[run_sym] = pos + 1
-                run_sym = sym
-                run_end = pos
-        if run_sym is not None:
-            nxt = next_start.get(run_sym)
-            gaps.append(write_varint(0 if nxt is None else nxt - run_end))
-        wp.write_many(gaps)
-    # Replay reversed run records forward and code everything.
+        stream = dc_encode([rec[0] for rec in reversed(rp.read_all())],
+                           alphabet=range(sigma_total))
+        wp.write_many([write_varint(g) for g in reversed(stream.gaps)])
+    # Replay the gaps forward and code everything.
     with machine.begin_pass("work0", direction=REVERSE) as rp:
-        payload = _dc_ac_code(map(first.get, range(sigma_total)),
+        payload = _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)),
                               (read_varint(rec, 0)[0] for rec in rp.read_all()))
     _release(machine, charged)
     machine.write_output(payload)
@@ -344,14 +343,7 @@ def encode_kth_order(s: Sequence[int], sigma: int, k: int,
     """Order-k container; a given machine's input tape is the input, s gives its length."""
     if not 0 <= k < K_AUTO:  # 255 is the header's auto marker
         raise ValueError("k must be in 0..254")
-    if machine is not None:
-        if len(machine.tapes[INPUT].records) != len(s):
-            raise ValueError("machine input does not match the string")
-        with machine.begin_pass(INPUT) as p:
-            payload = kth_order_encode([rec[0] for rec in p.read_all()], sigma, k, machine)
-        machine.write_output(payload)
-    else:
-        payload = kth_order_encode(list(s), sigma, k)
+    payload = _code_input(s, lambda symbols: kth_order_encode(symbols, sigma, k, machine), machine)
     return _container(PipelineId.KTH_ORDER, sigma, k, len(s), payload, alphabet)
 
 
@@ -427,27 +419,18 @@ def block_encode(s: Sequence[int], sigma: int, plan: BlockPlan, known_n: bool = 
 
     A given machine's input tape is the input; ``s`` gives only its length.
     """
-    s = list(s)
     n = len(s)
-    lengths = block_boundaries(n, plan, known_n)
-    frames: List[bytes] = []
-
-    def run(symbols: Iterator[int]) -> None:
-        for length in lengths:
-            block = [next(symbols) for _ in range(length)]
-            frames.append(_encode_block(block, sigma, machine))
-
-    if machine is not None:
-        if len(machine.tapes[INPUT].records) != n:
-            raise ValueError("machine input does not match the string")
-        with machine.begin_pass(INPUT) as p:
-            run(rec[0] for rec in p.read_all())
-            for frame in frames:
-                machine.write_output(frame)
-    else:
-        run(iter(s))
-    return _container(PipelineId.BLOCK_KTH, sigma, K_AUTO, n, b"".join(frames), alphabet,
+    bounds = list(accumulate(block_boundaries(n, plan, known_n), initial=0))
+    payload = _code_input(s, lambda symbols: b"".join(
+        _encode_block(symbols[start:end], sigma, machine)
+        for start, end in zip(bounds, bounds[1:])), machine)
+    return _container(PipelineId.BLOCK_KTH, sigma, K_AUTO, n, payload, alphabet,
                       block_len=plan.block_len if known_n and n else 0)
+
+
+def _bwt_decode(decode_body, payload: bytes, n: int, sigma: int) -> List[int]:
+    """Invert a transform payload of n characters over sigma ranks."""
+    return bwt_inverse([c - 1 for c in decode_body(payload, n + 1, sigma + 1)])
 
 
 def _decode_block_kth(header: ContainerHeader, payload: bytes) -> List[int]:
@@ -459,8 +442,7 @@ def _decode_block_kth(header: ContainerHeader, payload: bytes) -> List[int]:
         plen, pos = read_varint(payload, pos)
         if pos + plen > len(payload):
             raise FormatError("truncated block frame")
-        body = _dc_ac_decode(payload[pos:pos + plen], block_n + 1, sigma + 1)
-        block = bwt_inverse([c - 1 for c in body])
+        block = _bwt_decode(_dc_ac_decode, payload[pos:pos + plen], block_n, sigma)
         pos += plen
         if len(block) != block_n:
             raise FormatError("block length mismatch")
@@ -485,7 +467,8 @@ class Pipeline:
     memory; otherwise it is a machine of ``model`` with ``work_tapes`` work
     tapes over ``bytes(s)``, and the pipeline streams on it.
     ``decode(header, payload)`` returns the ranks; it is None for
-    encode-only pipelines.
+    encode-only pipelines.  ``host_stages`` names the work the encoder does
+    on the host, outside the machine's ledger, when it streams on a machine.
     """
 
     id: PipelineId
@@ -495,6 +478,7 @@ class Pipeline:
     default_k: Callable[[int], int]  # input length -> k for ``sbc compress``; 255: none
     encode: Callable[..., bytes]
     decode: Optional[Callable[[ContainerHeader, bytes], List[int]]]
+    host_stages: Tuple[str, ...] = ()
 
     def check_model(self, model: ModelKind) -> None:
         if model is not self.model:
@@ -527,10 +511,6 @@ def _run_kth_order(s, sigma, alphabet, k, c, epsilon, machine):
     return encode_kth_order(s, sigma, k, alphabet, machine=machine)
 
 
-def _bwt_decode(decode_body, header: ContainerHeader, payload: bytes) -> List[int]:
-    return bwt_inverse([c - 1 for c in decode_body(payload, header.n + 1, header.sigma + 1)])
-
-
 def _decode_kth_order(header: ContainerHeader, payload: bytes) -> List[int]:
     if header.k == K_AUTO:  # encode_kth_order never writes the auto marker
         raise FormatError("kth-order container without a context length")
@@ -543,13 +523,14 @@ PIPELINES: Dict[str, Pipeline] = {p.name: p for p in (
              lambda n: K_AUTO,
              functools.partial(_run_bwt, PipelineId.BWT_MTF_RLE_AC, encode_bwt_mtf_rle_ac,
                                mtf_rle_ac_encode_stream),
-             functools.partial(_bwt_decode, _mtf_rle_ac_decode)),
+             lambda h, payload: _bwt_decode(_mtf_rle_ac_decode, payload, h.n, h.sigma),
+             ("bwt",)),
     Pipeline(PipelineId.BWT_DC_AC, "bwt-dc-ac", ModelKind.READ_WRITE, 1, lambda n: K_AUTO,
              functools.partial(_run_bwt, PipelineId.BWT_DC_AC, encode_bwt_dc_ac,
                                dc_ac_encode_stream),
-             functools.partial(_bwt_decode, _dc_ac_decode)),
+             lambda h, payload: _bwt_decode(_dc_ac_decode, payload, h.n, h.sigma), ("bwt",)),
     Pipeline(PipelineId.ST_DC_AC, "st-dc-ac", ModelKind.STREAM_SORT, 0,
-             lambda n: min(4, max(1, n).bit_length()), _run_st_dc_ac, None),
+             lambda n: min(4, max(1, n).bit_length()), _run_st_dc_ac, None, ("input-reload",)),
     Pipeline(PipelineId.BLOCK_KTH, "block-kth", ModelKind.STANDARD, 0, lambda n: K_AUTO,
              _run_block_kth, _decode_block_kth),
     Pipeline(PipelineId.KTH_ORDER, "kth-order", ModelKind.STANDARD, 0, lambda n: 2,

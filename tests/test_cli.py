@@ -77,6 +77,22 @@ def test_host_work_reports_host_stages():
     assert json.loads(sim.stderr.decode().strip().splitlines()[-1]) == {"host_stages": ["sort-numbers"]}
 
 
+@pytest.mark.parametrize("pipeline, model, host_stages", [
+    ("bwt-mtf-rle-ac", "standard", ["bwt"]),
+    ("bwt-dc-ac", "readwrite", ["bwt"]),
+    ("st-dc-ac", "streamsort", ["input-reload"]),
+    ("kth-order", "standard", None),
+])
+def test_machine_reports_name_host_stages(pipeline, model, host_stages):
+    # A machine run names the stages its ledger leaves out, beside the ledger.
+    comp = run_cli(["compress", "--pipeline", pipeline, "--model", model, "--json"],
+                   b"abracadabra")
+    assert comp.returncode == 0, comp.stderr
+    report = json.loads(comp.stderr.decode().strip().splitlines()[-1])
+    assert report["passes"] >= 1
+    assert report.get("host_stages") == host_stages
+
+
 def test_exit_codes_end_to_end():
     ok = run_cli(["compress", "--pipeline", "bwt-dc-ac"], b"hello")
     assert ok.returncode == 0
@@ -245,6 +261,14 @@ def test_entropy_empty_is_error():
     assert run_cli(["entropy"], b"").returncode == 2
 
 
+def test_entropy_negative_kmax_is_usage_error():
+    out = run_cli(["entropy", "--kmax", "-1"], b"mississippi")
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.decode().startswith("usage error: ")
+    assert b"Traceback" not in out.stderr
+    assert out.stdout == b""
+
+
 def test_transform_bwt_unbwt():
     out = run_cli(["transform", "--op", "bwt"], b"mississippi")
     assert out.returncode == 0
@@ -316,10 +340,6 @@ def test_simulate_trace_emits_rounds():
     lines = [l for l in text.splitlines() if "\t" in l]
     assert len(lines) == 3 * 12  # three rounds of twelve records
     assert all(len(l.split("\t")) == 3 for l in lines)
-    # env alias behaves like the flag
-    out2 = run_cli(["simulate", "--algo", "rw-bwt"], b"mississippi",
-                   env_extra={"SBC_TRACE": "1"})
-    assert out2.stdout == out.stdout
 
 
 def test_simulate_sorts():

@@ -349,6 +349,19 @@ def test_dc_stream_matches_pure_path():
         assert machine.ledger().passes == 3  # reverse scan, run-record write, replay
 
 
+def test_dc_stream_rejects_symbol_outside_alphabet():
+    # Tape symbol 9 is outside sigma + 1 = 3, as the in-memory coder also says.
+    from sbc.pipelines import _dc_ac_payload
+    machine = Machine(
+        MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=1 << 16, work_tapes=1),
+        bytes([1, 2, 9, 1, 0]),
+    )
+    with pytest.raises(ValueError, match="not in alphabet"):
+        dc_ac_encode_stream(machine, 2)
+    with pytest.raises(ValueError, match="not in alphabet"):
+        _dc_ac_payload([1, 2, 9, 1, 0], 3)
+
+
 def test_both_bwt_codecs_lossless_at_scale():
     rng = random.Random(9)
     s = [rng.randrange(2) for _ in range(1 << 14)]
