@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import adversary as adv
 from . import entropy as ent
@@ -154,6 +155,7 @@ def _cmd_decompress(args) -> int:
     _emit_json(args, {
         "pipeline": pl.PIPELINES_BY_ID[header.pipeline].name,
         "n": header.n, "sigma": header.sigma, "size_bits": 8 * len(data),
+        **_ledger_payload(None, "decode"),
     })
     return 0
 
@@ -346,18 +348,20 @@ def _cmd_bench(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
-    return value
+def _checked(parse: Callable, ok: Callable[..., bool], rule: str) -> Callable:
+    """An argparse type: ``parse`` the text, and reject a value that is not ``ok``."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text}")
+        return value
+    check.__name__ = parse.__name__  # argparse's "invalid int value" names it
+    return check
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
-    return value
+positive_int = _checked(int, lambda v: v > 0, "positive")
+non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
+finite_float = _checked(float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pipeline", choices=sorted(pl.PIPELINES), default="bwt-dc-ac")
     p.add_argument("--k", type=int, default=None,
                    help="context length (kth-order) or maximum context length (st-dc-ac)")
-    p.add_argument("--c", type=float, default=0.5, help="memory exponent for block-kth")
-    p.add_argument("--epsilon", type=float, default=0.25, help="redundancy exponent for block-kth")
+    p.add_argument("--c", type=finite_float, default=0.5, help="memory exponent for block-kth")
+    p.add_argument("--epsilon", type=finite_float, default=0.25,
+                   help="redundancy exponent for block-kth")
     p.add_argument("--memory-budget-bits", type=positive_int, default=None)
     p.add_argument("--model", choices=sorted(m.value for m in ModelKind), default=None,
                    help="run the streaming variant on this machine model")
@@ -418,21 +423,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adversary", help="emit covering-sequence powers or run the experiment")
     add_io(p, with_input=False)
-    p.add_argument("--sigma", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--sigma", type=_checked(int, lambda v: 2 <= v <= 256, "in 2..256"), default=None)
+    p.add_argument("--k", type=positive_int, default=None)
+    p.add_argument("--power", type=positive_int, default=1)
     p.add_argument("--experiment", action="store_true")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--n", type=_checked(int, lambda v: v >= 2, "at least 2"), default=None)
+    p.add_argument("--c", type=finite_float, default=None)
+    p.add_argument("--epsilon", type=finite_float, default=None)
 
     p = sub.add_parser("bench", help="benchmark a corpus directory to CSV")
     p.add_argument("corpus")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--pipelines", default="bwt-dc-ac")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.25)
+    p.add_argument("--c", type=finite_float, default=0.5)
+    p.add_argument("--epsilon", type=finite_float, default=0.25)
     return parser
 
 

@@ -44,6 +44,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .machine import held
+from .transforms import _validate_ranks
+
 RESCALE_TOTAL = 1 << 15
 _BLOCK = 16  # symbols per block sum of a wide model
 _TOP = 1 << 24
@@ -52,13 +55,6 @@ _MASK32 = 0xFFFFFFFF
 
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
-
-
-def _charge(machine, bits: int) -> int:
-    """Charge bits to machine when there is one; returns bits for the release."""
-    if machine is not None and bits:
-        machine.charge_memory(bits)
-    return bits
 
 
 class FreqModel:
@@ -356,30 +352,27 @@ def kth_order_encode(symbols: Sequence[int], sigma: int, k: int, machine=None) -
         return b""
     if k < 0:
         raise ValueError("context length must be >= 0")
+    _validate_ranks(symbols, sigma)
     fallback = FreqModel(sigma)
-    _charge(machine, fallback.state_bits())
-    _charge(machine, 128 + 8 * k)
     context_bits = fallback.state_bits() + k * max(1, _ceil_log2(max(sigma, 2)))
     models: Dict[int, FreqModel] = {}
     enc = SymbolEncoder()
     put = enc.put
-    ctx = 0
-    for sym in symbols[:k]:
-        if not 0 <= sym < sigma:
-            raise ValueError(f"symbol {sym} out of alphabet")
-        put(fallback, sym)
-        ctx = ctx * sigma + sym
-    span = sigma ** min(k, len(symbols))  # k > n never reaches a full context
-    for sym in symbols[k:]:
-        if not 0 <= sym < sigma:
-            raise ValueError(f"symbol {sym} out of alphabet")
-        model = models.get(ctx)
-        if model is None:
-            model = models[ctx] = FreqModel(sigma)
-            _charge(machine, context_bits)
-        put(model, sym)
-        ctx = (ctx * sigma + sym) % span
-    return enc.finish()
+    with held(machine, fallback.state_bits()) as charge:
+        charge(128 + 8 * k)
+        ctx = 0
+        for sym in symbols[:k]:
+            put(fallback, sym)
+            ctx = ctx * sigma + sym
+        span = sigma ** min(k, len(symbols))  # k > n never reaches a full context
+        for sym in symbols[k:]:
+            model = models.get(ctx)
+            if model is None:
+                model = models[ctx] = FreqModel(sigma)
+                charge(context_bits)
+            put(model, sym)
+            ctx = (ctx * sigma + sym) % span
+        return enc.finish()
 
 
 def kth_order_decode(data: bytes, count: int, sigma: int, k: int) -> List[int]:

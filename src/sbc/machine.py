@@ -14,9 +14,9 @@ Five machine flavours are supported, ordered roughly by capability:
 Algorithms in this package run against this interface so that their pass
 counts and charged memory can be asserted by tests instead of trusted.
 
-Memory accounting is explicit: algorithms register the bits of working
-state they hold via :meth:`Machine.charge_memory` and release them when
-done.  Host-language overhead (lists, dicts, interpreter frames) is
+Memory accounting is explicit: a stage charges the bits of working state
+it holds for one :func:`held` scope, released however the scope ends.
+Host-language overhead (lists, dicts, interpreter frames) is
 deliberately not counted; the budget models algorithmic state only.
 
 A pass is one whole one-directional sweep of one tape head: a pass reads
@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class MachineError(Exception):
@@ -261,7 +262,7 @@ class Machine:
         for w in range(config.work_tapes):
             self.tapes[f"work{w}"] = Tape()
         self._ledger = MachineLedger()
-        self._charged = 0
+        self._held_bits = 0
         self._input_reads = 0
         self._open: dict = {}
         self.trace: Optional[Callable[[str], None]] = None
@@ -340,26 +341,49 @@ class Machine:
     def charge_memory(self, bits: int) -> None:
         if bits < 0:
             raise ValueError("bits must be >= 0")
-        new = self._charged + bits
+        new = self._held_bits + bits
         if new > self.config.memory_budget_bits:
             raise BudgetExceededError(
                 f"charged {new} bits exceeds budget {self.config.memory_budget_bits}"
             )
-        self._charged = new
+        self._held_bits = new
         if new > self._ledger.peak_memory_bits:
             self._ledger.peak_memory_bits = new
 
     def release_memory(self, bits: int) -> None:
         if bits < 0:
             raise ValueError("bits must be >= 0")
-        if bits > self._charged:
+        if bits > self._held_bits:
             raise ValueError("release below zero")
-        self._charged -= bits
+        self._held_bits -= bits
 
     # -- inspection --------------------------------------------------------
 
     def ledger(self) -> MachineLedger:
         return self._ledger.snapshot()
+
+
+@contextmanager
+def held(machine: Optional[Machine], bits: int = 0) -> Iterator[Callable[[int], None]]:
+    """Charge ``bits``, and whatever the block passes to the function it is given,
+    for the scope of a ``with`` block; release it all however the block ends.
+
+    Zero amounts are not charged; with no machine, nothing is.
+    """
+    total = 0
+
+    def charge(more: int) -> None:
+        nonlocal total
+        if more and machine is not None:
+            machine.charge_memory(more)
+            total += more
+
+    charge(bits)
+    try:
+        yield charge
+    finally:
+        if total:
+            machine.release_memory(total)
 
 
 def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch_b: str) -> None:

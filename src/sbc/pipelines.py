@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,11 +33,10 @@ from .coders import (
     SymbolDecoder,
     SymbolEncoder,
     _ceil_log2,
-    _charge,
     kth_order_decode,
     kth_order_encode,
 )
-from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind
+from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind, held
 from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, mtf_encode, st
 
 
@@ -160,11 +159,6 @@ def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes
     return min(((k, payload_for(k)) for k in range(k_max + 1)), key=lambda kp: len(kp[1]))
 
 
-def _release(machine: Optional[Machine], bits: int) -> None:
-    if machine is not None and bits:
-        machine.release_memory(bits)
-
-
 def _code_input(s: Sequence[int], code: Callable[[List[int]], bytes],
                 machine: Optional[Machine]) -> bytes:
     """Run a stage's ``code`` on its input and return the payload.
@@ -194,18 +188,14 @@ def _mtf_rle_ac_payload(symbols: Iterable[int], sigma_total: int, machine=None) 
     """
     sym_model = FreqModel(sigma_total)
     run_model = FreqModel(2)
-    charged = _charge(
-        machine,
-        sym_model.state_bits() + run_model.state_bits()
-        + sigma_total * max(1, _ceil_log2(max(sigma_total, 2)))  # the self-organizing list
-        + 128 + 64,  # coder registers and run bookkeeping
-    )
-    enc = SymbolEncoder()
-    indices = mtf_encode(symbols, range(sigma_total))
-    for i, run in groupby(indices):
-        enc.put(sym_model, i)
-        enc.put_delta(run_model, len(list(run)))
-    _release(machine, charged)
+    with held(machine, sym_model.state_bits() + run_model.state_bits()
+              + sigma_total * max(1, _ceil_log2(max(sigma_total, 2)))  # the self-organizing list
+              + 128 + 64):  # coder registers and run bookkeeping
+        enc = SymbolEncoder()
+        indices = mtf_encode(symbols, range(sigma_total))
+        for i, run in groupby(indices):
+            enc.put(sym_model, i)
+            enc.put_delta(run_model, len(list(run)))
     return enc.finish() if indices else b""
 
 
@@ -257,16 +247,11 @@ def _dc_ac_code(first: Iterable[Optional[int]], gaps: Iterable[int]) -> bytes:
 
 def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None) -> bytes:
     n = len(body_shifted)
-    charged = _charge(
-        machine,
-        2 * FreqModel(2).state_bits()  # the two models of _dc_ac_code
-        + sigma_total * _ceil_log2(n + 2)  # last-occurrence register per symbol
-        + 2 * _ceil_log2(n + 2) + 128,
-    )
-    stream = dc_encode(body_shifted, alphabet=range(sigma_total))
-    payload = _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)), stream.gaps)
-    _release(machine, charged)
-    return payload
+    with held(machine, 2 * FreqModel(2).state_bits()  # the two models of _dc_ac_code
+              + sigma_total * _ceil_log2(n + 2)  # last-occurrence register per symbol
+              + 2 * _ceil_log2(n + 2) + 128):
+        stream = dc_encode(body_shifted, alphabet=range(sigma_total))
+        return _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)), stream.gaps)
 
 
 def _dc_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
@@ -296,17 +281,16 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
         raise CapabilityError("streaming distance coding needs a work tape")
     n = len(machine.tapes[INPUT].records)
     sigma_total = sigma + 1
-    charged = _charge(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256)
-    with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
-            machine.begin_pass("work0", mode=WRITE) as wp:
-        stream = dc_encode([rec[0] for rec in reversed(rp.read_all())],
-                           alphabet=range(sigma_total))
-        wp.write_many([write_varint(g) for g in reversed(stream.gaps)])
-    # Replay the gaps forward and code everything.
-    with machine.begin_pass("work0", direction=REVERSE) as rp:
-        payload = _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)),
-                              (read_varint(rec, 0)[0] for rec in rp.read_all()))
-    _release(machine, charged)
+    with held(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256):
+        with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
+                machine.begin_pass("work0", mode=WRITE) as wp:
+            stream = dc_encode([rec[0] for rec in reversed(rp.read_all())],
+                               alphabet=range(sigma_total))
+            wp.write_many([write_varint(g) for g in reversed(stream.gaps)])
+        # Replay the gaps forward and code everything.
+        with machine.begin_pass("work0", direction=REVERSE) as rp:
+            payload = _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)),
+                                  (read_varint(rec, 0)[0] for rec in rp.read_all()))
     machine.write_output(payload)
     return payload
 
@@ -366,7 +350,8 @@ class BlockPlan:
 
     @classmethod
     def for_length(cls, n: int, c: float, epsilon: float) -> "BlockPlan":
-        return cls(c, epsilon, block_length(n, c, epsilon))
+        plan = cls(c, epsilon, 1)  # checks the exponents before block_length runs
+        return replace(plan, block_len=block_length(n, c, epsilon))
 
 
 def block_length(n: int, c: float, epsilon: float) -> int:
@@ -402,14 +387,10 @@ def block_boundaries(n: int, plan: BlockPlan, known_n: bool) -> List[int]:
 
 def _encode_block(block: List[int], sigma: int, machine: Optional[Machine]) -> bytes:
     length = len(block)
-    charged = _charge(
-        machine,
-        length * max(1, _ceil_log2(max(sigma, 2)))        # the buffered block
-        + 2 * (length + 1) * _ceil_log2(length + 2),      # context-sort rank arrays
-    )
-    body = bwt(block, sigma)
-    payload = _dc_ac_payload([c + 1 for c in body], sigma + 1, machine)
-    _release(machine, charged)
+    with held(machine, length * max(1, _ceil_log2(max(sigma, 2)))     # the buffered block
+              + 2 * (length + 1) * _ceil_log2(length + 2)):        # context-sort rank arrays
+        body = bwt(block, sigma)
+        payload = _dc_ac_payload([c + 1 for c in body], sigma + 1, machine)
     return write_varint(length) + write_varint(len(payload)) + payload
 
 

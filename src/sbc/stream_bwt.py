@@ -47,6 +47,7 @@ from .machine import (
     Machine,
     MachineConfig,
     ModelKind,
+    held,
     tape_merge_sort,
 )
 from .transforms import SENTINEL, cyclic_context_order
@@ -82,11 +83,8 @@ def _working(machine: Optional[Machine], symbols: List[int], shift: int,
         raise CapabilityError("prefix doubling needs four work tapes")
     if len(machine.tapes[INPUT].records) != len(symbols):
         raise ValueError(f"machine input does not match the {what}")
-    machine.charge_memory(_WORK_BITS)
-    try:
+    with held(machine, _WORK_BITS):
         yield machine
-    finally:
-        machine.release_memory(_WORK_BITS)
 
 
 def _decode_triples(records: Sequence[bytes]) -> List[tuple]:

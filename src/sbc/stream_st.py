@@ -34,8 +34,10 @@ from .machine import (
     Machine,
     MachineConfig,
     ModelKind,
+    held,
 )
 from .pipelines import PipelineId, _best_k, _container, _dc_ac_payload
+from .transforms import _validate_ranks
 
 
 def default_streamsort_machine(input_data: bytes = b"") -> Machine:
@@ -58,9 +60,7 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
         raise ValueError("context length must be >= 0")
     if sigma is None:
         sigma = (max(s) + 1) if s else 1
-    for c in s:
-        if not 0 <= c < sigma:
-            raise ValueError(f"symbol {c} out of alphabet")
+    _validate_ranks(s, sigma)
     # Context keys must stay logarithmic; the floor of 8 keeps tiny inputs
     # usable by the exhaustive tests without loosening the asymptotic guard.
     if k * _ceil_log2(max(sigma, 2)) > max(8, 4 * _ceil_log2(max(n, 2))):
@@ -82,12 +82,11 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
     pad_passes = 0
     tail: List[int] = []
     while 8 * width_bytes < target_bits:
-        machine.charge_memory(2 * 8 * width_bytes + 32)
-        with machine.begin_pass(INPUT, mode=REWRITE) as p:
+        with held(machine, 2 * 8 * width_bytes + 32), \
+                machine.begin_pass(INPUT, mode=REWRITE) as p:
             recs = p.read_all()
             p.write_many([rec + b"\x00" * len(rec) for rec in recs])
             tail = [rec[0] for rec in recs[-k:]] if k else []
-        machine.release_memory(2 * 8 * width_bytes + 32)
         width_bytes *= 2
         pad_passes += 1
     if pad_passes == 0 and k:
@@ -95,34 +94,32 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
             tail = [rec[0] for rec in p.read_all()[-k:]]
 
     control_bits = 2 * _ceil_log2(n + 2) + 64
-    machine.charge_memory(key_bits + control_bits)
+    with held(machine, key_bits + control_bits):
+        # The tracker holds the context of the next position, most recent
+        # first, packed char_width bits per character; position 0's context
+        # wraps through the end marker into the memorized tail.
+        tracker = 0
+        for v in islice(cycle([0] + [c + 1 for c in reversed(tail)]), k):
+            tracker = (tracker << char_width) | v
+        shift = char_width * (k - 1)
 
-    # The tracker holds the context of the next position, most recent
-    # first, packed char_width bits per character; position 0's context
-    # wraps through the end marker into the memorized tail.
-    tracker = 0
-    for v in islice(cycle([0] + [c + 1 for c in reversed(tail)]), k):
-        tracker = (tracker << char_width) | v
-    shift = char_width * (k - 1)
+        with machine.begin_pass(INPUT, mode=REWRITE) as p:
+            recs = p.read_all()
+            new = []
+            for rec in recs:
+                c = rec[0] + 1
+                new.append(tracker.to_bytes(key_bytes, "big") + bytes((c,)) + rec[1:])
+                if k:
+                    tracker = (c << shift) | (tracker >> char_width)
+            new.append(tracker.to_bytes(key_bytes, "big") + b"\x00" * width_bytes)  # the end marker's record
+            p.write_many(new)
 
-    with machine.begin_pass(INPUT, mode=REWRITE) as p:
-        recs = p.read_all()
-        new = []
-        for rec in recs:
-            c = rec[0] + 1
-            new.append(tracker.to_bytes(key_bytes, "big") + bytes((c,)) + rec[1:])
-            if k:
-                tracker = (c << shift) | (tracker >> char_width)
-        new.append(tracker.to_bytes(key_bytes, "big") + b"\x00" * width_bytes)  # the end marker's record
-        p.write_many(new)
+        machine.sort_pass(key=lambda rec: rec[:key_bytes])
 
-    machine.sort_pass(key=lambda rec: rec[:key_bytes])
+        with machine.begin_pass(INPUT, mode=REWRITE) as p:
+            recs = p.read_all()
+            p.write_many([rec[key_bytes:key_bytes + 1] for rec in recs])
 
-    with machine.begin_pass(INPUT, mode=REWRITE) as p:
-        recs = p.read_all()
-        p.write_many([rec[key_bytes:key_bytes + 1] for rec in recs])
-
-    machine.release_memory(key_bits + control_bits)
     if stats is not None:
         stats["pad_passes"] = pad_passes
     return [rec[0] - 1 for rec in machine.tapes[INPUT].records]

@@ -38,9 +38,9 @@ SENTINEL = -1
 def _validate_ranks(s: Sequence[int], sigma: Optional[int]) -> None:
     # Rank 255 is reserved so that the shifted encoding rank+1 fits a byte.
     limit = 255 if sigma is None else sigma
-    for c in s:
-        if not 0 <= c < limit:
-            raise ValueError(f"symbol {c!r} out of alphabet")
+    if s and not (0 <= min(s) and max(s) < limit):
+        bad = next(c for c in s if not 0 <= c < limit)
+        raise ValueError(f"symbol {bad!r} out of alphabet")
 
 
 def _suffix_array(w: Sequence[int], upper: int) -> List[int]:

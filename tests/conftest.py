@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sbc.coders import RESCALE_TOTAL, FreqModel, SymbolEncoder, _ceil_log2, _charge
+from sbc.coders import RESCALE_TOTAL, FreqModel, SymbolEncoder, _ceil_log2
 from sbc.machine import WRITE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -206,6 +206,11 @@ def oracle_dc_encode(seq, alphabet=None):
         if first[sym] is None:
             first[sym] = start
     return first, len(seq), gaps_rev[::-1]
+
+
+def _charge(machine, bits):
+    if machine is not None and bits:
+        machine.charge_memory(bits)  # never released, as the tuple-keyed encoder did
 
 
 class ContextModelBank:

@@ -68,6 +68,12 @@ def test_host_work_reports_host_stages():
     report = json.loads(comp.stderr.decode().strip().splitlines()[-1])
     assert report == {"pipeline": "kth-order", "n": 11, "sigma": 5,
                       "size_bits": 8 * len(comp.stdout), "host_stages": ["kth-order"]}
+    dec = run_cli(["decompress", "--json"], comp.stdout)
+    assert dec.returncode == 0, dec.stderr
+    assert dec.stdout == b"abracadabra"
+    assert json.loads(dec.stderr.decode().strip().splitlines()[-1]) == {
+        "pipeline": "kth-order", "n": 11, "sigma": 5, "size_bits": 8 * len(comp.stdout),
+        "host_stages": ["decode"]}
     sim = run_cli(["simulate", "--algo", "sort-chars", "--json"], b"banana")
     assert sim.returncode == 0, sim.stderr
     assert sim.stdout == b"aaabnn\n"
@@ -360,6 +366,32 @@ def test_adversary_power_output():
     out = run_cli(["adversary", "--sigma", "2", "--k", "2", "--power", "2"])
     assert out.returncode == 0
     assert out.stdout == b"aabbaabb"
+    out = run_cli(["adversary", "--sigma", "256", "--k", "1"])  # the widest alphabet
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == bytes(range(256))
+
+
+# The last flag of each command line carries the bad value, so the command never runs.
+@pytest.mark.parametrize("argv", [
+    ["compress", "--pipeline", "block-kth", "--c", "inf"],
+    ["compress", "--pipeline", "block-kth", "--epsilon", "nan"],
+    ["bench", "corpus", "--c", "nan"],
+    ["bench", "corpus", "--epsilon", "inf"],
+    ["adversary", "--experiment", "--n", "4096", "--epsilon", "0.25", "--c", "inf"],
+    ["adversary", "--experiment", "--n", "4096", "--c", "0.5", "--epsilon", "nan"],
+    ["adversary", "--experiment", "--c", "0.5", "--epsilon", "0.25", "--n", "0"],
+    ["adversary", "--experiment", "--c", "0.5", "--epsilon", "0.25", "--n", "1"],
+    ["adversary", "--k", "1", "--sigma", "300"],
+    ["adversary", "--k", "1", "--sigma", "1"],
+    ["adversary", "--sigma", "2", "--k", "0"],
+    ["adversary", "--sigma", "2", "--k", "2", "--power", "0"],
+], ids=" ".join)
+def test_bad_numeric_flags_are_usage_errors(argv):
+    out = run_cli(argv, b"abracadabra")
+    assert out.returncode == 1, out.stderr
+    assert f"argument {argv[-2]}:" in out.stderr.decode()
+    assert b"Traceback" not in out.stderr
+    assert out.stdout == b""
 
 
 def test_adversary_experiment_json():

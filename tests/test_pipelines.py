@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import random
 from itertools import product
 
@@ -158,6 +159,13 @@ def test_block_plan_validation():
         BlockPlan(0.8, 0.25, 10)  # c >= 1 - epsilon
     with pytest.raises(ValueError):
         BlockPlan(0.5, 0.25, 0)
+
+
+@pytest.mark.parametrize("c, epsilon", [(math.inf, 0.25), (0.5, math.nan), (math.nan, 0.25)])
+def test_block_plan_for_length_checks_exponents_first(c, epsilon):
+    # block_length would overflow on c = inf or fail to round a NaN.
+    with pytest.raises(ValueError, match="need 1 - epsilon > c > epsilon > 0"):
+        BlockPlan.for_length(4096, c, epsilon)
 
 
 def test_block_plan_arithmetic():
@@ -331,6 +339,29 @@ def test_machine_tape_is_the_input(name):
     got, expected = TAPE_RUNS[name](s, t)
     assert got == expected
     assert got != TAPE_RUNS[name](s, s)[1]
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_every_pipeline_releases_what_it_charged(name):
+    # Charging the whole budget succeeds only if the stage left nothing held.
+    entry = PIPELINES[name]
+    with open(os.path.join(CORPUS_DIR, "english.txt"), "rb") as fh:
+        s, alphabet = ranks_of(fh.read())
+    machine = Machine(MachineConfig(entry.model, memory_budget_bits=1 << 40,
+                                    work_tapes=entry.work_tapes), bytes(s))
+    entry.encode(s, len(alphabet), bytes(alphabet), entry.default_k(len(s)), 0.5, 0.25, machine)
+    machine.charge_memory(machine.config.memory_budget_bits)
+
+
+def test_streamsort_and_failed_block_release_what_they_charged():
+    s, _ = ranks_of("mississippi")
+    machine = default_streamsort_machine(bytes(s))
+    streamsort_st(s, 2, machine)
+    machine.charge_memory(machine.config.memory_budget_bits)
+    machine = _standard(bytes([0, 1, 9]))
+    with pytest.raises(ValueError, match="symbol 9 out of alphabet"):
+        block_encode([0, 1, 9], 3, _PLAN, machine=machine)
+    machine.charge_memory(machine.config.memory_budget_bits)
 
 
 def test_dc_stream_matches_pure_path():

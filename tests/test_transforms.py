@@ -16,9 +16,10 @@ from conftest import (
 )
 from sbc import transforms
 from sbc.adversary import db_power, de_bruijn
-from sbc.coders import FreqModel, SymbolDecoder, SymbolEncoder
+from sbc.coders import FreqModel, SymbolDecoder, SymbolEncoder, kth_order_encode
 from sbc.entropy import h0
 from sbc.pipelines import _mtf_rle_ac_decode, _mtf_rle_ac_payload
+from sbc.stream_st import streamsort_st
 from sbc.transforms import (
     SENTINEL,
     DcStream,
@@ -48,6 +49,14 @@ def test_bwt_rejects_bad_symbols():
         bwt([0, 1, 2], sigma=2)
     with pytest.raises(ValueError):
         bwt([-1])
+
+
+def test_alphabet_check_names_the_first_symbol_out_of_alphabet():
+    s = [0, 1, 7, -1]
+    for run in (lambda: bwt(s, 3), lambda: st(s, 2, 3), lambda: streamsort_st(s, 1, sigma=3),
+                lambda: kth_order_encode(s, 3, 2)):
+        with pytest.raises(ValueError, match="^symbol 7 out of alphabet$"):
+            run()
 
 
 def test_bwt_matches_definition_exhaustively():
