@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .machine import Machine, MachineConfig, ModelKind
-from .pipelines import BlockPlan, block_encode, encode_bwt_dc_ac
+from .pipelines import BlockPlan, block_encode, check_exponents, encode_bwt_dc_ac
 
 #: Blocks a few dozen symbols long still carry fixed coder state, so the
 #: desk-scale realization of an O(n^c)-bit budget needs a constant factor.
@@ -104,8 +104,7 @@ def separation_experiment(n: int, c: float, epsilon: float) -> SeparationReport:
     a standard machine whose budget realizes ceil(n^c) bits (times the
     documented desk-scale slack); the full side is unconstrained.
     """
-    if not 0 < epsilon < c < 1 - epsilon:
-        raise ValueError("need 1 - epsilon > c > epsilon > 0")
+    check_exponents(c, epsilon)  # before log2 and ceil can see a NaN
     k = math.ceil((c + epsilon / 2) * math.log2(n))
     prefix = de_bruijn(2, k)
     reps = max(1, round(n / 2 ** k))

@@ -362,6 +362,8 @@ def _checked(parse: Callable, ok: Callable[..., bool], rule: str) -> Callable:
 positive_int = _checked(int, lambda v: v > 0, "positive")
 non_negative_int = _checked(int, lambda v: v >= 0, "non-negative")
 finite_float = _checked(float, math.isfinite, "finite")
+# The container header keeps K_AUTO for "no context length".
+context_length = _checked(int, lambda v: 0 <= v < pl.K_AUTO, f"in 0..{pl.K_AUTO - 1}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     add_trace(p)
     p.add_argument("--pipeline", choices=sorted(pl.PIPELINES), default="bwt-dc-ac")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=context_length, default=None,
                    help="context length (kth-order) or maximum context length (st-dc-ac)")
     p.add_argument("--c", type=finite_float, default=0.5, help="memory exponent for block-kth")
     p.add_argument("--epsilon", type=finite_float, default=0.25,
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--pipelines", default="bwt-dc-ac")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=context_length, default=None)
     p.add_argument("--c", type=finite_float, default=0.5)
     p.add_argument("--epsilon", type=finite_float, default=0.25)
     return parser

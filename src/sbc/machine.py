@@ -160,7 +160,7 @@ class TapePass:
     """
 
     __slots__ = (
-        "machine", "tape_id", "direction", "mode",
+        "machine", "tape_id", "direction", "mode", "_tape",
         "_swept", "_writes", "_bytes_read", "_bytes_written",
         "_bits_before", "closed",
     )
@@ -170,11 +170,13 @@ class TapePass:
         self.tape_id = tape_id
         self.direction = direction
         self.mode = mode
+        self._tape = tape = machine.tapes[tape_id]
         self._swept = False
         self._writes: list = []
         self._bytes_read = 0
         self._bytes_written = 0
-        self._bits_before = machine.tapes[tape_id].bits()
+        # Only a rewrite pass checks expansion against the size it started from.
+        self._bits_before = 8 * tape._nbytes if mode == REWRITE else 0
         self.closed = False
 
     def read_all(self) -> list:
@@ -187,7 +189,7 @@ class TapePass:
         if self._swept:
             return []
         self._swept = True
-        tape = self.machine.tapes[self.tape_id]
+        tape = self._tape
         self._bytes_read += tape._nbytes
         return tape.records[::-1] if self.direction == REVERSE else tape.records[:]
 
@@ -222,7 +224,7 @@ class TapePass:
             return
         self.closed = True
         machine = self.machine
-        tape = machine.tapes[self.tape_id]
+        tape = self._tape
         del machine._open[self.tape_id]
         rejected = None
         if self.mode == REWRITE and machine.config.model in (
@@ -264,23 +266,32 @@ class Machine:
         self._ledger = MachineLedger()
         self._held_bits = 0
         self._input_reads = 0
+        self._permitted: set = set()  # (tape, direction, mode) that _check_pass allowed
         self._open: dict = {}
         self.trace: Optional[Callable[[str], None]] = None
 
     # -- passes ----------------------------------------------------------
 
     def begin_pass(self, tape_id: str = INPUT, direction: str = FORWARD, mode: str = READ) -> TapePass:
-        self._check_pass(tape_id, direction, mode)
+        if (tape_id, direction, mode) not in self._permitted:
+            self._check_pass(tape_id, direction, mode)
+            self._permitted.add((tape_id, direction, mode))
+        if mode == READ and tape_id == INPUT:
+            if self._input_reads and self.config.model is ModelKind.STANDARD:
+                raise CapabilityError("standard model permits exactly one input pass")
+            self._input_reads += 1
         if tape_id in self._open:
             raise MachineError(f"tape {tape_id!r} already has an open pass")
-        if mode == READ and tape_id == INPUT:
-            self._input_reads += 1
         self._ledger.passes += 1
-        handle = TapePass(self, tape_id, direction, mode)
-        self._open[tape_id] = handle
+        handle = self._open[tape_id] = TapePass(self, tape_id, direction, mode)
         return handle
 
     def _check_pass(self, tape_id: str, direction: str, mode: str) -> None:
+        """Raise unless the model permits this kind of pass on this tape.
+
+        The answer depends only on the frozen config and the fixed tape set,
+        so :meth:`begin_pass` asks once per (tape, direction, mode).
+        """
         model = self.config.model
         if tape_id == OUTPUT:
             raise CapabilityError("the output tape is write-only; use write_output")
@@ -292,23 +303,18 @@ class Machine:
             raise ValueError(f"unknown mode {mode!r}")
         if direction == REVERSE and (model is not ModelKind.READ_WRITE or mode != READ):
             raise CapabilityError("reverse sweeps are read passes in the read-write model only")
-        if mode == READ:
-            if model is ModelKind.STANDARD and tape_id == INPUT and self._input_reads >= 1:
-                raise CapabilityError("standard model permits exactly one input pass")
-            return
-        if mode == WRITE:
-            if model is not ModelKind.READ_WRITE:
-                raise CapabilityError("truncating write passes need the read-write model")
-            return
-        # mode == REWRITE
-        if model not in _REWRITE_MODELS:
+        if mode == WRITE and model is not ModelKind.READ_WRITE:
+            raise CapabilityError("truncating write passes need the read-write model")
+        if mode == REWRITE and model not in _REWRITE_MODELS:
             raise CapabilityError(f"model {model.value} cannot rewrite tapes")
 
-    def write_output(self, rec: bytes) -> None:
+    def write_output(self, *recs: bytes) -> None:
+        """Append records to the write-only output tape."""
         tape = self.tapes[OUTPUT]
-        tape.records.append(rec)
-        tape._nbytes += len(rec)
-        self._ledger.total_output_bits += 8 * len(rec)
+        tape.records.extend(recs)
+        nbytes = sum(map(len, recs))
+        tape._nbytes += nbytes
+        self._ledger.total_output_bits += 8 * nbytes
 
     def sort_pass(self, key: Callable[[bytes], object]) -> None:
         """Stable oracle sort of the stream tape, charged as one pass (streamsort only)."""
@@ -328,7 +334,7 @@ class Machine:
         Passes are numbered as they close: pass N is ``per_pass_tape_bits[N-1]``.
         """
         tape_bits = self._ledger.per_pass_tape_bits
-        tape_bits.append(self.tapes[tape_id].bits())
+        tape_bits.append(8 * self.tapes[tape_id]._nbytes)
         if self.trace is not None:
             self.trace(
                 f"pass={len(tape_bits)} tape={tape_id} dir={direction} "
@@ -396,11 +402,13 @@ def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch
     and trace line.  The host does not move records run by run.  After the
     level of run length r the tape holds each 2r-record chunk of the
     original tape stably sorted, so every sweep's byte count follows from
-    chunk membership, and one stable ``sorted`` gives the tapes: afterwards
-    ``tape_id`` holds ``sorted(records, key=key)`` and, with r the largest
-    power of two below n, the scratch tapes hold ``sorted(records[:r])``
-    and ``sorted(records[r:])``, exactly as the record-by-record merge
-    (kept in the tests as the oracle) leaves them.  Keys must be totally
+    chunk membership, summed once over the record lengths.  With r the
+    largest power of two below n, the last level leaves the scratch tapes
+    holding ``sorted(records[:r])`` and ``sorted(records[r:])`` and the
+    tape their stable merge, ``sorted(records, key=key)``, exactly
+    as the record-by-record merge (kept in the tests as the oracle) leaves
+    them; the host builds the merge with one more ``sorted``, in which
+    timsort finds the two runs and merges them once.  Keys must be totally
     ordered.  Passes, trace lines and the tapes after the sort are the
     contract; tape contents while it runs are not.
     """
@@ -408,10 +416,10 @@ def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch
     n = len(records)
     if n <= 1:
         return
-    keys = list(map(key, records))
-    order = sorted(range(n), key=keys.__getitem__)  # stable: ties keep tape order
     last = 1 << ((n - 1).bit_length() - 1)
-    pick = records.__getitem__
+    run_a = sorted(records[:last], key=key)
+    run_b = sorted(records[last:], key=key)
+    merged = sorted(run_a + run_b, key=key)  # stable: ties keep tape order
     prefix = list(accumulate(map(len, records), initial=0))
     total = prefix[n]
     run = 1
@@ -429,12 +437,12 @@ def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch
                 machine.begin_pass(scratch_a, mode=WRITE) as wa, \
                 machine.begin_pass(scratch_b, mode=WRITE) as wb:
             src._sweep(total)
-            wa._sweep(a_bytes, list(map(pick, filter(last.__gt__, order))) if final else None)
-            wb._sweep(b_bytes, list(map(pick, filter(last.__le__, order))) if final else None)
+            wa._sweep(a_bytes, run_a if final else None)
+            wb._sweep(b_bytes, run_b if final else None)
         with machine.begin_pass(scratch_a) as ra, \
                 machine.begin_pass(scratch_b) as rb, \
                 machine.begin_pass(tape_id, mode=WRITE) as out:
             ra._sweep(a_bytes)
             rb._sweep(b_bytes)
-            out._sweep(total, list(map(pick, order)) if final else None)
+            out._sweep(total, merged if final else None)
         run <<= 1

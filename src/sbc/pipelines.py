@@ -343,8 +343,7 @@ class BlockPlan:
     block_len: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < self.c < 1 - self.epsilon:
-            raise ValueError("need 1 - epsilon > c > epsilon > 0")
+        check_exponents(self.c, self.epsilon)
         if self.block_len < 1:
             raise ValueError("block_len must be >= 1")
 
@@ -352,6 +351,12 @@ class BlockPlan:
     def for_length(cls, n: int, c: float, epsilon: float) -> "BlockPlan":
         plan = cls(c, epsilon, 1)  # checks the exponents before block_length runs
         return replace(plan, block_len=block_length(n, c, epsilon))
+
+
+def check_exponents(c: float, epsilon: float) -> None:
+    """Raise ``ValueError`` unless 0 < epsilon < c < 1 - epsilon (so neither is NaN)."""
+    if not 0 < epsilon < c < 1 - epsilon:
+        raise ValueError("need 1 - epsilon > c > epsilon > 0")
 
 
 def block_length(n: int, c: float, epsilon: float) -> int:

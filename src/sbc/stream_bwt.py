@@ -26,18 +26,26 @@ characters recovers the string.
 All tape sorting is :func:`sbc.machine.tape_merge_sort`, whose ledger
 charges exactly the six sweeps per level of the bottom-up two-way merge
 sort, so every round costs O(log n) head sweeps and the whole run
-O(log^2 n).  The host computes the sorted tapes with one stable sort; the
-record-by-record merge is the test oracle.  Tape contents in the middle of
-a sort are not part of the contract; the passes, trace lines and tapes
-after it are.
+O(log^2 n).  The host computes the sorted tapes with stable ``sorted``
+calls; the record-by-record merge is the test oracle.  Tape contents in
+the middle of a sort are not part of the contract; the passes, trace lines
+and tapes after it are.
+
 Records are fixed-width byte strings (32-bit identifiers realize the
 O(log n) fields), so byte-wise comparison equals field-wise comparison.
+The host does each round's per-record work with C-level builtins: sort
+keys are ``operator.itemgetter`` slices, joins and new triples are
+``map``s over ``add`` and one ``struct`` packing, renumbering takes its
+ranks from ``accumulate`` over signature changes, and resolving unpacks
+each mid column with one ``struct.unpack``.
 """
 
 from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, itemgetter, ne
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .machine import (
@@ -53,6 +61,8 @@ from .machine import (
 from .transforms import SENTINEL, cyclic_context_order
 
 _TRIPLE = struct.Struct(">BIIBI")  # left char, left id, mid, right char, right id
+_RELINK = struct.Struct(">5sI5s")  # the same triple: tagged left, mid, tagged right
+_ID = struct.Struct(">I")
 _UNKNOWN = 0  # position marker; real positions are 1..n+1
 
 # Fixed working-register charge: a handful of records plus counters.  The
@@ -99,21 +109,25 @@ def _decode_triples(records: Sequence[bytes]) -> List[tuple]:
     return out
 
 
-def _right_key(rec: bytes) -> bytes:
-    return rec[9:14]
+# Fields of a triple record.
+_left_key = itemgetter(slice(0, 5))
+_mid_key = itemgetter(slice(5, 9))
+_right_key = itemgetter(slice(9, 14))
+_char_key = itemgetter(slice(0, 1))
+_left_and_mid = itemgetter(slice(0, 9))
+
+# Fields of a quintuple record, a triple's left and mid followed by a whole
+# triple.  Sort by fourth, third ignoring identifiers, second; final ties by
+# left id.  Equal signatures (second, third ignoring identifiers, fourth)
+# share a rank.
+_quint_key = itemgetter(slice(14, 18), slice(9, 10), slice(5, 9), slice(1, 5))
+_quint_signature = itemgetter(slice(5, 10), slice(14, 18))
+_quint_right = itemgetter(slice(18, 23))
 
 
-def _left_key(rec: bytes) -> bytes:
-    return rec[0:5]
-
-
-def _mid_key(rec: bytes) -> bytes:
-    return rec[5:9]
-
-
-def _quint_key(rec: bytes):
-    # fourth, third ignoring identifiers, second; final ties by left id.
-    return rec[14:18], rec[9:10], rec[5:9], rec[1:5]
+def _mids(records: List[bytes]) -> tuple:
+    """The mid field of every triple record, as integers."""
+    return struct.unpack(f">{len(records)}I", b"".join(map(_mid_key, records)))
 
 
 def _round(machine: Machine, cur: str, copy1: str, copy2: str, scratch: str,
@@ -141,7 +155,7 @@ def _round(machine: Machine, cur: str, copy1: str, copy2: str, scratch: str,
 
 
 def _quintuples(by_right: List[bytes], by_left: List[bytes]) -> List[bytes]:
-    return [a[:9] + b for a, b in zip(by_right, by_left)]
+    return list(map(add, map(_left_and_mid, by_right), by_left))
 
 
 def _encode(s: Sequence[int], machine: Optional[Machine],
@@ -151,13 +165,11 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
     s = list(s)
     m = len(s) + 1
     with _working(machine, s, 0, "string") as machine:
-        pack = _TRIPLE.pack
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
-            recs = src.read_all()
-            chars = [rec[0] + 1 for rec in recs] + [0]  # shifted; sentinel is 0
-            dst.write_many(
-                [pack(chars[i], i + 1, 1, chars[(i + 1) % m], (i + 1) % m + 1) for i in range(m)]
-            )
+            chars = [rec[0] + 1 for rec in src.read_all()] + [0]  # shifted; sentinel is 0
+            # Position i is tagged i + 1; its successor is position (i + 1) mod m.
+            dst.write_many(list(map(_TRIPLE.pack, chars, range(1, m + 1), repeat(1),
+                                    chars[1:] + chars[:1], chain(range(2, m + 1), (1,)))))
 
         cur, spare1, spare2, spare3 = "work0", "work1", "work2", "work3"
         rank = 1  # every middle starts at 1; resolved when the ranks reach m
@@ -170,25 +182,20 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
             _round(machine, cur, spare1, spare2, spare3, _quintuples)
             tape_merge_sort(machine, cur, _quint_key, spare1, spare3)
             with machine.begin_pass(cur) as rp, machine.begin_pass(spare1, mode=WRITE) as out:
-                rank = 0
-                prev = None
-                new_triples = []
-                for q in rp.read_all():
-                    middle = q[5:18]  # second, third (with id), fourth
-                    signature = (middle[0:4], middle[4:5], middle[9:13])
-                    if signature != prev:
-                        rank += 1
-                        prev = signature
-                    new_triples.append(q[0:5] + rank.to_bytes(4, "big") + q[18:23])
-                out.write_many(new_triples)
+                quints = rp.read_all()
+                sigs = list(map(_quint_signature, quints))
+                # The rank rises by one wherever the signature differs from its predecessor.
+                ranks = list(accumulate(map(ne, sigs, chain((None,), sigs))))
+                rank = ranks[-1]
+                out.write_many(list(map(_RELINK.pack, map(_left_key, quints), ranks,
+                                        map(_quint_right, quints))))
             cur, spare1 = spare1, cur
             if on_round is not None:
                 on_round(_decode_triples(machine.tapes[cur].records))
 
         with machine.begin_pass(cur) as rp:
-            fields = [rec[field] for rec in rp.read_all()]
-            for f in fields:
-                machine.write_output(f)
+            fields = list(map(itemgetter(field), rp.read_all()))
+            machine.write_output(*fields)
     return fields
 
 
@@ -222,40 +229,29 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
     m = len(t)
     with _working(machine, t, 1, "transform") as machine:
         # Stable sort of the transform, tags riding along.
+        ids = range(1, m + 1)
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
-            recs = src.read_all()
-            dst.write_many([recs[j] + (j + 1).to_bytes(4, "big") for j in range(m)])
-        tape_merge_sort(machine, "work0", lambda r: r[0:1], "work1", "work2")
+            dst.write_many(list(map(add, src.read_all(), map(_ID.pack, ids))))
+        tape_merge_sort(machine, "work0", _char_key, "work1", "work2")
         with machine.begin_pass("work0") as su, machine.begin_pass(INPUT) as si, \
                 machine.begin_pass("work1", mode=WRITE) as out:
             ordered = su.read_all()
-            originals = si.read_all()
-            triples = []
-            for j in range(m):
-                u = ordered[j]
-                mid = m if u[0] == 0 else _UNKNOWN  # the sentinel's predecessor row seeds position n+1
-                triples.append(u[0:5] + mid.to_bytes(4, "big") + originals[j] + (j + 1).to_bytes(4, "big"))
-            out.write_many(triples)
+            # The sentinel's predecessor row seeds position n+1.
+            mids = [m if u[0] == 0 else _UNKNOWN for u in ordered]
+            tagged = map(add, si.read_all(), map(_ID.pack, ids))
+            out.write_many(list(map(_RELINK.pack, map(_left_key, ordered), mids, tagged)))
 
         offset = 1  # tape-mates are this many string positions apart
         unknown = m - 1  # every position but the seeded one
 
         def resolve(by_right: List[bytes], by_left: List[bytes]) -> List[bytes]:
             nonlocal unknown
-            unknown = 0
-            triples = []
-            for a, b in zip(by_right, by_left):
-                x = a[5:9]
-                if x == b"\x00\x00\x00\x00":
-                    # An unknown left position sits `offset` places before
-                    # the shared middle; a known middle position resolves it.
-                    y = int.from_bytes(b[5:9], "big")
-                    if y != _UNKNOWN and y - offset >= 1:
-                        x = (y - offset).to_bytes(4, "big")
-                    else:
-                        unknown += 1
-                triples.append(a[0:5] + x + b[9:14])
-            return triples
+            # An unknown left position sits `offset` places before the shared
+            # middle; a known middle position resolves it.
+            new = [x or (y - offset if y > offset else _UNKNOWN)
+                   for x, y in zip(_mids(by_right), _mids(by_left))]
+            unknown = new.count(_UNKNOWN)
+            return list(map(_RELINK.pack, map(_left_key, by_right), new, map(_right_key, by_left)))
 
         cur, spare1, spare2, spare3 = "work1", "work0", "work2", "work3"
         rounds = 0
@@ -270,17 +266,16 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
                 on_round(_decode_triples(machine.tapes[cur].records))
 
         tape_merge_sort(machine, cur, _mid_key, spare1, spare3)
-        out: List[int] = []
         with machine.begin_pass(cur) as rp:
-            expected = 1
-            for rec in rp.read_all():
-                mid = int.from_bytes(rec[5:9], "big")
-                if mid != expected:
-                    raise ValueError("not a valid transform image: positions are not a permutation")
-                expected += 1
-                if rec[0] != 0:
-                    machine.write_output(rec[0:1])
-                    out.append(rec[0] - 1)
+            recs = rp.read_all()
+            # Sorted by position, the tape must hold positions 1..m; the
+            # characters before the first misplaced one are still written.
+            placed = next(compress(count(), map(ne, _mids(recs), range(1, m + 1))), m)
+            chars = [rec[0:1] for rec in recs[:placed] if rec[0] != 0]
+            machine.write_output(*chars)
+            if placed < m:
+                raise ValueError("not a valid transform image: positions are not a permutation")
+        out = [c - 1 for c in b"".join(chars)]
         if len(out) != m - 1:
             raise ValueError("not a valid transform image")
     return out

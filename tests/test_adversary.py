@@ -64,6 +64,13 @@ def test_experiment_parameters_checked():
         separation_experiment(4096, 0.2, 0.25)
 
 
+@pytest.mark.parametrize("c, epsilon", [(math.nan, 0.25), (0.2, 0.25)])
+def test_experiment_checks_exponents_with_the_plan_message(c, epsilon):
+    # The exponents are checked before log2 and ceil see them, with BlockPlan's message.
+    with pytest.raises(ValueError, match=r"^need 1 - epsilon > c > epsilon > 0$"):
+        separation_experiment(4096, c, epsilon)
+
+
 def test_experiment_report_fields():
     report = separation_experiment(2**12, 0.5, 0.25)
     assert isinstance(report, SeparationReport)

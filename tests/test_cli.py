@@ -385,6 +385,12 @@ def test_adversary_power_output():
     ["adversary", "--k", "1", "--sigma", "1"],
     ["adversary", "--sigma", "2", "--k", "0"],
     ["adversary", "--sigma", "2", "--k", "2", "--power", "0"],
+    ["compress", "--pipeline", "kth-order", "--k", "-1"],
+    ["compress", "--pipeline", "kth-order", "--k", "300"],
+    ["compress", "--pipeline", "st-dc-ac", "--k", "300"],
+    ["compress", "--pipeline", "kth-order", "--k", "255"],
+    ["bench", "corpus", "--k", "-1"],
+    ["bench", "corpus", "--k", "255"],
 ], ids=" ".join)
 def test_bad_numeric_flags_are_usage_errors(argv):
     out = run_cli(argv, b"abracadabra")

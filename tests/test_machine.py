@@ -4,8 +4,11 @@ import pytest
 
 from conftest import faithful_tape_merge_sort
 from sbc.machine import (
+    FORWARD,
     INPUT,
     OUTPUT,
+    READ,
+    REVERSE,
     REWRITE,
     WRITE,
     BudgetExceededError,
@@ -17,6 +20,7 @@ from sbc.machine import (
     ModelKind,
     tape_merge_sort,
 )
+from sbc.stream_bwt import _char_key, _left_key, _mid_key, _quint_key, _right_key
 
 
 def cfg(model, budget=1 << 20, **kw):
@@ -271,6 +275,97 @@ def test_tape_merge_sort_matches_faithful_merge():
             assert new[0]["work0"][0] == sorted(recs, key=key)
         new, old = _sorted_twice(records, by_first, tape_id=INPUT, scratch=("work0", "work1"))
         assert new == old, n
+
+
+def test_tape_merge_sort_matches_faithful_merge_on_doubling_keys():
+    # The prefix-doubling sorts' own keys, the tuple key among them.  Every
+    # other record copies its key fields from an earlier one, so keys repeat
+    # while the records differ.  Sizes around powers of two make the last
+    # level split off a one-record run.
+    rng = random.Random(23)
+    cases = [
+        (14, _left_key, [slice(0, 5)]),
+        (14, _mid_key, [slice(5, 9)]),
+        (14, _right_key, [slice(9, 14)]),
+        (5, _char_key, [slice(0, 1)]),
+        (23, _quint_key, [slice(14, 18), slice(9, 10), slice(5, 9), slice(1, 5)]),
+    ]
+    for j in range(1, 8):
+        for n in (2 ** j - 1, 2 ** j, 2 ** j + 1):
+            for width, key, fields in cases:
+                records = []
+                for i in range(n):
+                    rec = bytearray(rng.randrange(256) for _ in range(width))
+                    if i % 2:
+                        earlier = records[rng.randrange(i)]
+                        for field in fields:
+                            rec[field] = earlier[field]
+                    records.append(bytes(rec))
+                assert n < 2 or len(set(map(key, records))) < n
+                new, old = _sorted_twice(records, key, scratch_records=[b"junk"])
+                assert new == old, (n, width)
+                assert new[0]["work0"][0] == sorted(records, key=key)
+
+
+def _refusal(machine, *pass_args):
+    """The error class and message with which ``machine`` refuses a pass."""
+    with pytest.raises((MachineError, ValueError)) as err:
+        machine.begin_pass(*pass_args)
+    return type(err.value), str(err.value)
+
+
+def test_cached_pass_checks_still_refuse():
+    # Each model's forbidden passes, refused after its permitted ones as on a fresh machine.
+    cases = {
+        ModelKind.READ_WRITE: (
+            [(INPUT, FORWARD, READ), (INPUT, REVERSE, READ), (INPUT, FORWARD, WRITE),
+             ("work0", FORWARD, REWRITE), ("work0", REVERSE, READ)],
+            [(INPUT, REVERSE, WRITE), ("work0", REVERSE, REWRITE), (OUTPUT, FORWARD, READ),
+             (OUTPUT, FORWARD, WRITE), ("work1", FORWARD, READ), (INPUT, "sideways", READ)],
+        ),
+        ModelKind.STANDARD: (
+            [(INPUT, FORWARD, READ)],
+            [(INPUT, REVERSE, READ), (INPUT, FORWARD, REWRITE), (OUTPUT, FORWARD, WRITE),
+             ("work0", FORWARD, READ)],
+        ),
+        ModelKind.W_STREAMS: (
+            [(INPUT, FORWARD, REWRITE), (INPUT, FORWARD, READ)],
+            [(INPUT, FORWARD, WRITE), (INPUT, REVERSE, REWRITE)],
+        ),
+    }
+    for model, (permitted, forbidden) in cases.items():
+        work = {"work_tapes": 1} if model is ModelKind.READ_WRITE else {}
+        fresh = [_refusal(Machine(cfg(model, **work), b"ab"), *args) for args in forbidden]
+        m = Machine(cfg(model, **work), b"ab")
+        for args in permitted:
+            m.begin_pass(*args).close()
+        for _ in range(2):  # a refusal is not remembered as a permission either
+            assert [_refusal(m, *args) for args in forbidden] == fresh, model
+    # The standard model's one input read is state, not permission.
+    m = Machine(cfg(ModelKind.STANDARD), b"ab")
+    m.begin_pass(INPUT).close()
+    for _ in range(2):
+        assert _refusal(m, INPUT) == (CapabilityError, "standard model permits exactly one input pass")
+    assert m.ledger().passes == 1
+
+
+def test_pass_checks_are_per_machine():
+    # What a read-write machine was permitted, a machine of another model is not.
+    rw = Machine(cfg(ModelKind.READ_WRITE, work_tapes=1), b"ab")
+    for args in ((INPUT, REVERSE, READ), (INPUT, FORWARD, WRITE), (INPUT, FORWARD, REWRITE),
+                 ("work0", FORWARD, READ)):
+        rw.begin_pass(*args).close()
+    for model in (ModelKind.STANDARD, ModelKind.MULTIPASS, ModelKind.W_STREAMS, ModelKind.STREAM_SORT):
+        other = Machine(cfg(model), b"ab")
+        with pytest.raises(CapabilityError, match="reverse sweeps"):
+            other.begin_pass(INPUT, REVERSE)
+        with pytest.raises(CapabilityError, match="truncating write passes"):
+            other.begin_pass(INPUT, FORWARD, WRITE)
+        with pytest.raises(CapabilityError, match="no tape 'work0'"):
+            other.begin_pass("work0")
+        if model in (ModelKind.STANDARD, ModelKind.MULTIPASS):
+            with pytest.raises(CapabilityError, match="cannot rewrite"):
+                other.begin_pass(INPUT, FORWARD, REWRITE)
 
 
 def test_tape_bits_track_every_change():

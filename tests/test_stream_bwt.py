@@ -7,6 +7,7 @@ import pytest
 
 from conftest import faithful_tape_merge_sort, oracle_backward_sort, ranks_of, render
 import sbc.stream_bwt
+from sbc.adversary import db_power, de_bruijn
 from sbc.machine import CapabilityError, Machine, MachineConfig, ModelKind
 from sbc.stream_bwt import (
     default_rw_machine,
@@ -249,25 +250,48 @@ def test_sort_numbers_validates():
         sort_numbers_via_bwt([16, 0, 0, 0])  # too wide for 2*log2(n) bits
 
 
-def _traced_run(fn, arg):
+def _traced_run(fn, arg, on_round=None):
     """Output, full ledger and trace lines of one run on the default machine."""
     machine = default_rw_machine(_machine_input(fn, arg))
     lines = []
     machine.trace = lines.append
-    out = fn(arg, machine)
+    out = fn(arg, machine) if on_round is None else fn(arg, machine, on_round=on_round)
     return out, machine.ledger(), lines
+
+
+# A de Bruijn power takes the most doubling rounds (the benchmark's
+# `repetitive` input is one).  Its round tapes are pinned by sha256 of their
+# repr, as computed by the record-by-record renumbering and resolve loops.
+DEEPEST = db_power(de_bruijn(2, 6), 2)
+DEEPEST_ROUNDS = {
+    "rw_bwt_encode": (7, "490fa6d2bd791f6111903834d6a3b471b011df3a786841bf251fba2435ecf198"),
+    "rw_bwt_invert": (8, "022e02f80aa16333884335aa3a1048b975715a9840c0560083cdb3063b859d01"),
+}
 
 
 def test_rw_runs_match_faithful_merge_sort(monkeypatch):
     rng = random.Random(500)
-    for s in (MISSISSIPPI_RANKS, [rng.randrange(6) for _ in range(500)]):
+    for s in (MISSISSIPPI_RANKS, [rng.randrange(6) for _ in range(500)], DEEPEST):
         t = bwt(s)
-        runs = [_traced_run(fn, arg) for fn, arg in ((rw_bwt_encode, s), (rw_bwt_invert, t))]
+
+        def traced_runs():
+            """Per direction: output, ledger, trace lines and every round's tape."""
+            runs = []
+            for fn, arg in ((rw_bwt_encode, s), (rw_bwt_invert, t)):
+                rounds = []
+                runs.append((*_traced_run(fn, arg, rounds.append), rounds))
+            return runs
+
+        runs = traced_runs()
         with monkeypatch.context() as patch:
             patch.setattr(sbc.stream_bwt, "tape_merge_sort", faithful_tape_merge_sort)
-            oracle_runs = [_traced_run(fn, arg) for fn, arg in ((rw_bwt_encode, s), (rw_bwt_invert, t))]
+            oracle_runs = traced_runs()
         assert runs == oracle_runs
         assert runs[0][0] == t and runs[1][0] == s
+        if s is DEEPEST:
+            got = {fn.__name__: (len(run[3]), hashlib.sha256(repr(run[3]).encode()).hexdigest())
+                   for fn, run in zip((rw_bwt_encode, rw_bwt_invert), runs)}
+            assert got == DEEPEST_ROUNDS
 
 
 # Ledgers of the read-write runs, pinned: passes, peak charged bits, output
