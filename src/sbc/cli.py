@@ -92,16 +92,29 @@ def _emit_json(args, payload: dict) -> None:
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _machine_for(args, model: ModelKind, input_data: bytes, work_tapes: int = 0) -> Machine:
-    cfg = MachineConfig(
-        model,
-        memory_budget_bits=args.memory_budget_bits or _DEFAULT_BUDGET,
-        work_tapes=work_tapes,
-    )
-    machine = Machine(cfg, input_data)
-    if args.trace:
+def _machine_for(model: ModelKind, data: bytes, work_tapes: int, budget_bits: Optional[int],
+                 trace: bool) -> Machine:
+    """A machine over ``data``; no budget means 2^40 bits, ``trace`` writes pass lines to stderr."""
+    machine = Machine(MachineConfig(model, budget_bits or _DEFAULT_BUDGET, work_tapes), data)
+    if trace:
         machine.trace = lambda line: sys.stderr.write(line + "\n")
     return machine
+
+
+def _reject_machine_flags(args, reason: str) -> None:
+    """Where no machine runs, the flags that only a machine reads are usage errors."""
+    for flag, given in (("--trace", args.trace),
+                        ("--memory-budget-bits", args.memory_budget_bits is not None)):
+        if given:
+            raise _UsageError(f"{flag} {reason}")
+
+
+def _check_exponents(c: float, epsilon: float) -> None:
+    """A pair that ``pipelines.check_exponents`` refuses is a usage error naming both flags."""
+    try:
+        pl.check_exponents(c, epsilon)
+    except ValueError as exc:
+        raise _UsageError(f"--c {c} and --epsilon {epsilon}: {exc}") from None
 
 
 def _ledger_payload(machine: Optional[Machine], stage: str) -> dict:
@@ -133,13 +146,17 @@ def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes,
 
 
 def _cmd_compress(args) -> int:
+    if not args.model:
+        _reject_machine_flags(args, "needs --model: without it no machine runs")
+    _check_exponents(args.c, args.epsilon)
     data = _read_input(args.input)
     ranks, sigma, alphabet = _ranks_of(data, args.sigma)
     entry = pl.PIPELINES[args.pipeline]
     machine = None
     if args.model:
         entry.check_model(ModelKind(args.model))
-        machine = _machine_for(args, entry.model, bytes(ranks), work_tapes=entry.work_tapes)
+        machine = _machine_for(entry.model, bytes(ranks), entry.work_tapes,
+                               args.memory_budget_bits, args.trace)
     k = args.k if args.k is not None else entry.default_k(len(ranks))
     container, report = _compress(entry, ranks, sigma, alphabet, k, args.c, args.epsilon, machine)
     _write_output(args.output, container)
@@ -221,6 +238,8 @@ def _render_triples(triples) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    if args.algo in ("sort-chars", "sort-numbers"):
+        _reject_machine_flags(args, f"has no effect: {args.algo} runs on the host, on no machine")
     data = _read_input(args.input)
     out_lines: List[str] = []
 
@@ -232,20 +251,20 @@ def _cmd_simulate(args) -> int:
     if args.algo == "rw-bwt":
         if 0xFF in data:
             raise ValueError("byte 0xff is reserved for the end marker")
-        machine = _machine_for(args, ModelKind.READ_WRITE, data, work_tapes=4)
+        machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
         result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-unbwt":
         marker = 0xFF if 0xFF in data else ord("#")
         body = [tr.SENTINEL if b == marker else b for b in data]
-        machine = _machine_for(args, ModelKind.READ_WRITE,
-                               bytes(c + 1 for c in body), work_tapes=4)
+        machine = _machine_for(ModelKind.READ_WRITE, bytes(c + 1 for c in body), 4,
+                               args.memory_budget_bits, args.trace)
         result = sbwt.rw_bwt_invert(body, machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-sa":
         if 0xFF in data:
             raise ValueError("byte 0xff is reserved for the end marker")
-        machine = _machine_for(args, ModelKind.READ_WRITE, data, work_tapes=4)
+        machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
         result = sbwt.rw_suffix_array(list(data), machine)
         out_lines.append(" ".join(map(str, result)))
     elif args.algo == "sort-chars":
@@ -268,6 +287,7 @@ def _cmd_adversary(args) -> int:
     if args.experiment:
         if args.n is None or args.c is None or args.epsilon is None:
             raise _UsageError("--experiment needs --n, --c and --epsilon")
+        _check_exponents(args.c, args.epsilon)
         report = adv.separation_experiment(args.n, args.c, args.epsilon)
         payload = {
             "n": report.n, "c": report.c, "epsilon": report.epsilon, "k": report.k,
@@ -296,13 +316,11 @@ _BENCH_COLUMNS = [
 ]
 
 
-def _bench_cell(data: bytes, entry: pl.Pipeline, k: Optional[int], c: float,
-                epsilon: float) -> dict:
-    ranks, sigma, alphabet = _ranks_of(data, None)
+def _bench_cell(ranks: List[int], sigma: int, alphabet: bytes, entry: pl.Pipeline,
+                k: Optional[int], c: float, epsilon: float) -> dict:
     if k is None:
         k = entry.default_k(len(ranks))
-    machine = Machine(MachineConfig(entry.model, _DEFAULT_BUDGET, work_tapes=entry.work_tapes),
-                      bytes(ranks))
+    machine = _machine_for(entry.model, bytes(ranks), entry.work_tapes, None, False)
     started = time.perf_counter()
     _, report = _compress(entry, ranks, sigma, alphabet, k, c, epsilon, machine)
     wall = time.perf_counter() - started
@@ -315,6 +333,7 @@ def _cmd_bench(args) -> int:
     for name in pipelines:
         if name not in pl.PIPELINES:
             raise _UsageError(f"unknown pipeline {name}")
+    _check_exponents(args.c, args.epsilon)
     try:
         files = sorted(
             f for f in os.listdir(args.corpus)
@@ -328,13 +347,15 @@ def _cmd_bench(args) -> int:
         try:
             with open(os.path.join(args.corpus, fname), "rb") as fh:
                 data = fh.read()
-        except OSError as exc:
+            ranks, sigma, alphabet = _ranks_of(data, None)
+        except (OSError, ValueError) as exc:  # unreadable, or not representable
             sys.stderr.write(f"warning: skipping {fname}: {exc}\n")
             skipped += 1
             continue
         entropy = {f"h{kk}": f"{ent.hk(data, kk):.6f}" if data else "" for kk in range(5)}
         for pipeline in pipelines:
-            row = _bench_cell(data, pl.PIPELINES[pipeline], args.k, args.c, args.epsilon)
+            row = _bench_cell(ranks, sigma, alphabet, pl.PIPELINES[pipeline], args.k, args.c,
+                              args.epsilon)
             row.update(entropy, file=fname)
             rows.append(row)
     rows.sort(key=lambda r: (r["file"], r["pipeline"], r["k"], r["c"], r["epsilon"], r["model"]))

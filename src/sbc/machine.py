@@ -12,7 +12,8 @@ Five machine flavours are supported, ordered roughly by capability:
   read-write work tapes, and a write-only output tape.
 
 Algorithms in this package run against this interface so that their pass
-counts and charged memory can be asserted by tests instead of trusted.
+counts and charged memory can be asserted by tests instead of trusted; each
+first asks :meth:`Machine.require` for what it needs of the machine.
 
 Memory accounting is explicit: a stage charges the bits of working state
 it holds for one :func:`held` scope, released however the scope ends.
@@ -269,6 +270,19 @@ class Machine:
         self._permitted: set = set()  # (tape, direction, mode) that _check_pass allowed
         self._open: dict = {}
         self.trace: Optional[Callable[[str], None]] = None
+
+    def require(self, model: Optional[ModelKind] = None, work_tapes: int = 0,
+                length: Optional[int] = None) -> None:
+        """Refuse, before a stage's first pass or charge, a machine not of
+        ``model``, with fewer than ``work_tapes`` work tapes, or whose input
+        tape does not hold ``length`` records; None accepts any."""
+        given = self.config
+        if model is not None and given.model is not model:
+            raise CapabilityError(f"this stage needs the {model.value} model, not {given.model.value}")
+        if given.work_tapes < work_tapes:
+            raise CapabilityError(f"this stage needs {work_tapes} work tapes, not {given.work_tapes}")
+        if length is not None and len(self.tapes[INPUT].records) != length:
+            raise ValueError(f"machine input does not match the stage's {length} symbols")
 
     # -- passes ----------------------------------------------------------
 

@@ -161,17 +161,18 @@ def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes
 
 def _code_input(s: Sequence[int], code: Callable[[List[int]], bytes],
                 machine: Optional[Machine]) -> bytes:
-    """Run a stage's ``code`` on its input and return the payload.
-
-    With no machine the input is ``s``.  With one, the input is its input
-    tape (``s`` gives only the length), swept in one read pass; ``code``
-    runs inside the open pass, so the pass's memory peak includes what the
-    coder charges, and the payload goes to the output tape.
-    """
+    """Run a stage's ``code`` on ``s``, or by :func:`_code_tape` on a given
+    machine's input tape, which must hold ``len(s)`` symbols; returns the payload."""
     if machine is None:
         return code(list(s))
-    if len(machine.tapes[INPUT].records) != len(s):
-        raise ValueError("machine input does not match the string")
+    machine.require(length=len(s))
+    return _code_tape(code, machine)
+
+
+def _code_tape(code: Callable[[List[int]], bytes], machine: Machine) -> bytes:
+    """Sweep the input tape in one read pass, run ``code`` on its symbols
+    inside the open pass, so the pass's memory peak includes what the coder
+    charges, and write the payload to the output tape."""
     with machine.begin_pass(INPUT) as p:
         payload = code([rec[0] for rec in p.read_all()])
     machine.write_output(payload)
@@ -228,10 +229,7 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     Tape records are single shifted symbols (end marker 0, rank r at r+1).
     The payload is written to the output tape and returned.
     """
-    with machine.begin_pass(INPUT) as p:
-        payload = _mtf_rle_ac_payload([rec[0] for rec in p.read_all()], sigma + 1, machine)
-    machine.write_output(payload)
-    return payload
+    return _code_tape(lambda symbols: _mtf_rle_ac_payload(symbols, sigma + 1, machine), machine)
 
 
 # -- distance coding + adaptive payload ------------------------------------
@@ -275,10 +273,7 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     constant passes, logarithmic memory.  Requires a read-write machine
     with at least one work tape.
     """
-    if machine.config.model is not ModelKind.READ_WRITE:
-        raise CapabilityError("streaming distance coding needs the read-write model")
-    if machine.config.work_tapes < 1:
-        raise CapabilityError("streaming distance coding needs a work tape")
+    machine.require(ModelKind.READ_WRITE, work_tapes=1)
     n = len(machine.tapes[INPUT].records)
     sigma_total = sigma + 1
     with held(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256):

@@ -51,7 +51,6 @@ from typing import Callable, Iterator, List, Optional, Sequence
 from .machine import (
     INPUT,
     WRITE,
-    CapabilityError,
     Machine,
     MachineConfig,
     ModelKind,
@@ -77,8 +76,7 @@ def default_rw_machine(input_data: bytes = b"") -> Machine:
 
 
 @contextmanager
-def _working(machine: Optional[Machine], symbols: List[int], shift: int,
-             what: str) -> Iterator[Machine]:
+def _working(machine: Optional[Machine], symbols: List[int], shift: int) -> Iterator[Machine]:
     """The checked read-write machine of one run, holding the working charge.
 
     Builds the default machine over ``symbols`` shifted by ``shift`` only
@@ -87,12 +85,7 @@ def _working(machine: Optional[Machine], symbols: List[int], shift: int,
     """
     if machine is None:
         machine = default_rw_machine(bytes(c + shift for c in symbols))
-    if machine.config.model is not ModelKind.READ_WRITE:
-        raise CapabilityError("prefix doubling needs the read-write model")
-    if machine.config.work_tapes < 4:
-        raise CapabilityError("prefix doubling needs four work tapes")
-    if len(machine.tapes[INPUT].records) != len(symbols):
-        raise ValueError(f"machine input does not match the {what}")
+    machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols))
     with held(machine, _WORK_BITS):
         yield machine
 
@@ -164,7 +157,7 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
     resolved record to the output tape in one pass; returns those fields."""
     s = list(s)
     m = len(s) + 1
-    with _working(machine, s, 0, "string") as machine:
+    with _working(machine, s, 0) as machine:
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
             chars = [rec[0] + 1 for rec in src.read_all()] + [0]  # shifted; sentinel is 0
             # Position i is tagged i + 1; its successor is position (i + 1) mod m.
@@ -227,7 +220,7 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
     if t.count(SENTINEL) != 1:
         raise ValueError("expected exactly one sentinel")
     m = len(t)
-    with _working(machine, t, 1, "transform") as machine:
+    with _working(machine, t, 1) as machine:
         # Stable sort of the transform, tags riding along.
         ids = range(1, m + 1)
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:

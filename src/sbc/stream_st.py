@@ -30,7 +30,6 @@ from .coders import _ceil_log2
 from .machine import (
     INPUT,
     REWRITE,
-    CapabilityError,
     Machine,
     MachineConfig,
     ModelKind,
@@ -67,10 +66,7 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
         raise ValueError("context length too large for a logarithmic key")
     if machine is None:
         machine = default_streamsort_machine(bytes(s))
-    if machine.config.model is not ModelKind.STREAM_SORT:
-        raise CapabilityError("this transform runs in the streamsort model")
-    if len(machine.tapes[INPUT].records) != n:
-        raise ValueError("machine input does not match the string")
+    machine.require(ModelKind.STREAM_SORT, length=n)
 
     char_width = max(1, sigma.bit_length())  # shifted values 0..sigma need this many bits
     key_bits = k * char_width
@@ -138,8 +134,7 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     s = list(s)
     if machine is None:
         machine = default_streamsort_machine(bytes(s))
-    elif machine.config.model is not ModelKind.STREAM_SORT:
-        raise CapabilityError("this transform runs in the streamsort model")
+    machine.require(ModelKind.STREAM_SORT)
 
     def payload_for(k: int) -> bytes:
         machine.tapes[INPUT].records = [bytes((c,)) for c in s]

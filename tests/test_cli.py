@@ -400,6 +400,43 @@ def test_bad_numeric_flags_are_usage_errors(argv):
     assert out.stdout == b""
 
 
+# A pair of exponents that are each finite but break 0 < epsilon < c < 1 - epsilon
+# is refused before any input is read: the input named here does not exist.
+@pytest.mark.parametrize("argv", [
+    ["compress", "--pipeline", "block-kth", "--c", "0.5", "--epsilon", "0.5", "MISSING"],
+    ["compress", "--pipeline", "kth-order", "--c", "0.5", "--epsilon", "0.5", "MISSING"],
+    ["bench", "MISSING", "--c", "0.5", "--epsilon", "0.5"],
+    ["adversary", "--experiment", "--n", "4096", "--c", "0.5", "--epsilon", "0.5"],
+], ids=" ".join)
+def test_bad_exponent_pairs_are_usage_errors(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "missing") if a == "MISSING" else a for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "usage error: --c 0.5 and --epsilon 0.5: need 1 - epsilon > c > epsilon > 0\n"
+    assert out == ""
+
+
+# Where no machine runs, the flags only a machine reads are refused before the
+# input is read, naming the flag; the input named here does not exist.
+MACHINE_FLAGS_WITHOUT_A_MACHINE = [
+    (["compress", "--pipeline", "kth-order", "--trace", "--memory-budget-bits", "1"],
+     "--trace needs --model"),
+    (["compress", "--memory-budget-bits", "1"], "--memory-budget-bits needs --model"),
+    (["simulate", "--algo", "sort-chars", "--trace"], "--trace has no effect: sort-chars"),
+    (["simulate", "--algo", "sort-numbers", "--memory-budget-bits", "1"],
+     "--memory-budget-bits has no effect: sort-numbers"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MACHINE_FLAGS_WITHOUT_A_MACHINE,
+                         ids=[" ".join(argv) for argv, _ in MACHINE_FLAGS_WITHOUT_A_MACHINE])
+def test_machine_flags_without_a_machine_are_usage_errors(argv, message, tmp_path, capsys):
+    assert main([*argv, str(tmp_path / "missing")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"usage error: {message}")
+    assert out == ""
+
+
 def test_adversary_experiment_json():
     out = run_cli(["adversary", "--experiment", "--n", "4096", "--c", "0.5",
                    "--epsilon", "0.25"])
@@ -447,6 +484,19 @@ def test_bench_reproduces_experiment_sizes(tmp_path):
     report = _json.loads(exp.stdout.decode())
     assert sizes["block-kth"] == report["size_block_bits"]
     assert sizes["bwt-dc-ac"] == report["size_full_bits"]
+
+
+def test_bench_skips_an_unrepresentable_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_bytes(b"abracadabra")
+    (corpus / "all.bin").write_bytes(bytes(range(256)))  # 256 distinct bytes
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--pipelines", "bwt-dc-ac,kth-order", "-o", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        "warning: skipping all.bin: more than 255 distinct bytes; not representable\n")
+    rows = csv.read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["a.txt", "bwt-dc-ac"], ["a.txt", "kth-order"]]
 
 
 def test_bench_empty_corpus(tmp_path):

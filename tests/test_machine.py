@@ -17,10 +17,23 @@ from sbc.machine import (
     Machine,
     MachineConfig,
     MachineError,
+    MachineLedger,
     ModelKind,
     tape_merge_sort,
 )
-from sbc.stream_bwt import _char_key, _left_key, _mid_key, _quint_key, _right_key
+from sbc.pipelines import BlockPlan, block_encode, dc_ac_encode_stream, encode_kth_order
+from sbc.stream_bwt import (
+    _char_key,
+    _left_key,
+    _mid_key,
+    _quint_key,
+    _right_key,
+    rw_bwt_encode,
+    rw_bwt_invert,
+    rw_suffix_array,
+)
+from sbc.stream_st import streamsort_st, streamsort_st_best_k
+from sbc.transforms import bwt
 
 
 def cfg(model, budget=1 << 20, **kw):
@@ -415,3 +428,61 @@ def test_tape_bits_track_every_change():
             p.write_many([rec * 10 for rec in p.read_all()])
     check(s)
     assert s.tapes[INPUT].records == [b"a!", b"b!", b"c!"]
+
+
+_S = [0, 1, 1, 0, 1, 0, 0, 1]
+_T = bwt(_S)
+_T_TAPE = bytes(c + 1 for c in _T)  # the transform's input tape: ranks plus one, sentinel 0
+_RW, _ST = ModelKind.READ_WRITE, ModelKind.STREAM_SORT
+
+
+def _wrong_length(model, work_tapes, tape):
+    return (model, work_tapes, tape + b"\x01", ValueError)
+
+
+# Each machine stage with the machines it must refuse, as (model, work tapes,
+# input tape, error).  A stage of the standard model runs on every model, so
+# only the stages of stronger models have a wrong model; only a stage that
+# reads a string ``s`` from the input tape has an input length to get wrong.
+_REFUSALS = {
+    "rw_bwt_encode": (lambda m: rw_bwt_encode(_S, m), [
+        (_ST, 0, bytes(_S), CapabilityError),
+        (_RW, 3, bytes(_S), CapabilityError),
+        _wrong_length(_RW, 4, bytes(_S))]),
+    "rw_suffix_array": (lambda m: rw_suffix_array(_S, m), [
+        (ModelKind.STANDARD, 0, bytes(_S), CapabilityError),
+        (_RW, 0, bytes(_S), CapabilityError),
+        _wrong_length(_RW, 4, bytes(_S))]),
+    "rw_bwt_invert": (lambda m: rw_bwt_invert(_T, m), [
+        (ModelKind.W_STREAMS, 0, _T_TAPE, CapabilityError),
+        (_RW, 2, _T_TAPE, CapabilityError),
+        _wrong_length(_RW, 4, _T_TAPE)]),
+    "streamsort_st": (lambda m: streamsort_st(_S, 1, machine=m, sigma=2), [
+        (ModelKind.MULTIPASS, 0, bytes(_S), CapabilityError),
+        (_RW, 4, bytes(_S), CapabilityError),
+        _wrong_length(_ST, 0, bytes(_S))]),
+    # best-k loads s onto the input tape itself, so any input tape will do.
+    "streamsort_st_best_k": (lambda m: streamsort_st_best_k(_S, 2, machine=m, sigma=2), [
+        (ModelKind.STANDARD, 0, b"", CapabilityError),
+        (_RW, 4, bytes(_S), CapabilityError)]),
+    "dc_ac_encode_stream": (lambda m: dc_ac_encode_stream(m, 2), [
+        (ModelKind.STANDARD, 0, _T_TAPE, CapabilityError),
+        (_RW, 0, _T_TAPE, CapabilityError)]),
+    "encode_kth_order": (lambda m: encode_kth_order(_S, 2, 1, machine=m), [
+        _wrong_length(ModelKind.STANDARD, 0, bytes(_S))]),
+    "block_encode": (lambda m: block_encode(_S, 2, BlockPlan.for_length(len(_S), 0.5, 0.25),
+                                            machine=m), [
+        _wrong_length(ModelKind.STANDARD, 0, bytes(_S))]),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_REFUSALS))
+def test_every_stage_refuses_a_machine_before_it_runs(stage):
+    run, refusals = _REFUSALS[stage]
+    for model, work_tapes, tape, error in refusals:
+        machine = Machine(cfg(model, work_tapes=work_tapes), tape)
+        with pytest.raises(error):
+            run(machine)
+        # No pass ran and nothing stays charged.
+        assert machine.ledger() == MachineLedger(), (model, work_tapes)
+        machine.charge_memory(machine.config.memory_budget_bits)
