@@ -313,6 +313,7 @@ _BENCH_COLUMNS = [
     "file", "pipeline", "k", "c", "epsilon", "model",
     "n", "sigma", "h0", "h1", "h2", "h3", "h4",
     "size_bits", "passes", "sort_passes", "peak_memory_bits", "total_output_bits", "wall_time",
+    "host_stages",
 ]
 
 
@@ -324,7 +325,8 @@ def _bench_cell(ranks: List[int], sigma: int, alphabet: bytes, entry: pl.Pipelin
     started = time.perf_counter()
     _, report = _compress(entry, ranks, sigma, alphabet, k, c, epsilon, machine)
     wall = time.perf_counter() - started
-    report.update(k=k, c=c, epsilon=epsilon, model=entry.model.value, wall_time=f"{wall:.6f}")
+    report.update(k=k, c=c, epsilon=epsilon, model=entry.model.value, wall_time=f"{wall:.6f}",
+                  host_stages="+".join(report.get("host_stages", ())))
     return report
 
 
@@ -354,8 +356,13 @@ def _cmd_bench(args) -> int:
             continue
         entropy = {f"h{kk}": f"{ent.hk(data, kk):.6f}" if data else "" for kk in range(5)}
         for pipeline in pipelines:
-            row = _bench_cell(ranks, sigma, alphabet, pl.PIPELINES[pipeline], args.k, args.c,
-                              args.epsilon)
+            try:
+                row = _bench_cell(ranks, sigma, alphabet, pl.PIPELINES[pipeline], args.k, args.c,
+                                  args.epsilon)
+            except (ValueError, CapabilityError) as exc:  # this pipeline refuses this input
+                sys.stderr.write(f"warning: skipping {fname} {pipeline}: {exc}\n")
+                skipped += 1
+                continue
             row.update(entropy, file=fname)
             rows.append(row)
     rows.sort(key=lambda r: (r["file"], r["pipeline"], r["k"], r["c"], r["epsilon"], r["model"]))

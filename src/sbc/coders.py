@@ -22,7 +22,11 @@ nbits - 1 bits of v, most significant first: 1 is 1, 2 is 0100.  Delta
 codes run through one loop per coded sequence, which inlines the binary
 model and the range coder's arithmetic per bit and keeps their state in
 locals for the whole sequence; its output is bit-identical to coding each
-bit with the generic ``put``/``get``.
+bit with the generic ``put``/``get``.  The encoder takes the bits of a
+value below 256 from a table built at import and computes those of a larger
+one.  It writes a renormalisation byte inline when no carry can be pending
+(``low`` below 0xFF000000, no pending 0xFF byte); every other byte goes
+through ``_shift_low``, the one implementation of carry propagation.
 
 A model over more than 16 symbols also keeps one sum per block of 16
 symbols.  Its ``interval`` is then two C-level sums, and its ``locate``
@@ -55,6 +59,24 @@ _MASK32 = 0xFFFFFFFF
 
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
+
+
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _delta_bits(value: int) -> bytes:
+    """The delta code of value >= 1, one byte of 0 or 1 per bit, most significant first."""
+    nbits = value.bit_length()
+    lbits = nbits.bit_length() - 1
+    # lbits zeros, the lbits + 1 bits of nbits, the low nbits - 1 bits of value
+    code = (nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1))
+    return format(code, f"0{2 * lbits + nbits}b").encode().translate(_ASCII_BITS)
+
+
+# The delta codes of 1 .. _DELTA_TABLE - 1 (entry 0 is never read).  Kept
+# small, about 13 KiB, because every import of the module builds it.
+_DELTA_TABLE = 256
+_DELTA_BITS = (b"",) + tuple(_delta_bits(v) for v in range(1, _DELTA_TABLE))
 
 
 class FreqModel:
@@ -200,26 +222,34 @@ class SymbolEncoder:
         """Delta-code each value >= 1 in turn, each bit through the two-symbol model.
 
         ``put`` of each bit, inlined: the same intervals, update and rescale.
-        The model's and the coder's state are read once and written back
-        once for the whole sequence, also when a value < 1 raises: the codes
-        before it stand, as they would after one ``put_delta`` per value.
+        A value below ``_DELTA_TABLE`` takes its bits from ``_DELTA_BITS``;
+        a larger one has them computed by ``_delta_bits``.  A renormalisation
+        byte is written inline when no carry can be pending (``low`` below
+        0xFF000000 and no pending 0xFF byte); every other byte goes through
+        ``_shift_low``, the one carry path.  The model's and the coder's
+        state are read once and written back once for the whole sequence,
+        also when a value < 1 raises: the codes before it stand, as they
+        would after one ``put_delta`` per value.
         """
         c0, c1 = model.counts
         total = model.total
         low = self._low
         rng = self._range
+        cache = self._cache
+        pending = self._cache_size
+        out = self._out
         try:
             for value in values:
-                if value < 1:
-                    raise ValueError("delta codes represent integers >= 1")
-                nbits = value.bit_length()
-                lbits = nbits.bit_length() - 1
-                # lbits zeros, the lbits + 1 bits of nbits, the low nbits - 1 bits of value
-                code = (nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1))
-                for i in range(2 * lbits + nbits - 1, -1, -1):
+                if value < _DELTA_TABLE:
+                    if value < 1:
+                        raise ValueError("delta codes represent integers >= 1")
+                    bits = _DELTA_BITS[value]
+                else:
+                    bits = _delta_bits(value)
+                for bit in bits:
                     assert total <= rng, "coder precision violated"
                     r = rng // total
-                    if (code >> i) & 1:
+                    if bit:
                         low += r * c0
                         rng = r * c1
                         c1 += 1
@@ -228,9 +258,14 @@ class SymbolEncoder:
                         c0 += 1
                     assert low < (1 << 33)
                     while rng < _TOP:
-                        self._low = low
-                        self._shift_low()
-                        low = self._low
+                        if low < 0xFF000000 and pending == 1:
+                            out.append(cache)
+                            cache = low >> 24
+                            low = (low << 8) & _MASK32
+                        else:
+                            self._low, self._cache, self._cache_size = low, cache, pending
+                            self._shift_low()
+                            low, cache, pending = self._low, self._cache, self._cache_size
                         rng = (rng << 8) & _MASK32
                     total += 1
                     if total >= RESCALE_TOTAL:
@@ -240,6 +275,8 @@ class SymbolEncoder:
         finally:
             self._low = low
             self._range = rng
+            self._cache = cache
+            self._cache_size = pending
             model.counts = [c0, c1]
             model.total = total
 

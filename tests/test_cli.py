@@ -455,11 +455,15 @@ def test_bench_csv(tmp_path):
     assert out.returncode == 0
     lines = out.stdout.decode().strip().splitlines()
     header = lines[0].split(",")
-    assert len(header) == 19
+    assert len(header) == 20
     assert lines[0].startswith("file,pipeline,")
+    assert header[-1] == "host_stages"
     assert len(lines) == 1 + 2 * 2
     for row in lines[1:]:
-        assert len(row.split(",")) == 19
+        cells = row.split(",")
+        assert len(cells) == 20
+        # The JSON report's host_stages, joined by "+"; empty where none ran.
+        assert cells[-1] == {"bwt-dc-ac": "bwt", "kth-order": ""}[cells[1]]
 
 
 def test_bench_reproduces_experiment_sizes(tmp_path):
@@ -497,6 +501,20 @@ def test_bench_skips_an_unrepresentable_file(tmp_path, capsys):
         "warning: skipping all.bin: more than 255 distinct bytes; not representable\n")
     rows = csv.read_text().splitlines()[1:]
     assert [row.split(",")[:2] for row in rows] == [["a.txt", "bwt-dc-ac"], ["a.txt", "kth-order"]]
+
+
+def test_bench_skips_a_pipeline_that_refuses_a_file(tmp_path, capsys):
+    # streamsort_st's key-width guard refuses k = 200; the kth-order row stays.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_bytes(b"abracadabra abracadabra")
+    csv = tmp_path / "bench.csv"
+    assert main(["bench", str(corpus), "--pipelines", "st-dc-ac,kth-order", "--k", "200",
+                 "-o", str(csv)]) == 1
+    assert capsys.readouterr().err == (
+        "warning: skipping a.txt st-dc-ac: context length too large for a logarithmic key\n")
+    rows = csv.read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["a.txt", "kth-order", "200"]]
 
 
 def test_bench_empty_corpus(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from conftest import FlatFreqModel, delta_code, oracle_kth_order_encode
 from sbc.coders import (
     _BLOCK,
+    _DELTA_BITS,
+    _DELTA_TABLE,
     RESCALE_TOTAL,
     FreqModel,
     SymbolDecoder,
@@ -364,6 +366,69 @@ def test_put_deltas_matches_generic_coder(monkeypatch):
     for i, (values, sym) in enumerate(zip(sequences, syms)):
         assert [dec.get_delta(models[i & 1]) for _ in values] == values
         assert dec.get(models[2]) == sym
+
+
+def test_delta_table_holds_the_delta_codes():
+    # At most 256 entries: every import of sbc.coders builds the table.
+    assert len(_DELTA_BITS) == _DELTA_TABLE <= 256
+    for value in range(1, _DELTA_TABLE):
+        assert "".join(map(str, _DELTA_BITS[value])) == delta_code(value), value
+
+
+def test_put_deltas_matches_generic_coder_on_table_edges():
+    # Every table value, the values around the table bound, and powers of
+    # two up to 2^100 beyond it: one put_deltas call per value, then all of
+    # them in one call, against the generic put of every delta_code bit.
+    edges = [v for j in range(_DELTA_TABLE.bit_length() - 2, 101)
+             for v in (2**j - 1, 2**j, 2**j + 1)]
+    values = list(range(1, _DELTA_TABLE + 3)) + edges
+    fast, generic, whole = SymbolEncoder(), SymbolEncoder(), SymbolEncoder()
+    fast_model, generic_model, whole_model = FreqModel(2), FreqModel(2), FreqModel(2)
+    for v in values:
+        fast.put_deltas(fast_model, [v])
+        generic_put_delta(generic, generic_model, v)
+        assert (fast_model.counts, fast_model.total) == \
+            (generic_model.counts, generic_model.total), v
+        assert _coder_state(fast) == _coder_state(generic), v
+    whole.put_deltas(whole_model, values)
+    assert (whole_model.counts, whole_model.total) == (generic_model.counts, generic_model.total)
+    assert _coder_state(whole) == _coder_state(generic)
+    payload = generic.finish()
+    assert fast.finish() == whole.finish() == payload
+    dec, model = SymbolDecoder(payload), FreqModel(2)
+    assert [dec.get_delta(model) for _ in values] == values
+
+
+def test_put_deltas_takes_both_byte_paths(monkeypatch):
+    # A renormalisation byte is written inline only while no carry can be
+    # pending; the others, pending 0xFF bytes included, go through
+    # _shift_low.  Both paths must be taken and agree with the generic coder.
+    calls = {"fast": 0, "generic": 0, "fast_pending": 0}
+    fast, generic = SymbolEncoder(), SymbolEncoder()
+    shift_low = SymbolEncoder._shift_low
+
+    def counting_shift_low(enc):
+        side = "fast" if enc is fast else "generic"
+        calls[side] += 1
+        if enc is fast and enc._cache_size > 1:
+            calls["fast_pending"] += 1
+        shift_low(enc)
+
+    monkeypatch.setattr(SymbolEncoder, "_shift_low", counting_shift_low)
+    rng = random.Random(21)
+    values = [rng.choice((1, 1, 1, 2, rng.randrange(1, 300), rng.randrange(1, 1 << 20)))
+              for _ in range(20000)]
+    fast_model, generic_model = FreqModel(2), FreqModel(2)
+    fast.put_deltas(fast_model, values)
+    for v in values:
+        generic_put_delta(generic, generic_model, v)
+    assert (fast_model.counts, fast_model.total) == (generic_model.counts, generic_model.total)
+    assert _coder_state(fast) == _coder_state(generic)
+    # Each renormalisation writes or holds one byte: the generic coder's
+    # calls count them all, so the difference is the bytes written inline.
+    assert 0 < calls["fast"] < calls["generic"]
+    assert calls["fast_pending"] > 0
+    assert fast.finish() == generic.finish()
 
 
 @pytest.mark.parametrize("bad", [0, -1])
