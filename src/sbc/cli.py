@@ -73,18 +73,15 @@ def _write_output(path: Optional[str], data: bytes) -> None:
 
 
 def _ranks_of(data: bytes, sigma: Optional[int]):
-    """Map input bytes to dense ranks; returns (ranks, sigma, alphabet bytes)."""
-    if sigma is not None:
-        if not 1 <= sigma <= 255:
-            raise _UsageError("sigma must be in 1..255")
-        if data and max(data) >= sigma:
-            raise ValueError("input byte outside the declared alphabet")
-        return list(data), sigma, bytes(range(sigma))
-    alphabet = sorted(set(data))
-    if len(alphabet) > 255:
-        raise ValueError("more than 255 distinct bytes; not representable")
-    rank = {b: i for i, b in enumerate(alphabet)}
-    return [rank[b] for b in data], len(alphabet), bytes(alphabet)
+    """Input bytes as (ranks, sigma, alphabet bytes): the bytes themselves
+    under a declared ``sigma``, else :func:`sbc.pipelines.ranks_of`."""
+    if sigma is None:
+        return pl.ranks_of(data)
+    if not 1 <= sigma <= 255:
+        raise _UsageError("sigma must be in 1..255")
+    if data and max(data) >= sigma:
+        raise ValueError("input byte outside the declared alphabet")
+    return list(data), sigma, bytes(range(sigma))
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -101,12 +98,16 @@ def _machine_for(model: ModelKind, data: bytes, work_tapes: int, budget_bits: Op
     return machine
 
 
-def _reject_machine_flags(args, reason: str) -> None:
-    """Where no machine runs, the flags that only a machine reads are usage errors."""
-    for flag, given in (("--trace", args.trace),
-                        ("--memory-budget-bits", args.memory_budget_bits is not None)):
-        if given:
-            raise _UsageError(f"{flag} {reason}")
+# The flags that only a machine reads: usage errors where none runs.
+_MACHINE_FLAGS = ("trace", "memory_budget_bits")
+
+
+def _reject_flags(args, names: Sequence[str], reason: str) -> None:
+    """The first given flag of ``names`` is a usage error: what runs does not read it."""
+    for name in names:
+        given = getattr(args, name)
+        if given is not None and given is not False:
+            raise _UsageError(f"--{name.replace('_', '-')} {reason}")
 
 
 def _check_exponents(c: float, epsilon: float) -> None:
@@ -117,29 +118,27 @@ def _check_exponents(c: float, epsilon: float) -> None:
         raise _UsageError(f"--c {c} and --epsilon {epsilon}: {exc}") from None
 
 
-def _ledger_payload(machine: Optional[Machine], stage: str) -> dict:
-    """The machine's ledger; work that ran on no machine names its host stage instead."""
-    if machine is None:
-        return {"host_stages": [stage]}
-    led = machine.ledger()
-    return {
-        "passes": led.passes,
-        "sort_passes": led.sort_passes,
-        "peak_memory_bits": led.peak_memory_bits,
-        "total_output_bits": led.total_output_bits,
-    }
+def _report(machine: Optional[Machine], host_stages: Sequence[str], **fields) -> dict:
+    """A ``--json`` report or ``bench`` row: ``fields``, the machine's ledger
+    when a machine ran, and ``host_stages`` when any stage ran on the host."""
+    if machine is not None:
+        led = machine.ledger()
+        fields.update(passes=led.passes, sort_passes=led.sort_passes,
+                      peak_memory_bits=led.peak_memory_bits,
+                      total_output_bits=led.total_output_bits)
+    if host_stages:
+        fields["host_stages"] = list(host_stages)
+    return fields
 
 
 def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes, k: int,
               c: float, epsilon: float, machine: Optional[Machine]):
     """Encode with one pipeline on the given machine; returns (container, report)."""
     container = entry.encode(ranks, sigma, alphabet, k, c, epsilon, machine)
-    report = {"pipeline": entry.name, "n": len(ranks), "sigma": sigma,
-              "size_bits": 8 * len(container)}
-    report.update(_ledger_payload(machine, entry.name))
-    if machine is not None and entry.host_stages:
-        report["host_stages"] = list(entry.host_stages)
-    return container, report
+    # With no machine, the whole pipeline is host work.
+    host_stages = [entry.name] if machine is None else entry.host_stages
+    return container, _report(machine, host_stages, pipeline=entry.name, n=len(ranks),
+                              sigma=sigma, size_bits=8 * len(container))
 
 
 # -- subcommands ------------------------------------------------------------
@@ -147,7 +146,7 @@ def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes,
 
 def _cmd_compress(args) -> int:
     if not args.model:
-        _reject_machine_flags(args, "needs --model: without it no machine runs")
+        _reject_flags(args, _MACHINE_FLAGS, "needs --model: without it no machine runs")
     _check_exponents(args.c, args.epsilon)
     data = _read_input(args.input)
     ranks, sigma, alphabet = _ranks_of(data, args.sigma)
@@ -169,11 +168,8 @@ def _cmd_decompress(args) -> int:
     ranks, header, alphabet = pl.decode_container(data)
     out = bytes(alphabet[r] for r in ranks)
     _write_output(args.output, out)
-    _emit_json(args, {
-        "pipeline": pl.PIPELINES_BY_ID[header.pipeline].name,
-        "n": header.n, "sigma": header.sigma, "size_bits": 8 * len(data),
-        **_ledger_payload(None, "decode"),
-    })
+    _emit_json(args, _report(None, ["decode"], pipeline=pl.PIPELINES_BY_ID[header.pipeline].name,
+                             n=header.n, sigma=header.sigma, size_bits=8 * len(data)))
     return 0
 
 
@@ -196,8 +192,6 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_transform(args) -> int:
     data = _read_input(args.input)
-    if args.op in ("bwt", "st") and 0xFF in data:
-        raise ValueError("byte 0xff is reserved for the end marker")
     if args.op == "bwt":
         body = tr.bwt(list(data))
         out = bytes(0xFF if c == tr.SENTINEL else c for c in body)
@@ -239,7 +233,8 @@ def _render_triples(triples) -> str:
 
 def _cmd_simulate(args) -> int:
     if args.algo in ("sort-chars", "sort-numbers"):
-        _reject_machine_flags(args, f"has no effect: {args.algo} runs on the host, on no machine")
+        _reject_flags(args, _MACHINE_FLAGS,
+                      f"has no effect: {args.algo} runs on the host, on no machine")
     data = _read_input(args.input)
     out_lines: List[str] = []
 
@@ -249,8 +244,6 @@ def _cmd_simulate(args) -> int:
             out_lines.append("")
 
     if args.algo == "rw-bwt":
-        if 0xFF in data:
-            raise ValueError("byte 0xff is reserved for the end marker")
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
         result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
@@ -262,8 +255,6 @@ def _cmd_simulate(args) -> int:
         result = sbwt.rw_bwt_invert(body, machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-sa":
-        if 0xFF in data:
-            raise ValueError("byte 0xff is reserved for the end marker")
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
         result = sbwt.rw_suffix_array(list(data), machine)
         out_lines.append(" ".join(map(str, result)))
@@ -279,12 +270,13 @@ def _cmd_simulate(args) -> int:
     else:  # pragma: no cover
         raise _UsageError(f"unknown algorithm {args.algo}")
     _write_output(args.output, ("\n".join(out_lines) + "\n").encode())
-    _emit_json(args, _ledger_payload(machine, args.algo))
+    _emit_json(args, _report(machine, [args.algo] if machine is None else []))
     return 0
 
 
 def _cmd_adversary(args) -> int:
     if args.experiment:
+        _reject_flags(args, ("sigma", "k", "power"), "has no effect with --experiment")
         if args.n is None or args.c is None or args.epsilon is None:
             raise _UsageError("--experiment needs --n, --c and --epsilon")
         _check_exponents(args.c, args.epsilon)
@@ -297,10 +289,11 @@ def _cmd_adversary(args) -> int:
         }
         _write_output(args.output, (json.dumps(payload, sort_keys=True) + "\n").encode())
         return 0
+    _reject_flags(args, ("n", "c", "epsilon"), "needs --experiment")
     if args.sigma is None or args.k is None:
         raise _UsageError("need --sigma and --k (or --experiment)")
     prefix = adv.de_bruijn(args.sigma, args.k)
-    s = adv.db_power(prefix, args.power)
+    s = adv.db_power(prefix, 1 if args.power is None else args.power)
     if args.sigma <= 26:
         out = "".join(chr(ord("a") + c) for c in s).encode()
     else:
@@ -349,7 +342,7 @@ def _cmd_bench(args) -> int:
         try:
             with open(os.path.join(args.corpus, fname), "rb") as fh:
                 data = fh.read()
-            ranks, sigma, alphabet = _ranks_of(data, None)
+            ranks, sigma, alphabet = pl.ranks_of(data)
         except (OSError, ValueError) as exc:  # unreadable, or not representable
             sys.stderr.write(f"warning: skipping {fname}: {exc}\n")
             skipped += 1
@@ -455,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, with_input=False)
     p.add_argument("--sigma", type=_checked(int, lambda v: 2 <= v <= 256, "in 2..256"), default=None)
     p.add_argument("--k", type=positive_int, default=None)
-    p.add_argument("--power", type=positive_int, default=1)
+    p.add_argument("--power", type=positive_int, default=None, help="repetitions (default: 1)")
     p.add_argument("--experiment", action="store_true")
     p.add_argument("--n", type=_checked(int, lambda v: v >= 2, "at least 2"), default=None)
     p.add_argument("--c", type=finite_float, default=None)

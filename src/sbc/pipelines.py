@@ -26,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coders import (
@@ -37,7 +38,7 @@ from .coders import (
     kth_order_encode,
 )
 from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind, held
-from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, mtf_encode, st
+from .transforms import _dc_reconstruct, _validate_ranks, bwt, bwt_inverse, dc_encode, mtf_encode, st
 
 
 class FormatError(Exception):
@@ -152,6 +153,16 @@ def _container(pipeline: PipelineId, sigma: int, k: int, n: int, payload: bytes,
     return build_container(header, alphabet or bytes(range(sigma)), payload)
 
 
+def ranks_of(data: bytes) -> Tuple[List[int], int, bytes]:
+    """``data`` as (ranks, sigma, alphabet table): each byte's rank among the
+    distinct bytes, in byte order, which the table maps back."""
+    alphabet = bytes(sorted(set(data)))
+    if len(alphabet) > 255:
+        raise ValueError("more than 255 distinct bytes; not representable")
+    ranks = data.translate(bytes.maketrans(alphabet, bytes(range(len(alphabet)))))
+    return list(ranks), len(alphabet), alphabet
+
+
 def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes]:
     """The shortest payload_for(k) over k = 0..k_max; the smallest k wins ties."""
     if not 0 <= k_max < K_AUTO:
@@ -229,6 +240,7 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     Tape records are single shifted symbols (end marker 0, rank r at r+1).
     The payload is written to the output tape and returned.
     """
+    _validate_ranks(bytes(map(itemgetter(0), machine.tapes[INPUT].records)), sigma + 1)
     return _code_tape(lambda symbols: _mtf_rle_ac_payload(symbols, sigma + 1, machine), machine)
 
 

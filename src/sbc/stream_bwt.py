@@ -57,7 +57,7 @@ from .machine import (
     held,
     tape_merge_sort,
 )
-from .transforms import SENTINEL, cyclic_context_order
+from .transforms import SENTINEL, _validate_ranks, cyclic_context_order
 
 _TRIPLE = struct.Struct(">BIIBI")  # left char, left id, mid, right char, right id
 _RELINK = struct.Struct(">5sI5s")  # the same triple: tagged left, mid, tagged right
@@ -76,16 +76,19 @@ def default_rw_machine(input_data: bytes = b"") -> Machine:
 
 
 @contextmanager
-def _working(machine: Optional[Machine], symbols: List[int], shift: int) -> Iterator[Machine]:
+def _working(machine: Optional[Machine], symbols: Sequence[int], shift: int,
+             check: Callable[[bytes], None]) -> Iterator[Machine]:
     """The checked read-write machine of one run, holding the working charge.
 
     Builds the default machine over ``symbols`` shifted by ``shift`` only
     when none is given; a given machine is checked against ``len(symbols)``
-    alone.  The charge is released however the run ends.
+    alone.  ``check`` then reads the input tape's symbols as bytes, before
+    any pass or charge.  The charge is released however the run ends.
     """
     if machine is None:
         machine = default_rw_machine(bytes(c + shift for c in symbols))
     machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols))
+    check(bytes(map(itemgetter(0), machine.tapes[INPUT].records)))
     with held(machine, _WORK_BITS):
         yield machine
 
@@ -155,9 +158,8 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
             on_round: Optional[Callable[[List[tuple]], None]], field: slice) -> List[bytes]:
     """Run the forward doubling rounds, then write ``rec[field]`` of every
     resolved record to the output tape in one pass; returns those fields."""
-    s = list(s)
     m = len(s) + 1
-    with _working(machine, s, 0) as machine:
+    with _working(machine, s, 0, lambda tape: _validate_ranks(tape, None)) as machine:
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
             chars = [rec[0] + 1 for rec in src.read_all()] + [0]  # shifted; sentinel is 0
             # Position i is tagged i + 1; its successor is position (i + 1) mod m.
@@ -214,13 +216,14 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
     """Recover s from its transform on a read-write machine.
 
     A given machine's input tape (ranks plus one, the sentinel as 0) is the
-    input; ``t`` gives only its length and its one-sentinel check.
+    input, and must hold exactly one sentinel; ``t`` gives only its length.
     """
-    t = list(t)
-    if t.count(SENTINEL) != 1:
-        raise ValueError("expected exactly one sentinel")
+    def one_sentinel(tape: bytes) -> None:
+        if tape.count(0) != 1:
+            raise ValueError("expected exactly one sentinel")
+
     m = len(t)
-    with _working(machine, t, 1) as machine:
+    with _working(machine, t, 1, one_sentinel) as machine:
         # Stable sort of the transform, tags riding along.
         ids = range(1, m + 1)
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:

@@ -24,6 +24,7 @@ logarithmic register) to seed the tracker.
 from __future__ import annotations
 
 from itertools import cycle, islice
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from .coders import _ceil_log2
@@ -45,28 +46,26 @@ def default_streamsort_machine(input_data: bytes = b"") -> Machine:
     return Machine(cfg, input_data)
 
 
-def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None,
-                  sigma: Optional[int] = None, stats: Optional[Dict] = None) -> List[int]:
+def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *,
+                  sigma: int, stats: Optional[Dict] = None) -> List[int]:
     """Compute the length-k context sort of s+sentinel on a streamsort tape.
 
-    A given machine's input tape is the input; ``s`` gives only its length,
-    the alphabet check and, if ``sigma`` is None, the alphabet size.  A
-    given ``stats`` dict receives the number of ``pad_passes``.
+    A given machine's input tape is the input, and its symbols must be
+    ranks below ``sigma``; ``s`` gives only its length.  A given ``stats``
+    dict receives the number of ``pad_passes``.
     """
-    s = list(s)
     n = len(s)
     if k < 0:
         raise ValueError("context length must be >= 0")
-    if sigma is None:
-        sigma = (max(s) + 1) if s else 1
-    _validate_ranks(s, sigma)
     # Context keys must stay logarithmic; the floor of 8 keeps tiny inputs
     # usable by the exhaustive tests without loosening the asymptotic guard.
     if k * _ceil_log2(max(sigma, 2)) > max(8, 4 * _ceil_log2(max(n, 2))):
         raise ValueError("context length too large for a logarithmic key")
     if machine is None:
+        _validate_ranks(s, sigma)  # before bytes(s) refuses a symbol in its own words
         machine = default_streamsort_machine(bytes(s))
     machine.require(ModelKind.STREAM_SORT, length=n)
+    _validate_ranks(bytes(map(itemgetter(0), machine.tapes[INPUT].records)), sigma)
 
     char_width = max(1, sigma.bit_length())  # shifted values 0..sigma need this many bits
     key_bits = k * char_width

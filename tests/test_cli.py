@@ -287,6 +287,23 @@ def test_transform_rejects_reserved_byte():
     assert run_cli(["transform", "--op", "bwt"], b"a\xffb").returncode == 2
 
 
+# Byte 0xff is the end marker's slot, so the stage that reads it refuses it.
+@pytest.mark.parametrize("argv", [
+    ["transform", "--op", "bwt"],
+    ["transform", "--op", "st", "--k", "1"],
+    ["simulate", "--algo", "rw-bwt", "--trace"],
+    ["simulate", "--algo", "rw-sa"],
+], ids=" ".join)
+def test_end_marker_byte_is_refused_before_any_pass(argv, tmp_path, capsys):
+    path = tmp_path / "in"
+    path.write_bytes(b"a\xffb")
+    assert main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "input error: symbol 255 out of alphabet\n"
+    assert "pass=" not in err
+    assert out == ""
+
+
 def test_transform_dc_accepts_byte_ff():
     # Distance coding has no end marker, so 0xff is an ordinary symbol.
     out = run_cli(["transform", "--op", "dc"], b"a\xffb")
@@ -435,6 +452,26 @@ def test_machine_flags_without_a_machine_are_usage_errors(argv, message, tmp_pat
     out, err = capsys.readouterr()
     assert err.startswith(f"usage error: {message}")
     assert out == ""
+
+
+OTHER_MODE_FLAGS = [
+    (["--sigma", "2", "--k", "3", "--n", "100", "--c", "0.5"], "--n needs --experiment"),
+    (["--sigma", "2", "--k", "3", "--epsilon", "0.25"], "--epsilon needs --experiment"),
+    (["--experiment", "--n", "4096", "--c", "0.5", "--epsilon", "0.25", "--sigma", "3", "--k", "5",
+      "--power", "9"], "--sigma has no effect with --experiment"),
+    (["--experiment", "--n", "4096", "--c", "0.5", "--epsilon", "0.25", "--power", "9"],
+     "--power has no effect with --experiment"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OTHER_MODE_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in OTHER_MODE_FLAGS])
+def test_adversary_refuses_the_other_modes_flags(argv, message, tmp_path, capsys):
+    output = tmp_path / "out"
+    assert main(["adversary", *argv, "-o", str(output)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"usage error: {message}\n"
+    assert out == "" and not output.exists()
 
 
 def test_adversary_experiment_json():

@@ -341,6 +341,40 @@ def test_machine_tape_is_the_input(name):
     assert got != TAPE_RUNS[name](s, s)[1]
 
 
+_S, _ = ranks_of("mississippi")
+_T_S = bwt(_S)
+_RW = (ModelKind.READ_WRITE, 4)
+
+# name -> (run(machine), (model, work tapes), input tape, refusal): each stage
+# is given a valid argument and an input tape outside its alphabet.
+ALIEN_TAPES = {
+    "streamsort_st": (lambda m: streamsort_st([0, 1, 0, 1, 1, 0], 1, m, sigma=2),
+                      (ModelKind.STREAM_SORT, 0), bytes([0, 9, 0, 1, 1, 0]),
+                      "symbol 9 out of alphabet"),
+    "rw_bwt_encode": (lambda m: rw_bwt_encode(_S, m), _RW, bytes(_S[:3] + [255] + _S[4:]),
+                      "symbol 255 out of alphabet"),
+    "rw_suffix_array": (lambda m: rw_suffix_array(_S, m), _RW, bytes(_S[:5] + [255] + _S[6:]),
+                        "symbol 255 out of alphabet"),
+    # The tape holds ranks plus two, so no sentinel (byte 0).
+    "rw_bwt_invert": (lambda m: rw_bwt_invert(_T_S, m), _RW, bytes(c + 2 for c in _T_S),
+                      "expected exactly one sentinel"),
+    "mtf_rle_ac_encode_stream": (lambda m: mtf_rle_ac_encode_stream(m, 4),
+                                 (ModelKind.STANDARD, 0), bytes([3, 1, 7, 0, 2]),
+                                 "symbol 7 out of alphabet"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIEN_TAPES))
+def test_stage_refuses_a_tape_outside_its_alphabet(name):
+    run, (model, work_tapes), tape, message = ALIEN_TAPES[name]
+    machine = Machine(MachineConfig(model, memory_budget_bits=1 << 20, work_tapes=work_tapes), tape)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(machine)
+    # The stage reads its tape before the first pass and leaves nothing charged.
+    assert machine.ledger().passes == 0
+    machine.charge_memory(machine.config.memory_budget_bits)
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_every_pipeline_releases_what_it_charged(name):
     # Charging the whole budget succeeds only if the stage left nothing held.
@@ -356,7 +390,7 @@ def test_every_pipeline_releases_what_it_charged(name):
 def test_streamsort_and_failed_block_release_what_they_charged():
     s, _ = ranks_of("mississippi")
     machine = default_streamsort_machine(bytes(s))
-    streamsort_st(s, 2, machine)
+    streamsort_st(s, 2, machine, sigma=4)
     machine.charge_memory(machine.config.memory_budget_bits)
     machine = _standard(bytes([0, 1, 9]))
     with pytest.raises(ValueError, match="symbol 9 out of alphabet"):

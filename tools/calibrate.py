@@ -18,18 +18,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from sbc.adversary import db_power, de_bruijn, separation_experiment
 from sbc.entropy import hk
 from sbc.machine import Machine, MachineConfig, ModelKind
-from sbc.pipelines import BlockPlan, block_encode, encode_bwt_dc_ac, encode_bwt_mtf_rle_ac
+from sbc.pipelines import BlockPlan, block_encode, encode_bwt_dc_ac, encode_bwt_mtf_rle_ac, ranks_of
 from sbc.stream_bwt import default_rw_machine, rw_bwt_encode
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus")
-
-
-def ranks_of(data):
-    alphabet = sorted(set(data))
-    index = {b: i for i, b in enumerate(alphabet)}
-    return [index[b] for b in data], len(alphabet)
 
 
 def measure():
@@ -73,7 +67,7 @@ def measure():
     for name in sorted(os.listdir(CORPUS)):
         with open(os.path.join(CORPUS, name), "rb") as fh:
             data = fh.read()
-        ranks, sigma = ranks_of(data)
+        ranks, sigma, _ = ranks_of(data)
         n = len(ranks)
         size_mtf = 8 * len(encode_bwt_mtf_rle_ac(ranks, sigma))
         size_dc = 8 * len(encode_bwt_dc_ac(ranks, sigma))
