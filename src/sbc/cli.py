@@ -231,6 +231,10 @@ def _render_triples(triples) -> str:
     return "\n".join(lines)
 
 
+def _render_ranked(records) -> str:
+    return "\n".join(f"{pos}\t{rank}\t{_render_char(c)}" for pos, rank, c in records)
+
+
 def _cmd_simulate(args) -> int:
     if args.algo in ("sort-chars", "sort-numbers"):
         _reject_flags(args, _MACHINE_FLAGS,
@@ -238,21 +242,20 @@ def _cmd_simulate(args) -> int:
     data = _read_input(args.input)
     out_lines: List[str] = []
 
-    def on_round(triples):
-        if args.trace:
-            out_lines.append(_render_triples(triples))
-            out_lines.append("")
+    def on_round(render):
+        """The hook that renders each round's tape for --trace, or None."""
+        return (lambda rows: out_lines.extend((render(rows), ""))) if args.trace else None
 
     if args.algo == "rw-bwt":
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
-        result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round)
+        result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round(_render_ranked))
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-unbwt":
         marker = 0xFF if 0xFF in data else ord("#")
         body = [tr.SENTINEL if b == marker else b for b in data]
         machine = _machine_for(ModelKind.READ_WRITE, bytes(c + 1 for c in body), 4,
                                args.memory_budget_bits, args.trace)
-        result = sbwt.rw_bwt_invert(body, machine, on_round=on_round)
+        result = sbwt.rw_bwt_invert(body, machine, on_round=on_round(_render_triples))
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-sa":
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)

@@ -1,26 +1,35 @@
 """Prefix-doubling transform computation on read-write tape machines.
 
-Both directions run one doubling round, :func:`_round` (copy the current
-tape twice, sort one copy by the right component and the other by the
-left, ties by identifier, and join them row by row), inside one working
-scope, :func:`_working`; they differ in the join and in what follows it.
+Both directions run in one working scope, :func:`_working`.  The forward
+direction is prefix doubling by position with resolved records set aside
+(Dementiev, Kärkkäinen, Mehnert & Sanders, "Better external memory suffix
+array construction", ACM JEA 12, 2008).  Position i of x = s+sentinel
+(length m) is the record (tag i+1, next char x[i+1 mod m], pending flag,
+rank), kept in position order.  The rank orders the cyclic backward string
+x[i] x[i-1] ... of length h: first x[i] shifted up by one (the sentinel 0),
+then one plus the number of smaller strings.  A record is pending while its
+string is not unique.  A round copies the tape and joins each pending
+record i with record i-h in one pass over the tape and its copy, the copy's
+head h records behind.  The first h take partner rank 0.  That is exact: a
+string reaching past position 0 holds the unique sentinel, so it is no
+longer pending, and record h-1's true partner, the sentinel's, ranks
+lowest.  Only the joined records are sorted by (rank, partner) and
+renumbered: a run of equal pairs takes its group's rank plus its offset in
+the group (in round 1, its first index plus one), and a run of one is
+resolved.  They are sorted back by position and merged into the tape in one
+pass.  Strings of length m-1 are unique, so nothing is pending after at
+most max(1, ceil(log2(m-1))) rounds; one sort by rank then puts the next
+chars (the transform) or the tags mod m (the suffix array) on the output
+tape.
 
-The forward direction tags every character of s+sentinel with its position
-and forms triples (tagged char, 1, tagged successor).  Each round's join
-zips the two copies into quintuples, which are sorted by (fourth, third
-character ignoring identifiers, second), with remaining ties broken by the
-left identifier, then renumbered in their middle triples with 1, 2, ...
-increasing whenever the middle differs from its predecessor.  The rank a
-middle number carries doubles its reach each round, so after at most
-ceil(log2(n+1)) rounds the numbers are 1..n+1 and the right components, in
-tape order, are the transform.
-
-Inversion seeds triples from the stable sort of the transform (which pairs
-every character with its predecessor), marks all positions unknown except
-the sentinel's, and propagates known positions through the round with a
-join that resolves them: an unknown left position lies ``offset`` places
-before a known middle position, and ``offset`` doubles every round.  When
-every position is known, sorting by position and projecting the left
+Inversion seeds triples (tagged left char, mid, tagged right char) from
+the stable sort of the transform (which pairs every character with its
+predecessor), marks all positions unknown except the sentinel's, and
+propagates known positions.  A round copies the tape twice, sorts one
+copy by the right component and the other by the left, and joins them row
+by row, resolving positions: an unknown left position lies ``offset``
+places before a known middle position, and ``offset`` doubles every round.
+When every position is known, sorting by position and projecting the left
 characters recovers the string.
 
 All tape sorting is :func:`sbc.machine.tape_merge_sort`, whose ledger
@@ -31,13 +40,11 @@ calls; the record-by-record merge is the test oracle.  Tape contents in
 the middle of a sort are not part of the contract; the passes, trace lines
 and tapes after it are.
 
-Records are fixed-width byte strings (32-bit identifiers realize the
-O(log n) fields), so byte-wise comparison equals field-wise comparison.
-The host does each round's per-record work with C-level builtins: sort
-keys are ``operator.itemgetter`` slices, joins and new triples are
-``map``s over ``add`` and one ``struct`` packing, renumbering takes its
-ranks from ``accumulate`` over signature changes, and resolving unpacks
-each mid column with one ``struct.unpack``.
+Records are fixed-width byte strings (32-bit ranks and identifiers realize
+the O(log n) fields), so byte-wise comparison equals field-wise comparison.
+The host does the per-record work with C-level builtins: ``itemgetter``
+slices, ``map``s over ``add``, ``compress`` and ``accumulate``, and one
+``struct`` call per column.
 """
 
 from __future__ import annotations
@@ -45,28 +52,22 @@ from __future__ import annotations
 import struct
 from contextlib import contextmanager
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, ne
+from operator import add, gt, itemgetter, ne, sub
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from .machine import (
-    INPUT,
-    WRITE,
-    Machine,
-    MachineConfig,
-    ModelKind,
-    held,
-    tape_merge_sort,
-)
+from .machine import INPUT, WRITE, Machine, MachineConfig, ModelKind, held, tape_merge_sort
 from .transforms import SENTINEL, _validate_ranks, cyclic_context_order
 
+_RANKED = struct.Struct(">IBBI")  # position tag, next char, pending flag, rank
+_FLAG_AND_RANK = struct.Struct(">BI")
 _TRIPLE = struct.Struct(">BIIBI")  # left char, left id, mid, right char, right id
 _RELINK = struct.Struct(">5sI5s")  # the same triple: tagged left, mid, tagged right
 _ID = struct.Struct(">I")
 _UNKNOWN = 0  # position marker; real positions are 1..n+1
 
-# Fixed working-register charge: a handful of records plus counters.  The
-# 32-bit identifier fields realize the logarithmic-width bookkeeping.
-_WORK_BITS = 8 * (_TRIPLE.size * 8) + 8 * (23 * 8) + 128
+# Fixed working-register charge, pinned at 2,496 bits: a few records of either
+# direction (10- and 13-byte forward records, 14-byte triples) plus counters.
+_WORK_BITS = 2496
 
 
 def default_rw_machine(input_data: bytes = b"") -> Machine:
@@ -81,11 +82,13 @@ def _working(machine: Optional[Machine], symbols: Sequence[int], shift: int,
     """The checked read-write machine of one run, holding the working charge.
 
     Builds the default machine over ``symbols`` shifted by ``shift`` only
-    when none is given; a given machine is checked against ``len(symbols)``
-    alone.  ``check`` then reads the input tape's symbols as bytes, before
-    any pass or charge.  The charge is released however the run ends.
+    when none is given, after refusing a symbol no byte can hold; a given
+    machine is checked against ``len(symbols)`` alone.  ``check`` then reads
+    the input tape's symbols as bytes, before any pass or charge.  The
+    charge is released however the run ends.
     """
     if machine is None:
+        _validate_ranks(symbols, 256 - shift, low=-shift)  # before bytes() refuses it in its own words
         machine = default_rw_machine(bytes(c + shift for c in symbols))
     machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols))
     check(bytes(map(itemgetter(0), machine.tapes[INPUT].records)))
@@ -93,105 +96,84 @@ def _working(machine: Optional[Machine], symbols: Sequence[int], shift: int,
         yield machine
 
 
-def _decode_triples(records: Sequence[bytes]) -> List[tuple]:
-    """Tape records as (left char, left id, mid, right char, right id) tuples.
-
-    Characters are ranks with -1 for the sentinel; an unknown mid is None.
-    """
-    out = []
-    for rec in records:
-        lc, lid, mid, rc, rid = _TRIPLE.unpack(rec)
-        out.append((lc - 1, lid, mid if mid != _UNKNOWN else None, rc - 1, rid))
-    return out
-
-
-# Fields of a triple record.
-_left_key = itemgetter(slice(0, 5))
-_mid_key = itemgetter(slice(5, 9))
-_right_key = itemgetter(slice(9, 14))
-_char_key = itemgetter(slice(0, 1))
-_left_and_mid = itemgetter(slice(0, 9))
-
-# Fields of a quintuple record, a triple's left and mid followed by a whole
-# triple.  Sort by fourth, third ignoring identifiers, second; final ties by
-# left id.  Equal signatures (second, third ignoring identifiers, fourth)
-# share a rank.
-_quint_key = itemgetter(slice(14, 18), slice(9, 10), slice(5, 9), slice(1, 5))
-_quint_signature = itemgetter(slice(5, 10), slice(14, 18))
-_quint_right = itemgetter(slice(18, 23))
+# Fields of a ranked record (tag, next char, pending flag, rank) and of a
+# joined record (rank, partner rank, tag, next char).  Tags are distinct and
+# joined records are written in tag order, so whole-record order is position
+# order on ranked records and the stable order by rank pair on joined ones.
+_record_key = itemgetter(slice(None))
+_tag_and_char = itemgetter(slice(0, 5))
+_pending = itemgetter(5)
+_rank_key = itemgetter(slice(6, 10))
+_pair_key = itemgetter(slice(0, 8))
+_joined_tag_and_char = itemgetter(slice(8, 13))
 
 
-def _mids(records: List[bytes]) -> tuple:
-    """The mid field of every triple record, as integers."""
-    return struct.unpack(f">{len(records)}I", b"".join(map(_mid_key, records)))
-
-
-def _round(machine: Machine, cur: str, copy1: str, copy2: str, scratch: str,
-           join: Callable[[List[bytes], List[bytes]], List[bytes]]) -> None:
-    """One doubling round: ``cur`` becomes ``join(by_right, by_left)``.
-
-    One pass copies ``cur`` onto ``copy1`` and ``copy2``; the copies are
-    sorted by right and by left component over ``cur`` and ``scratch``; one
-    pass reads both and writes the join to ``cur``.  Every tagged character
-    occurs exactly once as a right and once as a left, so the two sorted
-    copies align row by row.
-    """
-    with machine.begin_pass(cur) as rp, \
-            machine.begin_pass(copy1, mode=WRITE) as w1, \
-            machine.begin_pass(copy2, mode=WRITE) as w2:
-        records = rp.read_all()
-        w1.write_many(records)
-        w2.write_many(records)
-    tape_merge_sort(machine, copy1, _right_key, cur, scratch)
-    tape_merge_sort(machine, copy2, _left_key, cur, scratch)
-    with machine.begin_pass(copy1) as r1, \
-            machine.begin_pass(copy2) as r2, \
-            machine.begin_pass(cur, mode=WRITE) as out:
-        out.write_many(join(r1.read_all(), r2.read_all()))
-
-
-def _quintuples(by_right: List[bytes], by_left: List[bytes]) -> List[bytes]:
-    return list(map(add, map(_left_and_mid, by_right), by_left))
+def _decode_ranked(records: Sequence[bytes]) -> List[tuple]:
+    """Ranked records as (position, rank, next char) tuples; a sentinel char is -1."""
+    return [(tag - 1, rank, c - 1) for tag, c, _, rank in _RANKED.iter_unpack(b"".join(records))]
 
 
 def _encode(s: Sequence[int], machine: Optional[Machine],
-            on_round: Optional[Callable[[List[tuple]], None]], field: slice) -> List[bytes]:
-    """Run the forward doubling rounds, then write ``rec[field]`` of every
-    resolved record to the output tape in one pass; returns those fields."""
+            on_round: Optional[Callable[[List[tuple]], None]],
+            output: Callable[[List[bytes]], List[bytes]]) -> List[bytes]:
+    """Run the forward rounds, sort the tape by rank, and write ``output`` of
+    the (tag, next char) fields, in rank order, to the output tape; returns it."""
     m = len(s) + 1
     with _working(machine, s, 0, lambda tape: _validate_ranks(tape, None)) as machine:
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
             chars = [rec[0] + 1 for rec in src.read_all()] + [0]  # shifted; sentinel is 0
-            # Position i is tagged i + 1; its successor is position (i + 1) mod m.
-            dst.write_many(list(map(_TRIPLE.pack, chars, range(1, m + 1), repeat(1),
-                                    chars[1:] + chars[:1], chain(range(2, m + 1), (1,)))))
+            dst.write_many(list(map(_RANKED.pack, count(1), chars[1:] + chars[:1], repeat(1), chars)))
 
-        cur, spare1, spare2, spare3 = "work0", "work1", "work2", "work3"
-        rank = 1  # every middle starts at 1; resolved when the ranks reach m
-        rounds = 0
-        max_rounds = max(1, (m - 1).bit_length()) + 1
-        while rank < m:
-            rounds += 1
-            if rounds > max_rounds:  # pragma: no cover - the doubling argument forbids it
+        tape, copy, joined, spare = "work0", "work1", "work2", "work3"
+        for rounds in count(1):
+            h = 1 << (rounds - 1)  # the ranks order backward strings of length h
+            if rounds > max(1, (m - 1).bit_length()):  # pragma: no cover - the doubling argument forbids it
                 raise AssertionError("doubling failed to resolve in the round bound")
-            _round(machine, cur, spare1, spare2, spare3, _quintuples)
-            tape_merge_sort(machine, cur, _quint_key, spare1, spare3)
-            with machine.begin_pass(cur) as rp, machine.begin_pass(spare1, mode=WRITE) as out:
-                quints = rp.read_all()
-                sigs = list(map(_quint_signature, quints))
-                # The rank rises by one wherever the signature differs from its predecessor.
-                ranks = list(accumulate(map(ne, sigs, chain((None,), sigs))))
-                rank = ranks[-1]
-                out.write_many(list(map(_RELINK.pack, map(_left_key, quints), ranks,
-                                        map(_quint_right, quints))))
-            cur, spare1 = spare1, cur
+            with machine.begin_pass(tape) as rp, machine.begin_pass(copy, mode=WRITE) as w:
+                w.write_many(rp.read_all())
+            with machine.begin_pass(tape) as rp, machine.begin_pass(copy) as lag, \
+                    machine.begin_pass(joined, mode=WRITE) as out:
+                recs = rp.read_all()
+                flags = list(map(_pending, recs))
+                pending = list(compress(recs, flags))
+                partners = map(_rank_key, compress(chain(repeat(bytes(10), h), lag.read_all()), flags))
+                out.write_many(list(map(add, map(add, map(_rank_key, pending), partners),
+                                        map(_tag_and_char, pending))))
+            tape_merge_sort(machine, joined, _record_key, copy, spare)
+            with machine.begin_pass(joined) as rp, machine.begin_pass(copy, mode=WRITE) as out:
+                pairs = rp.read_all()
+                sigs = list(map(_pair_key, pairs))
+                fresh = list(map(ne, sigs, chain((None,), sigs)))
+                # Per run of equal pairs: its first index on this tape and its size.
+                firsts = list(compress(count(), fresh))
+                sizes = list(map(sub, chain(firsts[1:], (len(pairs),)), firsts))
+                if rounds == 1:  # the whole tape: a run's rank is its first index plus one
+                    ranks = list(map(add, firsts, repeat(1)))
+                else:  # whole groups: a run's rank is its group's plus its offset in the group
+                    olds = struct.unpack(f">{2 * len(firsts)}I", b"".join(compress(sigs, fresh)))[::2]
+                    group_first = dict(zip(reversed(olds), reversed(firsts)))
+                    ranks = list(map(sub, map(add, olds, firsts), map(group_first.__getitem__, olds)))
+                tails = [None] + list(map(_FLAG_AND_RANK.pack, map(gt, sizes, repeat(1)), ranks))
+                out.write_many(list(map(add, map(_joined_tag_and_char, pairs),
+                                        map(tails.__getitem__, accumulate(fresh)))))
+            tape_merge_sort(machine, copy, _record_key, joined, spare)
+            # The renumbered records, in position order, take the pending slots.
+            with machine.begin_pass(tape) as rp, machine.begin_pass(copy) as rn, \
+                    machine.begin_pass(joined, mode=WRITE) as out:
+                recs = rp.read_all()
+                for slot, rec in zip(compress(count(), flags), rn.read_all()):
+                    recs[slot] = rec
+                out.write_many(recs)
+            tape, joined = joined, tape
             if on_round is not None:
-                on_round(_decode_triples(machine.tapes[cur].records))
-
-        with machine.begin_pass(cur) as rp:
-            fields = list(map(itemgetter(field), rp.read_all()))
+                on_round(_decode_ranked(machine.tapes[tape].records))
+            if max(sizes) == 1:
+                break
+        tape_merge_sort(machine, tape, _rank_key, copy, spare)
+        with machine.begin_pass(tape) as rp:
+            fields = output(list(map(_tag_and_char, rp.read_all())))
             machine.write_output(*fields)
-    return fields
+        return fields
 
 
 def rw_bwt_encode(s: Sequence[int], machine: Optional[Machine] = None,
@@ -199,8 +181,10 @@ def rw_bwt_encode(s: Sequence[int], machine: Optional[Machine] = None,
     """Compute the backward-context transform of s+sentinel on tape.
 
     A given machine's input tape is the input; ``s`` gives only its length.
+    ``on_round`` receives each round's tape as :func:`_decode_ranked` tuples.
     """
-    return [f[0] - 1 for f in _encode(s, machine, on_round, slice(9, 10))]
+    next_chars = _encode(s, machine, on_round, lambda tails: [t[4:5] for t in tails])
+    return [c - 1 for c in b"".join(next_chars)]
 
 
 def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List[int]:
@@ -208,7 +192,29 @@ def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List
 
     A given machine's input tape is the input; ``s`` gives only its length.
     """
-    return [int.from_bytes(f, "big") - 1 for f in _encode(s, machine, None, slice(10, 14))]
+    m = len(s) + 1  # record i ranks the context of position i+1 mod m, its tag mod m
+    positions = _encode(s, machine, None, lambda tails: [
+        _ID.pack(int.from_bytes(t[:4], "big") % m) for t in tails])
+    return [int.from_bytes(p, "big") for p in positions]
+
+
+# Fields of a triple record.
+_left_key = itemgetter(slice(0, 5))
+_mid_key = itemgetter(slice(5, 9))
+_right_key = itemgetter(slice(9, 14))
+_char_key = itemgetter(slice(0, 1))
+
+
+def _decode_triples(records: Sequence[bytes]) -> List[tuple]:
+    """Triple records as (left char, left id, mid, right char, right id) tuples:
+    characters as ranks with -1 for the sentinel, an unknown mid as None."""
+    return [(lc - 1, lid, mid if mid != _UNKNOWN else None, rc - 1, rid)
+            for lc, lid, mid, rc, rid in _TRIPLE.iter_unpack(b"".join(records))]
+
+
+def _mids(records: List[bytes]) -> tuple:
+    """The mid field of every triple record, as integers."""
+    return struct.unpack(f">{len(records)}I", b"".join(map(_mid_key, records)))
 
 
 def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
@@ -239,29 +245,37 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
 
         offset = 1  # tape-mates are this many string positions apart
         unknown = m - 1  # every position but the seeded one
-
-        def resolve(by_right: List[bytes], by_left: List[bytes]) -> List[bytes]:
-            nonlocal unknown
-            # An unknown left position sits `offset` places before the shared
-            # middle; a known middle position resolves it.
-            new = [x or (y - offset if y > offset else _UNKNOWN)
-                   for x, y in zip(_mids(by_right), _mids(by_left))]
-            unknown = new.count(_UNKNOWN)
-            return list(map(_RELINK.pack, map(_left_key, by_right), new, map(_right_key, by_left)))
-
-        cur, spare1, spare2, spare3 = "work1", "work0", "work2", "work3"
-        rounds = 0
-        max_rounds = max(1, (m - 1).bit_length()) + 2
-        while unknown:
-            rounds += 1
-            if rounds > max_rounds:
-                raise ValueError("not a valid transform image: positions never resolve")
-            _round(machine, cur, spare1, spare2, spare3, resolve)
+        cur, copy1, copy2, scratch = "work1", "work0", "work2", "work3"
+        for _ in range(max(1, (m - 1).bit_length()) + 2):
+            if not unknown:
+                break
+            # One pass copies the tape twice; the copies are sorted by right
+            # and by left component.  Every tagged character occurs once as a
+            # right and once as a left, so the sorted copies align row by row.
+            with machine.begin_pass(cur) as rp, \
+                    machine.begin_pass(copy1, mode=WRITE) as w1, \
+                    machine.begin_pass(copy2, mode=WRITE) as w2:
+                records = rp.read_all()
+                w1.write_many(records)
+                w2.write_many(records)
+            tape_merge_sort(machine, copy1, _right_key, cur, scratch)
+            tape_merge_sort(machine, copy2, _left_key, cur, scratch)
+            with machine.begin_pass(copy1) as r1, machine.begin_pass(copy2) as r2, \
+                    machine.begin_pass(cur, mode=WRITE) as out:
+                by_right, by_left = r1.read_all(), r2.read_all()
+                # An unknown left position sits `offset` places before the
+                # shared middle; a known middle position resolves it.
+                new = [x or (y - offset if y > offset else _UNKNOWN)
+                       for x, y in zip(_mids(by_right), _mids(by_left))]
+                unknown = new.count(_UNKNOWN)
+                out.write_many(list(map(_RELINK.pack, map(_left_key, by_right), new,
+                                        map(_right_key, by_left))))
             offset <<= 1
             if on_round is not None:
                 on_round(_decode_triples(machine.tapes[cur].records))
-
-        tape_merge_sort(machine, cur, _mid_key, spare1, spare3)
+        if unknown:
+            raise ValueError("not a valid transform image: positions never resolve")
+        tape_merge_sort(machine, cur, _mid_key, copy1, scratch)
         with machine.begin_pass(cur) as rp:
             recs = rp.read_all()
             # Sorted by position, the tape must hold positions 1..m; the
@@ -288,12 +302,10 @@ def sort_chars_via_bwt(s: Sequence[int]) -> List[int]:
     second components after the first row; those come out in nondecreasing
     order because the pairs sort by their predecessors' first components.
     """
-    s = list(s)
-    n = len(s)
-    if n == 0:
+    ext = [SENTINEL, *s]
+    m = len(ext)
+    if m == 1:
         return []
-    ext = [SENTINEL] + s
-    m = n + 1
     pairs = [(ext[(j + 1) % m], ext[j]) for j in range(m)]
     order = cyclic_context_order(pairs, backward=True)
     out = [pairs[p][1] for p in order]
@@ -316,9 +328,8 @@ def sort_numbers_via_bwt(xs: Sequence[int]) -> List[int]:
     n = len(xs)
     if n < 2 or n & (n - 1):
         raise ValueError("need a power-of-two count of numbers, at least 2")
-    logn = n.bit_length() - 1
-    width_x = 2 * logn
-    width_i = logn
+    width_i = n.bit_length() - 1
+    width_x = 2 * width_i
     width_j = max(1, (width_x - 1).bit_length())
     for x in xs:
         if not 0 <= x < (1 << width_x):
@@ -332,19 +343,8 @@ def sort_numbers_via_bwt(xs: Sequence[int]) -> List[int]:
         xbits = bits(x, width_x)
         ibits = bits(i, width_i)
         for j in range(width_x):
-            g.append(xbits[j])
-            g.append(2)
-            g.extend(xbits)
-            g.extend(ibits)
-            g.extend(bits(j, width_j))
+            g += [xbits[j], 2, *xbits, *ibits, *bits(j, width_j)]
 
     order = cyclic_context_order(g, backward=False)
-    tail_len = n * width_x
-    tail = [g[p] for p in order[len(order) - tail_len:]]
-    out = []
-    for t in range(n):
-        value = 0
-        for b in tail[t * width_x:(t + 1) * width_x]:
-            value = (value << 1) | b
-        out.append(value)
-    return out
+    tail = "".join(str(g[p]) for p in order[len(order) - n * width_x:])
+    return [int(tail[t:t + width_x], 2) for t in range(0, len(tail), width_x)]

@@ -131,6 +131,7 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     sums the passes of every k, and its peak is the largest of any k.
     """
     s = list(s)
+    _validate_ranks(s, sigma)  # s is loaded onto the tape before each k
     if machine is None:
         machine = default_streamsort_machine(bytes(s))
     machine.require(ModelKind.STREAM_SORT)

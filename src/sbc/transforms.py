@@ -35,11 +35,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 SENTINEL = -1
 
 
-def _validate_ranks(s: Sequence[int], sigma: Optional[int]) -> None:
+def _validate_ranks(s: Sequence[int], sigma: Optional[int], low: int = 0) -> None:
     # Rank 255 is reserved so that the shifted encoding rank+1 fits a byte.
     limit = 255 if sigma is None else sigma
-    if s and not (0 <= min(s) and max(s) < limit):
-        bad = next(c for c in s if not 0 <= c < limit)
+    if s and not (low <= min(s) and max(s) < limit):
+        bad = next(c for c in s if not low <= c < limit)
         raise ValueError(f"symbol {bad!r} out of alphabet")
 
 

@@ -363,6 +363,12 @@ def test_simulate_trace_emits_rounds():
     lines = [l for l in text.splitlines() if "\t" in l]
     assert len(lines) == 3 * 12  # three rounds of twelve records
     assert all(len(l.split("\t")) == 3 for l in lines)
+    # Position, rank and next char, in position order; the last round ranks
+    # every record apart, and its next chars in rank order are the transform.
+    assert lines[24:] == [
+        "0\t6\ti", "1\t2\ts", "2\t9\ts", "3\t11\ti", "4\t4\ts", "5\t10\ts",
+        "6\t12\ti", "7\t5\tp", "8\t7\tp", "9\t8\ti", "10\t3\t#", "11\t1\tm",
+    ]
 
 
 def test_simulate_sorts():

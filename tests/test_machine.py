@@ -26,7 +26,8 @@ from sbc.stream_bwt import (
     _char_key,
     _left_key,
     _mid_key,
-    _quint_key,
+    _rank_key,
+    _record_key,
     _right_key,
     rw_bwt_encode,
     rw_bwt_invert,
@@ -291,17 +292,20 @@ def test_tape_merge_sort_matches_faithful_merge():
 
 
 def test_tape_merge_sort_matches_faithful_merge_on_doubling_keys():
-    # The prefix-doubling sorts' own keys, the tuple key among them.  Every
-    # other record copies its key fields from an earlier one, so keys repeat
-    # while the records differ.  Sizes around powers of two make the last
-    # level split off a one-record run.
+    # The prefix-doubling sorts' own keys.  Every other record copies its key
+    # fields from an earlier one, so keys repeat; a whole-record key repeats
+    # whole records.
+    # Sizes around powers of two make the last level split off a one-record
+    # run.
     rng = random.Random(23)
     cases = [
         (14, _left_key, [slice(0, 5)]),
         (14, _mid_key, [slice(5, 9)]),
         (14, _right_key, [slice(9, 14)]),
         (5, _char_key, [slice(0, 1)]),
-        (23, _quint_key, [slice(14, 18), slice(9, 10), slice(5, 9), slice(1, 5)]),
+        (10, _record_key, [slice(0, 10)]),
+        (13, _record_key, [slice(0, 13)]),
+        (10, _rank_key, [slice(6, 10)]),
     ]
     for j in range(1, 8):
         for n in (2 ** j - 1, 2 ** j, 2 ** j + 1):

@@ -32,7 +32,7 @@ from sbc.pipelines import (
     write_varint,
 )
 from sbc.stream_bwt import default_rw_machine, rw_bwt_encode, rw_bwt_invert, rw_suffix_array
-from sbc.stream_st import default_streamsort_machine, streamsort_st
+from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
 from sbc.transforms import bwt, st
 
 
@@ -373,6 +373,20 @@ def test_stage_refuses_a_tape_outside_its_alphabet(name):
     # The stage reads its tape before the first pass and leaves nothing charged.
     assert machine.ledger().passes == 0
     machine.charge_memory(machine.config.memory_budget_bits)
+
+
+@pytest.mark.parametrize("run, message", [
+    pytest.param(lambda: rw_bwt_encode([0, 256, 1]), "symbol 256 out of alphabet", id="encode-256"),
+    pytest.param(lambda: rw_bwt_encode([0, -1, 1]), "symbol -1 out of alphabet", id="encode-neg"),
+    pytest.param(lambda: rw_bwt_invert([0, -1, 255]), "symbol 255 out of alphabet", id="invert-255"),
+    pytest.param(lambda: streamsort_st_best_k([0, 300, 1], 2, sigma=2),
+                 "symbol 300 out of alphabet", id="best-k-300"),
+])
+def test_default_machine_refuses_a_symbol_no_byte_holds(run, message):
+    # With no machine given, a stage builds its default machine from its
+    # argument, and names a symbol that no tape byte can hold before it does.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run()
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))

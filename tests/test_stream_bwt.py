@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from itertools import product
 
 import pytest
@@ -21,27 +22,22 @@ from sbc.transforms import SENTINEL, bwt, bwt_inverse
 
 MISSISSIPPI_RANKS, MISSISSIPPI_ALPHABET = ranks_of("mississippi")
 
-# Intermediate tape states for the running example, one tuple per record:
-# (left char, left id, mid, right char, right id), "?" positions as None.
-# Tie groups inside a round may be ordered arbitrarily, so comparisons
-# canonicalize by sorting within equal-mid groups.
+# Intermediate tape states for the running example.  Encode rounds: one
+# (position, rank, next char) tuple per record, in tape (position) order;
+# the rank is one plus the number of positions whose backward string is
+# smaller.  Invert rounds: (left char, left id, mid, right char, right id),
+# "?" positions as None.
 ENCODE_ROUND_1 = [
-    ("i", 11, 1, "m", 1), ("m", 1, 2, "s", 3), ("s", 4, 2, "s", 6),
-    ("s", 7, 2, "p", 9), ("p", 10, 2, "#", 12), ("#", 12, 3, "i", 2),
-    ("i", 8, 4, "p", 10), ("p", 9, 4, "i", 11), ("i", 2, 5, "s", 4),
-    ("s", 3, 5, "i", 5), ("i", 5, 5, "s", 7), ("s", 6, 5, "i", 8),
+    (0, 6, "i"), (1, 2, "s"), (2, 9, "s"), (3, 11, "i"), (4, 4, "s"), (5, 9, "s"),
+    (6, 11, "i"), (7, 4, "p"), (8, 7, "p"), (9, 8, "i"), (10, 3, "#"), (11, 1, "m"),
 ]
 ENCODE_ROUND_2 = [
-    ("p", 9, 1, "m", 1), ("i", 11, 2, "s", 3), ("i", 8, 3, "#", 12),
-    ("i", 2, 4, "s", 6), ("i", 5, 4, "p", 9), ("p", 10, 5, "i", 2),
-    ("s", 6, 6, "p", 10), ("s", 7, 7, "i", 11), ("#", 12, 8, "s", 4),
-    ("s", 3, 9, "s", 7), ("m", 1, 10, "i", 5), ("s", 4, 10, "i", 8),
+    (0, 6, "i"), (1, 2, "s"), (2, 9, "s"), (3, 11, "i"), (4, 4, "s"), (5, 10, "s"),
+    (6, 12, "i"), (7, 4, "p"), (8, 7, "p"), (9, 8, "i"), (10, 3, "#"), (11, 1, "m"),
 ]
 ENCODE_ROUND_3 = [
-    ("i", 5, 1, "m", 1), ("s", 7, 2, "s", 3), ("s", 4, 3, "#", 12),
-    ("p", 10, 4, "s", 6), ("m", 1, 5, "p", 9), ("s", 6, 6, "i", 2),
-    ("i", 2, 7, "p", 10), ("s", 3, 8, "i", 11), ("i", 8, 9, "s", 4),
-    ("i", 11, 10, "s", 7), ("p", 9, 11, "i", 5), ("#", 12, 12, "i", 8),
+    (0, 6, "i"), (1, 2, "s"), (2, 9, "s"), (3, 11, "i"), (4, 4, "s"), (5, 10, "s"),
+    (6, 12, "i"), (7, 5, "p"), (8, 7, "p"), (9, 8, "i"), (10, 3, "#"), (11, 1, "m"),
 ]
 INVERT_ROUND_1 = [
     ("i", 8, 11, "m", 1), ("m", 1, None, "s", 2), ("p", 7, None, "#", 3),
@@ -69,16 +65,13 @@ INVERT_ROUND_4 = [
 ]
 
 
+def _letter(c):
+    return "#" if c == SENTINEL else MISSISSIPPI_ALPHABET[c]
+
+
 def named(triples):
     """Library triples (rank chars) to the letter form used in the tables."""
-    def ch(c):
-        return "#" if c == SENTINEL else MISSISSIPPI_ALPHABET[c]
-    return [(ch(lc), lid, mid, ch(rc), rid) for lc, lid, mid, rc, rid in triples]
-
-
-def canonical(rows):
-    """Sort within equal-mid groups; arbitrary tie-break order is not contractual."""
-    return sorted(rows, key=lambda r: (r[2] if r[2] is not None else 0, r[0], r[1]))
+    return [(_letter(lc), lid, mid, _letter(rc), rid) for lc, lid, mid, rc, rid in triples]
 
 
 def test_encode_mississippi_final_string():
@@ -88,11 +81,9 @@ def test_encode_mississippi_final_string():
 
 def test_encode_mississippi_round_tapes():
     rounds = []
-    rw_bwt_encode(MISSISSIPPI_RANKS, on_round=lambda tr: rounds.append(named(tr)))
-    expected = [ENCODE_ROUND_1, ENCODE_ROUND_2, ENCODE_ROUND_3]
-    assert len(rounds) == len(expected)
-    for got, want in zip(rounds, expected):
-        assert canonical(got) == canonical(want)
+    rw_bwt_encode(MISSISSIPPI_RANKS,
+                  on_round=lambda rows: rounds.append([(p, r, _letter(c)) for p, r, c in rows]))
+    assert rounds == [ENCODE_ROUND_1, ENCODE_ROUND_2, ENCODE_ROUND_3]
 
 
 def test_invert_mississippi_round_tapes():
@@ -174,9 +165,10 @@ def test_invert_rejects_non_images():
 
 
 def test_round_count_bound():
+    # Backward strings of length n are unique, so ceil(log2 n) rounds suffice.
     rng = random.Random(10)
     for n in [2**8, 2**10, 2**12]:
-        bound = math.ceil(math.log2(n + 1))
+        bound = math.ceil(math.log2(n))
         for s in ([0] * n, [rng.randrange(2) for _ in range(n)]):
             rounds = []
             rw_bwt_encode(s, on_round=lambda tr: rounds.append(1))
@@ -190,20 +182,34 @@ def test_round_count_bound():
 def test_pass_count_shape(calibration):
     a = calibration["rw_pass_a"]
     b = calibration["rw_pass_b"]
-    for n in [2**8, 2**10, 2**12]:
+    for n in [2**8, 2**9, 2**10, 2**11, 2**12]:
         machine = default_rw_machine(bytes(n))
         rw_bwt_encode([0] * n, machine)
         level = math.ceil(math.log2(n + 1))
         assert machine.ledger().passes <= a * level * level + b
+        # Exactly: two passes load the tape; each of the ceil(log2 n) rounds
+        # copies (2), joins (3), renumbers (2) and merges (3), and sorts its
+        # pending records by pair and back by position (6 per level each);
+        # one sort by rank and one output pass end the run.  Round 1 joins
+        # all n+1 records, round r the n - 2^(r-1) + 1 whose all-zero
+        # backward string of length 2^(r-1) does not reach the sentinel.
+        rounds = math.ceil(math.log2(n))
+        pending = [n + 1] + [n - 2 ** (r - 1) + 1 for r in range(2, rounds + 1)]
+        sort_levels = sum(math.ceil(math.log2(u)) for u in pending)
+        assert machine.ledger().passes == 3 + 10 * rounds + 12 * sort_levels + 6 * level
 
 
 def test_suffix_array_matches_context_sort():
     rng = random.Random(11)
     assert rw_suffix_array([0, 1]) == oracle_backward_sort([0, 1, SENTINEL])
+    # Every ternary string up to length 8 puts the sentinel at every offset
+    # from the lagged join's zero partners.
     for length in range(0, 9):
-        for bits in product(range(2), repeat=length):
-            s = list(bits)
-            assert rw_suffix_array(s) == oracle_backward_sort(s + [SENTINEL])
+        for chars in product(range(3), repeat=length):
+            extended = list(chars) + [SENTINEL]
+            order = oracle_backward_sort(extended)
+            assert rw_suffix_array(chars) == order
+            assert rw_bwt_encode(chars) == [extended[i] for i in order]
     for _ in range(50):
         s = [rng.randrange(3) for _ in range(rng.randrange(0, 64))]
         assert rw_suffix_array(s) == oracle_backward_sort(s + [SENTINEL])
@@ -261,10 +267,10 @@ def _traced_run(fn, arg, on_round=None):
 
 # A de Bruijn power takes the most doubling rounds (the benchmark's
 # `repetitive` input is one).  Its round tapes are pinned by sha256 of their
-# repr, as computed by the record-by-record renumbering and resolve loops.
+# repr, the inverse's as computed by the record-by-record resolve loop.
 DEEPEST = db_power(de_bruijn(2, 6), 2)
 DEEPEST_ROUNDS = {
-    "rw_bwt_encode": (7, "490fa6d2bd791f6111903834d6a3b471b011df3a786841bf251fba2435ecf198"),
+    "rw_bwt_encode": (7, "faebdb44f5680e3aea806a43b6914bf7fb19ba48b7cb60fd70f5c0fbf1d42c58"),
     "rw_bwt_invert": (8, "022e02f80aa16333884335aa3a1048b975715a9840c0560083cdb3063b859d01"),
 }
 
@@ -294,6 +300,34 @@ def test_rw_runs_match_faithful_merge_sort(monkeypatch):
             assert got == DEEPEST_ROUNDS
 
 
+def backward_rank_rounds(s):
+    """Every encode round's tape straight from the definition.
+
+    After round r the rank of position i is one plus the number of positions
+    whose cyclic backward string x[j] x[j-1] ... of length 2**r, x =
+    s+sentinel, is smaller than position i's; rows are (position, rank, next
+    char), in position order.  Rounds go on until every rank is distinct.
+    """
+    x = list(s) + [SENTINEL]
+    m = len(x)
+    rounds, length = [], 1
+    while not rounds or len({rank for _, rank, _ in rounds[-1]}) < m:
+        length *= 2
+        strings = [tuple(x[(i - j) % m] for j in range(length)) for i in range(m)]
+        ordered = sorted(strings)
+        rounds.append([(i, 1 + bisect_left(ordered, strings[i]), x[(i + 1) % m]) for i in range(m)])
+    return rounds
+
+
+def test_encode_round_tapes_match_backward_string_ranks():
+    rng = random.Random(12)
+    inputs = [[], [0], MISSISSIPPI_RANKS, DEEPEST, [rng.randrange(3) for _ in range(200)]]
+    for s in inputs:
+        rounds = []
+        rw_bwt_encode(s, on_round=rounds.append)
+        assert rounds == backward_rank_rounds(s)
+
+
 # Ledgers of the read-write runs, pinned: passes, peak charged bits, output
 # bits, then the count, sum and sha256 of per_pass_tape_bits (comma-joined)
 # and the sha256 of the newline-joined trace lines.  A change that moves any
@@ -301,9 +335,9 @@ def test_rw_runs_match_faithful_merge_sort(monkeypatch):
 # hashes were computed after passes were numbered in the order they close.
 GOLDEN_LEDGERS = {
     ("mississippi", "rw_bwt_encode"): (
-        243, 2496, 96, 243, 275224,
-        "747b693d79524dee240a8c32f31d184699874a3bcaaf4cc750ec0ebb068fef49",
-        "3c73a5ed40a5fc828b9306a18551f522efca661712f7bb3caff528b11cac6cf6",
+        153, 2496, 96, 153, 92056,
+        "dfdb9e32ca9f73f4453f57e26ce165c6bf9317210e4ef29d77a8bb7a8c401c94",
+        "c40daacccd486fe504e3c44a5cb14e17025dde2bdaf36e21d03e9f8beb84a3fd",
     ),
     ("mississippi", "rw_bwt_invert"): (
         270, 2496, 88, 270, 237312,
@@ -311,14 +345,14 @@ GOLDEN_LEDGERS = {
         "cecaed4e1405adf126b2239c4cedf4665779cca0d4c61b5ef9dacc0857a8a1f6",
     ),
     ("mississippi", "rw_suffix_array"): (
-        243, 2496, 384, 243, 275224,
-        "747b693d79524dee240a8c32f31d184699874a3bcaaf4cc750ec0ebb068fef49",
-        "3c73a5ed40a5fc828b9306a18551f522efca661712f7bb3caff528b11cac6cf6",
+        153, 2496, 384, 153, 92056,
+        "dfdb9e32ca9f73f4453f57e26ce165c6bf9317210e4ef29d77a8bb7a8c401c94",
+        "c40daacccd486fe504e3c44a5cb14e17025dde2bdaf36e21d03e9f8beb84a3fd",
     ),
     ("random300", "rw_bwt_encode"): (
-        683, 2496, 2408, 683, 19006336,
-        "2151d5f93eba78b33cfc28bcdf49e84f77441ec0ba1da2b777c986bfda60fe5e",
-        "3a67a13d07b7acc0afe716e6244d42d41a9fa431eccbaefb81d3f87775a5522b",
+        399, 2496, 2408, 399, 6803536,
+        "b27c307721d40b48c5723c3da5eb9e667c5fef2dced0f86d74703bb50f576d7e",
+        "78045916207cb8513ac2bba4ebfda70a866a8afc3fe0520e945a4605916230da",
     ),
     ("random300", "rw_bwt_invert"): (
         1140, 2496, 2400, 1140, 25409216,
@@ -326,9 +360,9 @@ GOLDEN_LEDGERS = {
         "74e00bbccb127c08a03612df1c80815aad3e1c8d0f37bc0bddcd05fc55ccbf21",
     ),
     ("random300", "rw_suffix_array"): (
-        683, 2496, 9632, 683, 19006336,
-        "2151d5f93eba78b33cfc28bcdf49e84f77441ec0ba1da2b777c986bfda60fe5e",
-        "3a67a13d07b7acc0afe716e6244d42d41a9fa431eccbaefb81d3f87775a5522b",
+        399, 2496, 9632, 399, 6803536,
+        "b27c307721d40b48c5723c3da5eb9e667c5fef2dced0f86d74703bb50f576d7e",
+        "78045916207cb8513ac2bba4ebfda70a866a8afc3fe0520e945a4605916230da",
     ),
 }
 
