@@ -47,6 +47,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 
@@ -283,6 +284,10 @@ class Machine:
             raise CapabilityError(f"this stage needs {work_tapes} work tapes, not {given.work_tapes}")
         if length is not None and len(self.tapes[INPUT].records) != length:
             raise ValueError(f"machine input does not match the stage's {length} symbols")
+
+    def input_symbols(self) -> bytes:
+        """The first byte of each input-tape record, read with no pass or charge."""
+        return bytes(map(itemgetter(0), self.tapes[INPUT].records))
 
     # -- passes ----------------------------------------------------------
 

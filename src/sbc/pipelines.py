@@ -26,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coders import (
@@ -240,7 +239,7 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     Tape records are single shifted symbols (end marker 0, rank r at r+1).
     The payload is written to the output tape and returned.
     """
-    _validate_ranks(bytes(map(itemgetter(0), machine.tapes[INPUT].records)), sigma + 1)
+    _validate_ranks(machine.input_symbols(), sigma + 1)
     return _code_tape(lambda symbols: _mtf_rle_ac_payload(symbols, sigma + 1, machine), machine)
 
 

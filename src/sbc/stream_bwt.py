@@ -56,7 +56,7 @@ from operator import add, gt, itemgetter, ne, sub
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .machine import INPUT, WRITE, Machine, MachineConfig, ModelKind, held, tape_merge_sort
-from .transforms import SENTINEL, _validate_ranks, cyclic_context_order
+from .transforms import _validate_ranks, bwt
 
 _RANKED = struct.Struct(">IBBI")  # position tag, next char, pending flag, rank
 _FLAG_AND_RANK = struct.Struct(">BI")
@@ -91,7 +91,7 @@ def _working(machine: Optional[Machine], symbols: Sequence[int], shift: int,
         _validate_ranks(symbols, 256 - shift, low=-shift)  # before bytes() refuses it in its own words
         machine = default_rw_machine(bytes(c + shift for c in symbols))
     machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols))
-    check(bytes(map(itemgetter(0), machine.tapes[INPUT].records)))
+    check(machine.input_symbols())
     with held(machine, _WORK_BITS):
         yield machine
 
@@ -295,34 +295,30 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
 
 
 def sort_chars_via_bwt(s: Sequence[int]) -> List[int]:
-    """Sort a string's characters by transforming its successor-pair string.
+    """Sort a string's characters by transforming its predecessor-pair string.
 
-    Builds (s_1, s_0)(s_2, s_1)...(s_0, s_n) over the pair alphabet with the
-    end marker as s_0, applies the backward-context sort, and reads the
-    second components after the first row; those come out in nondecreasing
-    order because the pairs sort by their predecessors' first components.
+    Pair j is (s_j, s_{j-1}) for j = 0..n, where s_{-1} is below and s_n
+    above every character.  The ranked pairs transform to pair 0 (whose
+    context is the sentinel), then pairs 1..n ordered by their predecessors'
+    first components, their own second ones, then the sentinel.  The pair
+    alphabet can exceed 255 symbols, so it is passed as ``sigma``.
     """
-    ext = [SENTINEL, *s]
-    m = len(ext)
-    if m == 1:
-        return []
-    pairs = [(ext[(j + 1) % m], ext[j]) for j in range(m)]
-    order = cyclic_context_order(pairs, backward=True)
-    out = [pairs[p][1] for p in order]
-    if out[0] != SENTINEL:  # pragma: no cover - the marker pair sorts first
-        raise AssertionError("marker pair did not sort first")
-    return out[1:]
+    s = list(s)
+    pairs = list(zip(s + [max(s, default=0) + 1], [min(s, default=0) - 1] + s))
+    table = sorted(set(pairs))
+    rank = {pair: r for r, pair in enumerate(table)}
+    return [table[r][1] for r in bwt([rank[pair] for pair in pairs], len(table))[1:-1]]
 
 
 def sort_numbers_via_bwt(xs: Sequence[int]) -> List[int]:
     """Sort fixed-width numbers by transforming a bit-replacement string.
 
     Every bit j of every number x_i becomes the phrase
-    ``x_i[j] 2 bits(x_i) bits(i) bits(j)`` over the alphabet {0, 1, 2};
-    contexts are read forward here, starting at each character's successor.
-    Only the leading bit of a phrase is followed by a 2, so those bits sort
-    to the tail of the transform, ordered by (x_i, i, j); the final
-    2*n*log2(n) characters are therefore the inputs' bits in sorted order.
+    ``x_i[j] 2 bits(x_i) bits(i) bits(j)`` over the alphabet {0, 1, 2}.
+    Transformed reversed, its contexts are read forward from each character's
+    successor.  Only a phrase's leading bit is followed by a 2, so those bits
+    sort to the tail, ordered by (x_i, i, j) before any context meets the
+    sentinel: the final 2*n*log2(n) characters are the sorted inputs' bits.
     """
     xs = list(xs)
     n = len(xs)
@@ -345,6 +341,5 @@ def sort_numbers_via_bwt(xs: Sequence[int]) -> List[int]:
         for j in range(width_x):
             g += [xbits[j], 2, *xbits, *ibits, *bits(j, width_j)]
 
-    order = cyclic_context_order(g, backward=False)
-    tail = "".join(str(g[p]) for p in order[len(order) - n * width_x:])
+    tail = "".join(map(str, bwt(g[::-1], 3)[-n * width_x:]))
     return [int(tail[t:t + width_x], 2) for t in range(0, len(tail), width_x)]

@@ -24,7 +24,6 @@ logarithmic register) to seed the tracker.
 from __future__ import annotations
 
 from itertools import cycle, islice
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from .coders import _ceil_log2
@@ -65,7 +64,7 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *
         _validate_ranks(s, sigma)  # before bytes(s) refuses a symbol in its own words
         machine = default_streamsort_machine(bytes(s))
     machine.require(ModelKind.STREAM_SORT, length=n)
-    _validate_ranks(bytes(map(itemgetter(0), machine.tapes[INPUT].records)), sigma)
+    _validate_ranks(machine.input_symbols(), sigma)
 
     char_width = max(1, sigma.bit_length())  # shifted values 0..sigma need this many bits
     key_bits = k * char_width

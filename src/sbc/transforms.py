@@ -12,14 +12,15 @@ s+sentinel by the rank of their *backward* context: the character at
 position i precedes the one at position j when the cyclic string read
 backwards from i-1 is lexicographically smaller than the one read
 backwards from j-1 (indices mod n+1).  That order is the suffix order of
-reversed(s)+terminator, since the sentinel ends every comparison; one
-linear-time suffix sorter computes it, and sorts the suffixes of a doubled
-sequence for the cyclic order of :func:`cyclic_context_order`.  The
-length-k variant compares only the k nearest context characters, breaking
-ties by original position.  It packs each context into one integer of k
-digits in base sigma+1, most recent character first; digits order as the
-characters do and every key has the same number of digits, so integer
-order is the tuple order and one sort by integer keys does the work.
+reversed(s)+terminator, since the sentinel ends every comparison, and one
+linear-time suffix sorter computes it.  A caller that wants contexts read
+forward transforms the reversed string: its backward contexts are the
+forward contexts of the original.  The length-k variant compares only the
+k nearest context characters, breaking ties by original position.  It
+packs each context into one integer of k digits in base sigma+1, most
+recent character first; digits order as the characters do and every key
+has the same number of digits, so integer order is the tuple order and one
+sort by integer keys does the work.
 Distance coding finds its runs with one C-level scan for unequal
 neighbours.
 """
@@ -113,33 +114,6 @@ def _suffix_array(w: Sequence[int], upper: int) -> List[int]:
     if names < len(lms):
         lms_order = [lms[j] for j in _suffix_array([name[p] for p in lms], names - 1)]
     return induce(lms_order)
-
-
-def cyclic_context_order(seq: Sequence, backward: bool = True) -> List[int]:
-    """Positions of ``seq`` sorted by cyclic context, via suffix sorting.
-
-    With ``backward=True`` the context of position i is the cyclic read
-    seq[i-1], seq[i-2], ...; otherwise seq[i+1], seq[i+2], ....  Symbols
-    only need to be mutually comparable.  Raises if two rotations are
-    identical (the order would not be total).
-
-    The symbols are ranked from 1 and, for backward contexts, reversed, so
-    that every context is a rotation of the ranked sequence w.  The first m
-    suffixes of w+w+[0] sort as those rotations do when they are distinct:
-    rotation j is the context of position m-j (backward) or j-1 (forward).
-    """
-    m = len(seq)
-    if m == 0:
-        return []
-    rank = {v: r for r, v in enumerate(sorted(set(seq)), 1)}
-    w = [rank[v] for v in (reversed(seq) if backward else seq)]
-    t = "".join(map(chr, w))
-    if (t + t).find(t, 1) != m:
-        raise ValueError("rotations are not all distinct")
-    sa = _suffix_array(w + w + [0], len(rank))
-    if backward:
-        return [(m - j) % m for j in sa if j < m]
-    return [(j - 1) % m for j in sa if j < m]
 
 
 def bwt(s: Sequence[int], sigma: Optional[int] = None) -> List[int]:

@@ -122,8 +122,8 @@ def oracle_bwt(s):
     return [extended[i] for i in oracle_backward_sort(extended)]
 
 
-def doubling_context_order(seq, backward=True):
-    """Positions sorted by cyclic context, by prefix doubling with tuple keys.
+def doubling_context_order(seq):
+    """Positions sorted by cyclic backward context, by prefix doubling with tuple keys.
 
     The rank-doubling sort the library used before it sorted suffixes:
     O(m log^2 m), so it checks the library at sizes the definition oracles
@@ -147,14 +147,12 @@ def doubling_context_order(seq, backward=True):
         return order, rank, top
 
     uniq = {v: i for i, v in enumerate(sorted(set(seq)))}
-    step = -1 if backward else 1
-    order, rank, top = rerank([uniq[seq[(i + step) % m]] for i in range(m)])
+    order, rank, top = rerank([uniq[seq[i - 1]] for i in range(m)])
     length = 1
     while top < m - 1:
         if length >= m:
             raise ValueError("rotations are not all distinct")
-        shift = step * length
-        keys = [(rank[i], rank[(i + shift) % m]) for i in range(m)]
+        keys = [(rank[i], rank[(i - length) % m]) for i in range(m)]
         order, rank, top = rerank(keys)
         length <<= 1
     return order

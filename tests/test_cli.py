@@ -376,6 +376,11 @@ def test_simulate_sorts():
     assert out.stdout.decode().strip() == "abc"
     out = run_cli(["simulate", "--algo", "sort-numbers"], b"9 3 7 1")
     assert out.stdout.decode().strip() == "1 3 7 9"
+    # Every byte value: more than 255 distinct pairs.
+    out = run_cli(["simulate", "--algo", "sort-chars"], bytes(range(255, -1, -1)))
+    assert out.returncode == 0, out.stderr
+    rendered = "".join(chr(c) if 33 <= c <= 126 else f"\\x{c:02x}" for c in range(256))
+    assert out.stdout.decode() == rendered + "\n"
 
 
 def test_simulate_rw_roundtrip():

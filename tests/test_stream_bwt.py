@@ -227,6 +227,11 @@ def test_sort_chars_examples():
     assert sort_chars_via_bwt([2, 1, 0]) == [0, 1, 2]
     assert sort_chars_via_bwt([0, 0, 0]) == [0, 0, 0]
     assert sort_chars_via_bwt([]) == []
+    # Symbols below the end marker's rank: the start symbol goes below them.
+    assert sort_chars_via_bwt([-3, 2, -3]) == [-3, -3, 2]
+    assert sort_chars_via_bwt([0, -1]) == [-1, 0]
+    # 256 distinct characters make more than 255 distinct pairs.
+    assert sort_chars_via_bwt(list(range(256)) * 2) == sorted(list(range(256)) * 2)
 
 
 def test_sort_chars_random():

@@ -6,7 +6,6 @@ import pytest
 from conftest import (
     delta_code,
     doubling_bwt,
-    doubling_context_order,
     oracle_bwt,
     oracle_dc_encode,
     oracle_dc_reconstruct,
@@ -27,7 +26,6 @@ from sbc.transforms import (
     _suffix_array,
     bwt,
     bwt_inverse,
-    cyclic_context_order,
     dc_encode,
     mtf_encode,
     st,
@@ -125,34 +123,6 @@ def test_bwt_matches_doubling_on_repetitive_inputs(monkeypatch):
             s = word(n)
             assert bwt(s) == doubling_bwt(s)
             assert depth[1] >= 3  # the sorter recursed at least two levels
-
-
-def test_cyclic_context_order_matches_doubling():
-    rng = random.Random(11)
-    for _ in range(40):
-        s = [rng.randrange(rng.choice([2, 3, 52])) for _ in range(rng.randrange(1, 200))]
-        ext = [SENTINEL] + s
-        # The pair alphabet of sort_chars_via_bwt: tuples, no rank table.
-        pairs = [(ext[(j + 1) % len(ext)], ext[j]) for j in range(len(ext))]
-        # No unique symbol: the string and its mirror image.
-        for seq in (pairs, s + s[::-1]):
-            for backward in (True, False):
-                try:
-                    expected = doubling_context_order(seq, backward)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        cyclic_context_order(seq, backward)
-                    continue
-                assert cyclic_context_order(seq, backward) == expected
-
-
-def test_cyclic_context_order_edge_cases():
-    for backward in (True, False):
-        assert cyclic_context_order([], backward) == []
-        assert cyclic_context_order(["x"], backward) == [0]
-        for power in ([0, 1, 0, 1], [2, 2], [(1, 2)] * 3):
-            with pytest.raises(ValueError, match="rotations are not all distinct"):
-                cyclic_context_order(power, backward)
 
 
 def test_bwt_inverse_mississippi():
