@@ -223,16 +223,10 @@ def _render_char(c: int) -> str:
     return chr(c) if 33 <= c <= 126 else f"\\x{c:02x}"
 
 
-def _render_triples(triples) -> str:
-    lines = []
-    for lc, lid, mid, rc, rid in triples:
-        mid_s = "?" if mid is None else str(mid)
-        lines.append(f"{_render_char(lc)}{lid}\t{mid_s}\t{_render_char(rc)}{rid}")
-    return "\n".join(lines)
-
-
 def _render_ranked(records) -> str:
-    return "\n".join(f"{pos}\t{rank}\t{_render_char(c)}" for pos, rank, c in records)
+    """One tab-separated row per record: tag - 1, value (``?`` if None), char."""
+    return "\n".join(f"{tag}\t{'?' if value is None else value}\t{_render_char(c)}"
+                     for tag, value, c in records)
 
 
 def _cmd_simulate(args) -> int:
@@ -255,7 +249,7 @@ def _cmd_simulate(args) -> int:
         body = [tr.SENTINEL if b == marker else b for b in data]
         machine = _machine_for(ModelKind.READ_WRITE, bytes(c + 1 for c in body), 4,
                                args.memory_budget_bits, args.trace)
-        result = sbwt.rw_bwt_invert(body, machine, on_round=on_round(_render_triples))
+        result = sbwt.rw_bwt_invert(body, machine, on_round=on_round(_render_ranked))
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-sa":
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)

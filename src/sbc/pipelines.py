@@ -169,20 +169,23 @@ def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes
     return min(((k, payload_for(k)) for k in range(k_max + 1)), key=lambda kp: len(kp[1]))
 
 
-def _code_input(s: Sequence[int], code: Callable[[List[int]], bytes],
+def _code_input(s: Sequence[int], sigma: int, code: Callable[[List[int]], bytes],
                 machine: Optional[Machine]) -> bytes:
     """Run a stage's ``code`` on ``s``, or by :func:`_code_tape` on a given
-    machine's input tape, which must hold ``len(s)`` symbols; returns the payload."""
+    machine's input tape, which must hold ``len(s)`` ranks below ``sigma``;
+    returns the payload."""
     if machine is None:
         return code(list(s))
     machine.require(length=len(s))
-    return _code_tape(code, machine)
+    return _code_tape(code, machine, sigma)
 
 
-def _code_tape(code: Callable[[List[int]], bytes], machine: Machine) -> bytes:
-    """Sweep the input tape in one read pass, run ``code`` on its symbols
-    inside the open pass, so the pass's memory peak includes what the coder
-    charges, and write the payload to the output tape."""
+def _code_tape(code: Callable[[List[int]], bytes], machine: Machine, sigma: int) -> bytes:
+    """Check the input tape's symbols against ``sigma``, sweep it in one
+    read pass, run ``code`` on its symbols inside the open pass, so the
+    pass's memory peak includes what the coder charges, and write the
+    payload to the output tape."""
+    _validate_ranks(machine.input_symbols(), sigma)
     with machine.begin_pass(INPUT) as p:
         payload = code([rec[0] for rec in p.read_all()])
     machine.write_output(payload)
@@ -239,8 +242,8 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     Tape records are single shifted symbols (end marker 0, rank r at r+1).
     The payload is written to the output tape and returned.
     """
-    _validate_ranks(machine.input_symbols(), sigma + 1)
-    return _code_tape(lambda symbols: _mtf_rle_ac_payload(symbols, sigma + 1, machine), machine)
+    return _code_tape(lambda symbols: _mtf_rle_ac_payload(symbols, sigma + 1, machine), machine,
+                      sigma + 1)
 
 
 # -- distance coding + adaptive payload ------------------------------------
@@ -287,6 +290,7 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     machine.require(ModelKind.READ_WRITE, work_tapes=1)
     n = len(machine.tapes[INPUT].records)
     sigma_total = sigma + 1
+    _validate_ranks(machine.input_symbols(), sigma_total)
     with held(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256):
         with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
                 machine.begin_pass("work0", mode=WRITE) as wp:
@@ -333,7 +337,8 @@ def encode_kth_order(s: Sequence[int], sigma: int, k: int,
     """Order-k container; a given machine's input tape is the input, s gives its length."""
     if not 0 <= k < K_AUTO:  # 255 is the header's auto marker
         raise ValueError("k must be in 0..254")
-    payload = _code_input(s, lambda symbols: kth_order_encode(symbols, sigma, k, machine), machine)
+    payload = _code_input(s, sigma, lambda symbols: kth_order_encode(symbols, sigma, k, machine),
+                          machine)
     return _container(PipelineId.KTH_ORDER, sigma, k, len(s), payload, alphabet)
 
 
@@ -413,7 +418,7 @@ def block_encode(s: Sequence[int], sigma: int, plan: BlockPlan, known_n: bool = 
     """
     n = len(s)
     bounds = list(accumulate(block_boundaries(n, plan, known_n), initial=0))
-    payload = _code_input(s, lambda symbols: b"".join(
+    payload = _code_input(s, sigma, lambda symbols: b"".join(
         _encode_block(symbols[start:end], sigma, machine)
         for start, end in zip(bounds, bounds[1:])), machine)
     return _container(PipelineId.BLOCK_KTH, sigma, K_AUTO, n, payload, alphabet,

@@ -22,15 +22,19 @@ most max(1, ceil(log2(m-1))) rounds; one sort by rank then puts the next
 chars (the transform) or the tags mod m (the suffix array) on the output
 tape.
 
-Inversion seeds triples (tagged left char, mid, tagged right char) from
-the stable sort of the transform (which pairs every character with its
-predecessor), marks all positions unknown except the sentinel's, and
-propagates known positions.  A round copies the tape twice, sorts one
-copy by the right component and the other by the left, and joins them row
-by row, resolving positions: an unknown left position lies ``offset``
-places before a known middle position, and ``offset`` doubles every round.
-When every position is known, sorting by position and projecting the left
-characters recovers the string.
+Inversion ranks the predecessor list by pointer jumping (Chiang et al.,
+"External-memory graph algorithms", SODA 1995) on the same records, one
+per row j of the transform t, in row order: (tag j+1, char t[j], pending
+flag, value).  Row j holds the char of position p(j), so row 0 (the
+sentinel's context) holds position 0, and the stable sort of t puts at
+index j the row one position before row j: every pending record's first
+link.  Round r (h = 2^(r-1)) sorts a copy of the pending records by link
+and reads each linked record in one sweep of the tape: a resolved one
+gives its position plus h, a pending one its own link.  The forward's
+tail, a sort back by tag and a merge, returns them.  After round r exactly
+the rows with p(j) < 2^r are resolved, so ceil(log2 m) rounds resolve an
+image; a row still pending lies off the one cycle from row 0, and the
+input is refused.  One sort by position spells x.
 
 All tape sorting is :func:`sbc.machine.tape_merge_sort`, whose ledger
 charges exactly the six sweeps per level of the bottom-up two-way merge
@@ -58,15 +62,12 @@ from typing import Callable, Iterator, List, Optional, Sequence
 from .machine import INPUT, WRITE, Machine, MachineConfig, ModelKind, held, tape_merge_sort
 from .transforms import _validate_ranks, bwt
 
-_RANKED = struct.Struct(">IBBI")  # position tag, next char, pending flag, rank
+_RANKED = struct.Struct(">IBBI")  # tag, char, pending flag, value (a rank, link or position)
 _FLAG_AND_RANK = struct.Struct(">BI")
-_TRIPLE = struct.Struct(">BIIBI")  # left char, left id, mid, right char, right id
-_RELINK = struct.Struct(">5sI5s")  # the same triple: tagged left, mid, tagged right
 _ID = struct.Struct(">I")
-_UNKNOWN = 0  # position marker; real positions are 1..n+1
 
-# Fixed working-register charge, pinned at 2,496 bits: a few records of either
-# direction (10- and 13-byte forward records, 14-byte triples) plus counters.
+# Fixed working-register charge, pinned at 2,496 bits: a few ranked (10-byte)
+# and joined (13-byte) records plus counters.
 _WORK_BITS = 2496
 
 
@@ -96,21 +97,45 @@ def _working(machine: Optional[Machine], symbols: Sequence[int], shift: int,
         yield machine
 
 
-# Fields of a ranked record (tag, next char, pending flag, rank) and of a
-# joined record (rank, partner rank, tag, next char).  Tags are distinct and
-# joined records are written in tag order, so whole-record order is position
-# order on ranked records and the stable order by rank pair on joined ones.
+# Fields of a ranked record (tag, char, pending flag, value) and of a joined
+# record (rank, partner rank, tag, next char).  Tags are distinct and joined
+# records are written in tag order, so whole-record order is tag order on
+# ranked records and the stable order by rank pair on joined ones.
 _record_key = itemgetter(slice(None))
 _tag_and_char = itemgetter(slice(0, 5))
+_char = itemgetter(slice(4, 5))
+_id = itemgetter(slice(0, 4))
 _pending = itemgetter(5)
 _rank_key = itemgetter(slice(6, 10))
 _pair_key = itemgetter(slice(0, 8))
 _joined_tag_and_char = itemgetter(slice(8, 13))
 
 
-def _decode_ranked(records: Sequence[bytes]) -> List[tuple]:
-    """Ranked records as (position, rank, next char) tuples; a sentinel char is -1."""
-    return [(tag - 1, rank, c - 1) for tag, c, _, rank in _RANKED.iter_unpack(b"".join(records))]
+def _ints(records: Sequence[bytes], field: Callable[[bytes], bytes]) -> tuple:
+    """A 4-byte ``field`` of every record, as integers."""
+    return struct.unpack(f">{len(records)}I", b"".join(map(field, records)))
+
+
+def _decode_ranked(records: Sequence[bytes], links: bool = False) -> List[tuple]:
+    """Ranked records as (tag - 1, value, char) tuples; a sentinel char is -1.
+
+    With ``links`` a pending record's value is a link, shown as None.
+    """
+    return [(tag - 1, None if links and pending else value, c - 1)
+            for tag, c, pending, value in _RANKED.iter_unpack(b"".join(records))]
+
+
+def _merge_back(machine: Machine, tape: str, renewed: str, flags: Sequence[int],
+                out: str, spare: str) -> None:
+    """Sort the records on ``renewed`` back by tag and write ``tape`` to
+    ``out`` with them in its pending slots, those whose ``flags`` are set."""
+    tape_merge_sort(machine, renewed, _record_key, out, spare)
+    with machine.begin_pass(tape) as rp, machine.begin_pass(renewed) as rn, \
+            machine.begin_pass(out, mode=WRITE) as w:
+        recs = rp.read_all()
+        for slot, rec in zip(compress(count(), flags), rn.read_all()):
+            recs[slot] = rec
+        w.write_many(recs)
 
 
 def _encode(s: Sequence[int], machine: Optional[Machine],
@@ -156,14 +181,7 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
                 tails = [None] + list(map(_FLAG_AND_RANK.pack, map(gt, sizes, repeat(1)), ranks))
                 out.write_many(list(map(add, map(_joined_tag_and_char, pairs),
                                         map(tails.__getitem__, accumulate(fresh)))))
-            tape_merge_sort(machine, copy, _record_key, joined, spare)
-            # The renumbered records, in position order, take the pending slots.
-            with machine.begin_pass(tape) as rp, machine.begin_pass(copy) as rn, \
-                    machine.begin_pass(joined, mode=WRITE) as out:
-                recs = rp.read_all()
-                for slot, rec in zip(compress(count(), flags), rn.read_all()):
-                    recs[slot] = rec
-                out.write_many(recs)
+            _merge_back(machine, tape, copy, flags, joined, spare)
             tape, joined = joined, tape
             if on_round is not None:
                 on_round(_decode_ranked(machine.tapes[tape].records))
@@ -198,97 +216,66 @@ def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List
     return [int.from_bytes(p, "big") for p in positions]
 
 
-# Fields of a triple record.
-_left_key = itemgetter(slice(0, 5))
-_mid_key = itemgetter(slice(5, 9))
-_right_key = itemgetter(slice(9, 14))
-_char_key = itemgetter(slice(0, 1))
-
-
-def _decode_triples(records: Sequence[bytes]) -> List[tuple]:
-    """Triple records as (left char, left id, mid, right char, right id) tuples:
-    characters as ranks with -1 for the sentinel, an unknown mid as None."""
-    return [(lc - 1, lid, mid if mid != _UNKNOWN else None, rc - 1, rid)
-            for lc, lid, mid, rc, rid in _TRIPLE.iter_unpack(b"".join(records))]
-
-
-def _mids(records: List[bytes]) -> tuple:
-    """The mid field of every triple record, as integers."""
-    return struct.unpack(f">{len(records)}I", b"".join(map(_mid_key, records)))
-
-
 def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
                   on_round: Optional[Callable[[List[tuple]], None]] = None) -> List[int]:
     """Recover s from its transform on a read-write machine.
 
     A given machine's input tape (ranks plus one, the sentinel as 0) is the
     input, and must hold exactly one sentinel; ``t`` gives only its length.
+    ``on_round`` receives each round's tape as :func:`_decode_ranked`
+    tuples (row, position or None while pending, char).
     """
     def one_sentinel(tape: bytes) -> None:
         if tape.count(0) != 1:
             raise ValueError("expected exactly one sentinel")
 
     m = len(t)
+    tape, copy, joined, spare = "work0", "work1", "work2", "work3"
     with _working(machine, t, 1, one_sentinel) as machine:
-        # Stable sort of the transform, tags riding along.
-        ids = range(1, m + 1)
-        with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
-            dst.write_many(list(map(add, src.read_all(), map(_ID.pack, ids))))
-        tape_merge_sort(machine, "work0", _char_key, "work1", "work2")
-        with machine.begin_pass("work0") as su, machine.begin_pass(INPUT) as si, \
-                machine.begin_pass("work1", mode=WRITE) as out:
-            ordered = su.read_all()
-            # The sentinel's predecessor row seeds position n+1.
-            mids = [m if u[0] == 0 else _UNKNOWN for u in ordered]
-            tagged = map(add, si.read_all(), map(_ID.pack, ids))
-            out.write_many(list(map(_RELINK.pack, map(_left_key, ordered), mids, tagged)))
+        # The stable sort of the transform puts, at index r, the row whose
+        # position is one before row r's; row 0 holds position 0.
+        with machine.begin_pass(INPUT) as src, machine.begin_pass(copy, mode=WRITE) as dst:
+            dst.write_many(list(map(add, map(_ID.pack, range(m)), src.read_all())))
+        tape_merge_sort(machine, copy, _char, joined, spare)
+        with machine.begin_pass(INPUT) as src, machine.begin_pass(copy) as rp, \
+                machine.begin_pass(tape, mode=WRITE) as dst:
+            chars = list(map(itemgetter(0), src.read_all()))
+            links = _ints(rp.read_all(), _id)
+            dst.write_many(list(map(_RANKED.pack, count(1), chars, chain((0,), repeat(1)),
+                                    chain((0,), links[1:]))))
 
-        offset = 1  # tape-mates are this many string positions apart
-        unknown = m - 1  # every position but the seeded one
-        cur, copy1, copy2, scratch = "work1", "work0", "work2", "work3"
-        for _ in range(max(1, (m - 1).bit_length()) + 2):
-            if not unknown:
-                break
-            # One pass copies the tape twice; the copies are sorted by right
-            # and by left component.  Every tagged character occurs once as a
-            # right and once as a left, so the sorted copies align row by row.
-            with machine.begin_pass(cur) as rp, \
-                    machine.begin_pass(copy1, mode=WRITE) as w1, \
-                    machine.begin_pass(copy2, mode=WRITE) as w2:
-                records = rp.read_all()
-                w1.write_many(records)
-                w2.write_many(records)
-            tape_merge_sort(machine, copy1, _right_key, cur, scratch)
-            tape_merge_sort(machine, copy2, _left_key, cur, scratch)
-            with machine.begin_pass(copy1) as r1, machine.begin_pass(copy2) as r2, \
-                    machine.begin_pass(cur, mode=WRITE) as out:
-                by_right, by_left = r1.read_all(), r2.read_all()
-                # An unknown left position sits `offset` places before the
-                # shared middle; a known middle position resolves it.
-                new = [x or (y - offset if y > offset else _UNKNOWN)
-                       for x, y in zip(_mids(by_right), _mids(by_left))]
-                unknown = new.count(_UNKNOWN)
-                out.write_many(list(map(_RELINK.pack, map(_left_key, by_right), new,
-                                        map(_right_key, by_left))))
-            offset <<= 1
+        unresolved = m - 1
+        for r in range((m - 1).bit_length()):
+            h = 1 << r  # pending records link to the row h positions back
+            with machine.begin_pass(tape) as rp, machine.begin_pass(copy, mode=WRITE) as w:
+                recs = rp.read_all()
+                flags = list(map(_pending, recs))
+                w.write_many(list(compress(recs, flags)))
+            tape_merge_sort(machine, copy, _rank_key, joined, spare)
+            # The linked rows, in row order, are read in one sweep: a resolved
+            # one gives its position plus h, a pending one its own link.
+            with machine.begin_pass(tape) as rp, machine.begin_pass(copy) as lp, \
+                    machine.begin_pass(joined, mode=WRITE) as out:
+                recs = rp.read_all()
+                pending = lp.read_all()
+                linked = list(map(recs.__getitem__, _ints(pending, _rank_key)))
+                still = list(map(_pending, linked))
+                values = map(add, _ints(linked, _rank_key), map((h, 0).__getitem__, still))
+                out.write_many(list(map(add, map(_tag_and_char, pending),
+                                        map(_FLAG_AND_RANK.pack, still, values))))
+            unresolved = sum(still)
+            _merge_back(machine, tape, joined, flags, copy, spare)
+            tape, copy = copy, tape
             if on_round is not None:
-                on_round(_decode_triples(machine.tapes[cur].records))
-        if unknown:
+                on_round(_decode_ranked(machine.tapes[tape].records, links=True))
+        # One cycle of the predecessor rows from row 0 resolves every row.
+        if unresolved:
             raise ValueError("not a valid transform image: positions never resolve")
-        tape_merge_sort(machine, cur, _mid_key, copy1, scratch)
-        with machine.begin_pass(cur) as rp:
-            recs = rp.read_all()
-            # Sorted by position, the tape must hold positions 1..m; the
-            # characters before the first misplaced one are still written.
-            placed = next(compress(count(), map(ne, _mids(recs), range(1, m + 1))), m)
-            chars = [rec[0:1] for rec in recs[:placed] if rec[0] != 0]
-            machine.write_output(*chars)
-            if placed < m:
-                raise ValueError("not a valid transform image: positions are not a permutation")
-        out = [c - 1 for c in b"".join(chars)]
-        if len(out) != m - 1:
-            raise ValueError("not a valid transform image")
-    return out
+        tape_merge_sort(machine, tape, _rank_key, copy, spare)
+        with machine.begin_pass(tape) as rp:
+            spelled = list(map(_char, rp.read_all()))[:-1]  # the sentinel is last
+            machine.write_output(*spelled)
+    return [c - 1 for c in b"".join(spelled)]
 
 
 # -- sorting reductions -------------------------------------------------------

@@ -16,14 +16,16 @@ integers, which compares the contexts as tuples.  A single stable sort
 pass by key then realizes the transform, and a final rewrite strips keys
 and padding.
 
-Context keys wrap through the end marker cyclically, so the pass that
-precedes key attachment memorizes the string's tail (k characters, still a
-logarithmic register) to seed the tracker.
+The context of a position p < k runs past the string's start into the end
+marker and, cyclically, the string's tail.  The tracker starts at 0
+instead, so p's key has the marker at digit p and zeros after it.  The
+marker is below every character, and no other key matches p's through
+digit p, so comparing p's key with any other is decided at or before that
+digit: the tail's digits would never affect the order.
 """
 
 from __future__ import annotations
 
-from itertools import cycle, islice
 from typing import Dict, List, Optional, Sequence
 
 from .coders import _ceil_log2
@@ -74,27 +76,20 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *
     # Doubling pad passes until records can absorb the key.
     width_bytes = 1
     pad_passes = 0
-    tail: List[int] = []
     while 8 * width_bytes < target_bits:
         with held(machine, 2 * 8 * width_bytes + 32), \
                 machine.begin_pass(INPUT, mode=REWRITE) as p:
             recs = p.read_all()
             p.write_many([rec + b"\x00" * len(rec) for rec in recs])
-            tail = [rec[0] for rec in recs[-k:]] if k else []
         width_bytes *= 2
         pad_passes += 1
-    if pad_passes == 0 and k:
-        with machine.begin_pass(INPUT) as p:
-            tail = [rec[0] for rec in p.read_all()[-k:]]
 
     control_bits = 2 * _ceil_log2(n + 2) + 64
     with held(machine, key_bits + control_bits):
         # The tracker holds the context of the next position, most recent
-        # first, packed char_width bits per character; position 0's context
-        # wraps through the end marker into the memorized tail.
+        # first, packed char_width bits per character; position 0's is the
+        # end marker and zeros.
         tracker = 0
-        for v in islice(cycle([0] + [c + 1 for c in reversed(tail)]), k):
-            tracker = (tracker << char_width) | v
         shift = char_width * (k - 1)
 
         with machine.begin_pass(INPUT, mode=REWRITE) as p:

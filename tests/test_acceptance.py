@@ -127,6 +127,12 @@ def test_criterion_4_resource_shapes(calibration):
             rw_bwt_encode([0] * n, machine, on_round=lambda tr: rounds.append(1))
             assert len(rounds) <= bound
             assert machine.ledger().passes <= a * bound * bound + b
+            image = bwt([0] * n)
+            machine = default_rw_machine(bytes(c + 1 for c in image))
+            rounds = []
+            rw_bwt_invert(image, machine, on_round=lambda tr: rounds.append(1))
+            assert len(rounds) <= bound
+            assert machine.ledger().passes <= a * bound * bound + b
 
         # pad passes: records of 8 bits double until they hold ceil(log2 n) bits
         c = calibration["st_mem_c"]

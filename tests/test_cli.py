@@ -369,6 +369,19 @@ def test_simulate_trace_emits_rounds():
         "0\t6\ti", "1\t2\ts", "2\t9\ts", "3\t11\ti", "4\t4\ts", "5\t10\ts",
         "6\t12\ti", "7\t5\tp", "8\t7\tp", "9\t8\ti", "10\t3\t#", "11\t1\tm",
     ]
+    out = run_cli(["simulate", "--algo", "rw-unbwt", "--trace"], b"ms#spipissii")
+    text = out.stdout.decode()
+    assert text.splitlines()[-1] == "mississippi"
+    lines = [l for l in text.splitlines() if "\t" in l]
+    assert len(lines) == 4 * 12  # four rounds of twelve records
+    # Row, position and char, in row order; a pending position shows as "?".
+    pending = [sum(l.split("\t")[1] == "?" for l in lines[r:r + 12]) for r in range(0, 48, 12)]
+    assert pending == [10, 8, 4, 0]
+    # The last round places every row, and its chars by position spell the string.
+    assert lines[36:] == [
+        "0\t0\tm", "1\t2\ts", "2\t11\t#", "3\t5\ts", "4\t8\tp", "5\t1\ti",
+        "6\t9\tp", "7\t10\ti", "8\t3\ts", "9\t6\ts", "10\t4\ti", "11\t7\ti",
+    ]
 
 
 def test_simulate_sorts():

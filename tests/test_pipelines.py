@@ -361,6 +361,15 @@ ALIEN_TAPES = {
     "mtf_rle_ac_encode_stream": (lambda m: mtf_rle_ac_encode_stream(m, 4),
                                  (ModelKind.STANDARD, 0), bytes([3, 1, 7, 0, 2]),
                                  "symbol 7 out of alphabet"),
+    # The tape holds ranks plus one, so 0..2 over two ranks.
+    "dc_ac_encode_stream": (lambda m: dc_ac_encode_stream(m, 2), (ModelKind.READ_WRITE, 1),
+                            bytes([1, 0, 9, 2]), "symbol 9 out of alphabet"),
+    "encode_kth_order": (lambda m: encode_kth_order(_S, 4, 1, machine=m), (ModelKind.STANDARD, 0),
+                         bytes(_S[:7] + [9] + _S[8:]), "symbol 9 out of alphabet"),
+    "block_encode": (lambda m: block_encode(_S, 4, BlockPlan.for_length(len(_S), 0.5, 0.25),
+                                            machine=m),
+                     (ModelKind.STANDARD, 0), bytes(_S[:9] + [9] + _S[10:]),
+                     "symbol 9 out of alphabet"),
 }
 
 
@@ -429,13 +438,14 @@ def test_dc_stream_matches_pure_path():
 
 
 def test_dc_stream_rejects_symbol_outside_alphabet():
-    # Tape symbol 9 is outside sigma + 1 = 3, as the in-memory coder also says.
+    # Tape symbol 9 is outside sigma + 1 = 3: the stage refuses the tape
+    # before its first pass, and the in-memory coder refuses it too.
     from sbc.pipelines import _dc_ac_payload
     machine = Machine(
         MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=1 << 16, work_tapes=1),
         bytes([1, 2, 9, 1, 0]),
     )
-    with pytest.raises(ValueError, match="not in alphabet"):
+    with pytest.raises(ValueError, match="^symbol 9 out of alphabet$"):
         dc_ac_encode_stream(machine, 2)
     with pytest.raises(ValueError, match="not in alphabet"):
         _dc_ac_payload([1, 2, 9, 1, 0], 3)

@@ -25,8 +25,8 @@ MISSISSIPPI_RANKS, MISSISSIPPI_ALPHABET = ranks_of("mississippi")
 # Intermediate tape states for the running example.  Encode rounds: one
 # (position, rank, next char) tuple per record, in tape (position) order;
 # the rank is one plus the number of positions whose backward string is
-# smaller.  Invert rounds: (left char, left id, mid, right char, right id),
-# "?" positions as None.
+# smaller.  Invert rounds: one (row, position, char) tuple per record, in
+# row order, the position None while the record is pending.
 ENCODE_ROUND_1 = [
     (0, 6, "i"), (1, 2, "s"), (2, 9, "s"), (3, 11, "i"), (4, 4, "s"), (5, 9, "s"),
     (6, 11, "i"), (7, 4, "p"), (8, 7, "p"), (9, 8, "i"), (10, 3, "#"), (11, 1, "m"),
@@ -40,28 +40,24 @@ ENCODE_ROUND_3 = [
     (6, 12, "i"), (7, 5, "p"), (8, 7, "p"), (9, 8, "i"), (10, 3, "#"), (11, 1, "m"),
 ]
 INVERT_ROUND_1 = [
-    ("i", 8, 11, "m", 1), ("m", 1, None, "s", 2), ("p", 7, None, "#", 3),
-    ("s", 9, None, "s", 4), ("s", 10, None, "p", 5), ("#", 3, 12, "i", 6),
-    ("i", 12, None, "p", 7), ("p", 5, None, "i", 8), ("i", 6, None, "s", 9),
-    ("i", 11, None, "s", 10), ("s", 2, None, "i", 11), ("s", 4, None, "i", 12),
+    (0, 0, "m"), (1, None, "s"), (2, None, "#"), (3, None, "s"),
+    (4, None, "p"), (5, 1, "i"), (6, None, "p"), (7, None, "i"),
+    (8, None, "s"), (9, None, "s"), (10, None, "i"), (11, None, "i"),
 ]
 INVERT_ROUND_2 = [
-    ("p", 7, 10, "i", 6), ("#", 3, 12, "s", 9), ("p", 5, 9, "m", 1),
-    ("s", 2, None, "s", 10), ("s", 4, None, "p", 7), ("i", 8, 11, "s", 2),
-    ("s", 10, None, "i", 8), ("i", 12, None, "#", 3), ("m", 1, None, "i", 11),
-    ("s", 9, None, "i", 12), ("i", 6, None, "s", 4), ("i", 11, None, "p", 5),
+    (0, 0, "m"), (1, 2, "s"), (2, None, "#"), (3, None, "s"),
+    (4, None, "p"), (5, 1, "i"), (6, None, "p"), (7, None, "i"),
+    (8, 3, "s"), (9, None, "s"), (10, None, "i"), (11, None, "i"),
 ]
 INVERT_ROUND_3 = [
-    ("i", 12, 8, "s", 9), ("p", 7, 10, "s", 4), ("s", 10, 7, "s", 2),
-    ("m", 1, None, "p", 5), ("s", 9, None, "#", 3), ("p", 5, 9, "i", 11),
-    ("i", 11, 5, "m", 1), ("s", 4, 6, "i", 6), ("i", 8, 11, "s", 10),
-    ("i", 6, None, "p", 7), ("#", 3, 12, "i", 12), ("s", 2, None, "i", 8),
+    (0, 0, "m"), (1, 2, "s"), (2, None, "#"), (3, 5, "s"),
+    (4, None, "p"), (5, 1, "i"), (6, None, "p"), (7, None, "i"),
+    (8, 3, "s"), (9, 6, "s"), (10, 4, "i"), (11, 7, "i"),
 ]
 INVERT_ROUND_4 = [
-    ("s", 9, 4, "i", 12), ("s", 4, 6, "p", 7), ("s", 2, 3, "s", 10),
-    ("p", 5, 9, "m", 1), ("#", 3, 12, "s", 9), ("i", 11, 5, "p", 5),
-    ("m", 1, 1, "i", 11), ("i", 6, 2, "s", 4), ("s", 10, 7, "i", 8),
-    ("p", 7, 10, "i", 6), ("i", 12, 8, "#", 3), ("i", 8, 11, "s", 2),
+    (0, 0, "m"), (1, 2, "s"), (2, 11, "#"), (3, 5, "s"),
+    (4, 8, "p"), (5, 1, "i"), (6, 9, "p"), (7, 10, "i"),
+    (8, 3, "s"), (9, 6, "s"), (10, 4, "i"), (11, 7, "i"),
 ]
 
 
@@ -69,9 +65,9 @@ def _letter(c):
     return "#" if c == SENTINEL else MISSISSIPPI_ALPHABET[c]
 
 
-def named(triples):
-    """Library triples (rank chars) to the letter form used in the tables."""
-    return [(_letter(lc), lid, mid, _letter(rc), rid) for lc, lid, mid, rc, rid in triples]
+def named(rows):
+    """Library rows (rank chars) to the letter form used in the tables."""
+    return [(a, b, _letter(c)) for a, b, c in rows]
 
 
 def test_encode_mississippi_final_string():
@@ -81,17 +77,15 @@ def test_encode_mississippi_final_string():
 
 def test_encode_mississippi_round_tapes():
     rounds = []
-    rw_bwt_encode(MISSISSIPPI_RANKS,
-                  on_round=lambda rows: rounds.append([(p, r, _letter(c)) for p, r, c in rows]))
+    rw_bwt_encode(MISSISSIPPI_RANKS, on_round=lambda rows: rounds.append(named(rows)))
     assert rounds == [ENCODE_ROUND_1, ENCODE_ROUND_2, ENCODE_ROUND_3]
 
 
 def test_invert_mississippi_round_tapes():
-    ranks, alphabet = ranks_of("mississippi")
-    image = [alphabet.index(c) if c != "#" else SENTINEL for c in "ms#spipissii"]
+    image = [MISSISSIPPI_ALPHABET.index(c) if c != "#" else SENTINEL for c in "ms#spipissii"]
     rounds = []
-    out = rw_bwt_invert(image, on_round=lambda tr: rounds.append(named(tr)))
-    assert out == ranks
+    out = rw_bwt_invert(image, on_round=lambda rows: rounds.append(named(rows)))
+    assert out == MISSISSIPPI_RANKS
     assert rounds == [INVERT_ROUND_1, INVERT_ROUND_2, INVERT_ROUND_3, INVERT_ROUND_4]
 
 
@@ -156,12 +150,24 @@ def test_random_equivalence_and_roundtrip():
 
 
 def test_invert_rejects_non_images():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected exactly one sentinel$"):
         rw_bwt_invert([0, 1, 0])  # no sentinel
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected exactly one sentinel$"):
         rw_bwt_invert([SENTINEL, 0, SENTINEL])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positions never resolve"):
         rw_bwt_invert([0, SENTINEL, 0])
+    # With one sentinel, the inverse refuses exactly what bwt_inverse refuses.
+    rng = random.Random(16)
+    for _ in range(1000):
+        t = [rng.randrange(3) for _ in range(rng.randrange(0, 16))]
+        t.insert(rng.randrange(len(t) + 1), SENTINEL)
+        try:
+            expected = bwt_inverse(t)
+        except ValueError:
+            with pytest.raises(ValueError, match="positions never resolve"):
+                rw_bwt_invert(t)
+        else:
+            assert rw_bwt_invert(t) == expected
 
 
 def test_round_count_bound():
@@ -197,6 +203,27 @@ def test_pass_count_shape(calibration):
         pending = [n + 1] + [n - 2 ** (r - 1) + 1 for r in range(2, rounds + 1)]
         sort_levels = sum(math.ceil(math.log2(u)) for u in pending)
         assert machine.ledger().passes == 3 + 10 * rounds + 12 * sort_levels + 6 * level
+
+
+def test_invert_pass_count_is_closed_form():
+    # Every image of one length takes the same passes: two load the
+    # transform, a stable sort by char and three passes seed the links; each
+    # of the ceil(log2 m) rounds copies out (2), joins (3) and merges (3) its
+    # m - 2^(r-1) pending records, and sorts them by link and back by tag (6
+    # per level each); one sort by position and one output pass end the run.
+    def levels(u):
+        return (u - 1).bit_length()
+
+    rng = random.Random(15)
+    for n in [0, 1, 2, 11, 100, 255, 256, 300, 1000]:
+        m = n + 1
+        rounds = levels(m)
+        expected = (6 + 12 * levels(m) + 8 * rounds
+                    + 12 * sum(levels(m - 2 ** r) for r in range(rounds)))
+        for sigma in (1, 2, 5):
+            s = [rng.randrange(sigma) for _ in range(n)]
+            _, ledger, _ = _traced_run(rw_bwt_invert, bwt(s))
+            assert ledger.passes == expected, (n, sigma)
 
 
 def test_suffix_array_matches_context_sort():
@@ -272,11 +299,11 @@ def _traced_run(fn, arg, on_round=None):
 
 # A de Bruijn power takes the most doubling rounds (the benchmark's
 # `repetitive` input is one).  Its round tapes are pinned by sha256 of their
-# repr, the inverse's as computed by the record-by-record resolve loop.
+# repr.
 DEEPEST = db_power(de_bruijn(2, 6), 2)
 DEEPEST_ROUNDS = {
     "rw_bwt_encode": (7, "faebdb44f5680e3aea806a43b6914bf7fb19ba48b7cb60fd70f5c0fbf1d42c58"),
-    "rw_bwt_invert": (8, "022e02f80aa16333884335aa3a1048b975715a9840c0560083cdb3063b859d01"),
+    "rw_bwt_invert": (8, "83f76d2d86bd28512b406dbab28cd30e6e154425bc96b3018465c1b92eb70532"),
 }
 
 
@@ -333,6 +360,31 @@ def test_encode_round_tapes_match_backward_string_ranks():
         assert rounds == backward_rank_rounds(s)
 
 
+def resolved_position_rounds(s):
+    """Every invert round's tape straight from the definition.
+
+    Row j of the transform of x = s+sentinel holds the char x[p(j)], where
+    p(j) is the position whose cyclic backward context x[p-1] x[p-2] ...
+    sorts j-th.  After round r the row shows p(j) if p(j) < 2**r and None
+    otherwise; rows are (row, position, char), in row order.  Rounds go on
+    until 2**r reaches m.
+    """
+    x = list(s) + [SENTINEL]
+    m = len(x)
+    order = oracle_backward_sort(x)
+    return [[(j, p if p < 2 ** r else None, x[p]) for j, p in enumerate(order)]
+            for r in range(1, (m - 1).bit_length() + 1)]
+
+
+def test_invert_round_tapes_match_resolved_positions():
+    rng = random.Random(13)
+    inputs = [[], [0], MISSISSIPPI_RANKS, DEEPEST, [rng.randrange(3) for _ in range(200)]]
+    for s in inputs:
+        rounds = []
+        assert rw_bwt_invert(bwt(s), on_round=rounds.append) == s
+        assert rounds == resolved_position_rounds(s)
+
+
 # Ledgers of the read-write runs, pinned: passes, peak charged bits, output
 # bits, then the count, sum and sha256 of per_pass_tape_bits (comma-joined)
 # and the sha256 of the newline-joined trace lines.  A change that moves any
@@ -345,9 +397,9 @@ GOLDEN_LEDGERS = {
         "c40daacccd486fe504e3c44a5cb14e17025dde2bdaf36e21d03e9f8beb84a3fd",
     ),
     ("mississippi", "rw_bwt_invert"): (
-        270, 2496, 88, 270, 237312,
-        "ed4f3c980f6a57e1298e488fce6836a399370563615a6da19e63d2710acc7093",
-        "cecaed4e1405adf126b2239c4cedf4665779cca0d4c61b5ef9dacc0857a8a1f6",
+        242, 2496, 88, 242, 126272,
+        "8ce9f5c555ec46935da6dec03e61910ace19fbf1e622efc994c2ab0c746c7ee8",
+        "153d326d5d79328a44029b1987ceba7b2495fad95bc7e39a6a077626f4f3ff01",
     ),
     ("mississippi", "rw_suffix_array"): (
         153, 2496, 384, 153, 92056,
@@ -360,9 +412,9 @@ GOLDEN_LEDGERS = {
         "78045916207cb8513ac2bba4ebfda70a866a8afc3fe0520e945a4605916230da",
     ),
     ("random300", "rw_bwt_invert"): (
-        1140, 2496, 2400, 1140, 25409216,
-        "faf040a4d5d797a446ec9b86cc24c556cc805b71b2d175081ba15779c34873c4",
-        "74e00bbccb127c08a03612df1c80815aad3e1c8d0f37bc0bddcd05fc55ccbf21",
+        1098, 2496, 2400, 1098, 15259296,
+        "a035a975674671999c3ea538df6c444c091c5918666c20c25865447231b52da3",
+        "7e2ab453444493890fb1f9a3c67b9ab770074ccb63a09ddafd908afc6ef6fb69",
     ),
     ("random300", "rw_suffix_array"): (
         399, 2496, 9632, 399, 6803536,

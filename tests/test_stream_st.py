@@ -49,11 +49,7 @@ def tuple_key_records(s, k, sigma, width_bytes):
             value = (value << char_width) | v
         return value.to_bytes(key_bytes, "big")
 
-    tracker = []
-    wrap = [0] + [c + 1 for c in reversed(s[-k:] if k else [])]
-    while k and len(tracker) < k:
-        tracker.extend(wrap)
-    tracker = tracker[:k]
+    tracker = [0] * k  # position 0's context: the marker, then zeros
     records = []
     for c in s:
         records.append(pack_key(tracker) + bytes([c + 1]) + b"\x00" * (width_bytes - 1))

@@ -19,8 +19,9 @@ from sbc.adversary import db_power, de_bruijn, separation_experiment
 from sbc.entropy import hk
 from sbc.machine import Machine, MachineConfig, ModelKind
 from sbc.pipelines import BlockPlan, block_encode, encode_bwt_dc_ac, encode_bwt_mtf_rle_ac, ranks_of
-from sbc.stream_bwt import default_rw_machine, rw_bwt_encode
+from sbc.stream_bwt import default_rw_machine, rw_bwt_encode, rw_bwt_invert
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
+from sbc.transforms import bwt
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "tests", "fixtures")
 CORPUS = os.path.join(FIXTURES, "corpus")
@@ -30,13 +31,18 @@ def measure():
     """The calibration constants, as tests/fixtures/calibration.json holds them."""
     out = {}
 
-    # Pass-count shape of the doubling transform, worst case input.
+    # Pass-count shape of the doubling transform and its inverse, worse of
+    # the two directions on the worst case input.
     worst = 0.0
     for n in (2**8, 2**10, 2**12, 2**14):
-        machine = default_rw_machine(bytes(n))
-        rw_bwt_encode([0] * n, machine)
+        forward = default_rw_machine(bytes(n))
+        rw_bwt_encode([0] * n, forward)
+        image = bwt([0] * n)
+        inverse = default_rw_machine(bytes(c + 1 for c in image))
+        rw_bwt_invert(image, inverse)
+        passes = max(forward.ledger().passes, inverse.ledger().passes)
         level = math.ceil(math.log2(n + 1))
-        worst = max(worst, (machine.ledger().passes - 40) / level**2)
+        worst = max(worst, (passes - 40) / level**2)
     out["rw_pass_a"] = math.ceil(worst * 1.2)
     out["rw_pass_b"] = 40
 
