@@ -236,20 +236,19 @@ def _cmd_simulate(args) -> int:
     data = _read_input(args.input)
     out_lines: List[str] = []
 
-    def on_round(render):
-        """The hook that renders each round's tape for --trace, or None."""
-        return (lambda rows: out_lines.extend((render(rows), ""))) if args.trace else None
+    # Each round's tape, rendered for --trace.
+    on_round = (lambda rows: out_lines.extend((_render_ranked(rows), ""))) if args.trace else None
 
     if args.algo == "rw-bwt":
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
-        result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round(_render_ranked))
+        result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-unbwt":
         marker = 0xFF if 0xFF in data else ord("#")
         body = [tr.SENTINEL if b == marker else b for b in data]
         machine = _machine_for(ModelKind.READ_WRITE, bytes(c + 1 for c in body), 4,
                                args.memory_budget_bits, args.trace)
-        result = sbwt.rw_bwt_invert(body, machine, on_round=on_round(_render_ranked))
+        result = sbwt.rw_bwt_invert(body, machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-sa":
         machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)

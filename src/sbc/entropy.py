@@ -49,21 +49,15 @@ def context_stats(s: Sequence, k: int, cyclic: bool = False) -> ContextStats:
     if k < 0:
         raise ValueError("context length must be >= 0")
     n = len(s)
+    if cyclic:  # a linear scan with the string's cyclic last k characters in front
+        s = [s[(j - k) % n] for j in range(k) if n] + list(s)
     table: Dict[tuple, Counter] = {}
-    if cyclic:
-        for i in range(n):
-            w = tuple(s[(i - k + j) % n] for j in range(k))
-            bucket = table.get(w)
-            if bucket is None:
-                bucket = table[w] = Counter()
-            bucket[s[i]] += 1
-    else:
-        for i in range(k, n):
-            w = tuple(s[i - k:i])
-            bucket = table.get(w)
-            if bucket is None:
-                bucket = table[w] = Counter()
-            bucket[s[i]] += 1
+    for i in range(k, len(s)):
+        w = tuple(s[i - k:i])
+        bucket = table.get(w)
+        if bucket is None:
+            bucket = table[w] = Counter()
+        bucket[s[i]] += 1
     return ContextStats(k, table, n)
 
 

@@ -50,6 +50,8 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
+from .transforms import _validate_ranks
+
 
 class MachineError(Exception):
     """Base class for streaming-model violations."""
@@ -273,21 +275,22 @@ class Machine:
         self.trace: Optional[Callable[[str], None]] = None
 
     def require(self, model: Optional[ModelKind] = None, work_tapes: int = 0,
-                length: Optional[int] = None) -> None:
+                length: Optional[int] = None, sigma: Optional[int] = None) -> None:
         """Refuse, before a stage's first pass or charge, a machine not of
-        ``model``, with fewer than ``work_tapes`` work tapes, or whose input
-        tape does not hold ``length`` records; None accepts any."""
+        ``model``, with fewer than ``work_tapes`` work tapes, whose input
+        tape does not hold ``length`` records, or whose input tape holds a
+        symbol (a record's first byte, read with no pass) not below
+        ``sigma``; None accepts any."""
         given = self.config
         if model is not None and given.model is not model:
             raise CapabilityError(f"this stage needs the {model.value} model, not {given.model.value}")
         if given.work_tapes < work_tapes:
             raise CapabilityError(f"this stage needs {work_tapes} work tapes, not {given.work_tapes}")
-        if length is not None and len(self.tapes[INPUT].records) != length:
+        records = self.tapes[INPUT].records
+        if length is not None and len(records) != length:
             raise ValueError(f"machine input does not match the stage's {length} symbols")
-
-    def input_symbols(self) -> bytes:
-        """The first byte of each input-tape record, read with no pass or charge."""
-        return bytes(map(itemgetter(0), self.tapes[INPUT].records))
+        if sigma is not None:
+            _validate_ranks(bytes(map(itemgetter(0), records)), sigma)
 
     # -- passes ----------------------------------------------------------
 
@@ -427,9 +430,10 @@ def tape_merge_sort(machine: Machine, tape_id: str, key, scratch_a: str, scratch
     tape their stable merge, ``sorted(records, key=key)``, exactly
     as the record-by-record merge (kept in the tests as the oracle) leaves
     them; the host builds the merge with one more ``sorted``, in which
-    timsort finds the two runs and merges them once.  Keys must be totally
-    ordered.  Passes, trace lines and the tapes after the sort are the
-    contract; tape contents while it runs are not.
+    timsort finds the two runs and merges them once.  Keys (whole records
+    when ``key`` is None) must be totally ordered.  Passes, trace lines and
+    the tapes after the sort are the contract; tape contents while it runs
+    are not.
     """
     records = machine.tapes[tape_id].records
     n = len(records)

@@ -37,7 +37,7 @@ from .coders import (
     kth_order_encode,
 )
 from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind, held
-from .transforms import _dc_reconstruct, _validate_ranks, bwt, bwt_inverse, dc_encode, mtf_encode, st
+from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, mtf_encode, st
 
 
 class FormatError(Exception):
@@ -169,23 +169,16 @@ def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes
     return min(((k, payload_for(k)) for k in range(k_max + 1)), key=lambda kp: len(kp[1]))
 
 
-def _code_input(s: Sequence[int], sigma: int, code: Callable[[List[int]], bytes],
-                machine: Optional[Machine]) -> bytes:
-    """Run a stage's ``code`` on ``s``, or by :func:`_code_tape` on a given
-    machine's input tape, which must hold ``len(s)`` ranks below ``sigma``;
-    returns the payload."""
+def _code_tape(code: Callable[[List[int]], bytes], machine: Optional[Machine], sigma: int,
+               s: Optional[Sequence[int]] = None) -> bytes:
+    """Run a stage's ``code`` on ``s``, or on a given machine's input tape,
+    which must hold ``len(s)`` (any number without ``s``) ranks below
+    ``sigma``; returns the payload.  One read pass sweeps the tape and
+    ``code`` runs inside it, so the pass's memory peak includes what the
+    coder charges, and the payload goes to the output tape."""
     if machine is None:
         return code(list(s))
-    machine.require(length=len(s))
-    return _code_tape(code, machine, sigma)
-
-
-def _code_tape(code: Callable[[List[int]], bytes], machine: Machine, sigma: int) -> bytes:
-    """Check the input tape's symbols against ``sigma``, sweep it in one
-    read pass, run ``code`` on its symbols inside the open pass, so the
-    pass's memory peak includes what the coder charges, and write the
-    payload to the output tape."""
-    _validate_ranks(machine.input_symbols(), sigma)
+    machine.require(length=None if s is None else len(s), sigma=sigma)
     with machine.begin_pass(INPUT) as p:
         payload = code([rec[0] for rec in p.read_all()])
     machine.write_output(payload)
@@ -287,10 +280,9 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     constant passes, logarithmic memory.  Requires a read-write machine
     with at least one work tape.
     """
-    machine.require(ModelKind.READ_WRITE, work_tapes=1)
-    n = len(machine.tapes[INPUT].records)
     sigma_total = sigma + 1
-    _validate_ranks(machine.input_symbols(), sigma_total)
+    machine.require(ModelKind.READ_WRITE, work_tapes=1, sigma=sigma_total)
+    n = len(machine.tapes[INPUT].records)
     with held(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256):
         with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
                 machine.begin_pass("work0", mode=WRITE) as wp:
@@ -337,8 +329,8 @@ def encode_kth_order(s: Sequence[int], sigma: int, k: int,
     """Order-k container; a given machine's input tape is the input, s gives its length."""
     if not 0 <= k < K_AUTO:  # 255 is the header's auto marker
         raise ValueError("k must be in 0..254")
-    payload = _code_input(s, sigma, lambda symbols: kth_order_encode(symbols, sigma, k, machine),
-                          machine)
+    payload = _code_tape(lambda symbols: kth_order_encode(symbols, sigma, k, machine), machine,
+                         sigma, s)
     return _container(PipelineId.KTH_ORDER, sigma, k, len(s), payload, alphabet)
 
 
@@ -418,9 +410,9 @@ def block_encode(s: Sequence[int], sigma: int, plan: BlockPlan, known_n: bool = 
     """
     n = len(s)
     bounds = list(accumulate(block_boundaries(n, plan, known_n), initial=0))
-    payload = _code_input(s, sigma, lambda symbols: b"".join(
+    payload = _code_tape(lambda symbols: b"".join(
         _encode_block(symbols[start:end], sigma, machine)
-        for start, end in zip(bounds, bounds[1:])), machine)
+        for start, end in zip(bounds, bounds[1:])), machine, sigma, s)
     return _container(PipelineId.BLOCK_KTH, sigma, K_AUTO, n, payload, alphabet,
                       block_len=plan.block_len if known_n and n else 0)
 

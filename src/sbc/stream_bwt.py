@@ -1,7 +1,9 @@
 """Prefix-doubling transform computation on read-write tape machines.
 
-Both directions run in one working scope, :func:`_working`.  The forward
-direction is prefix doubling by position with resolved records set aside
+Both directions take their machine from :func:`_checked_machine`, which
+refuses one they cannot run on before any pass or charge, and hold the
+fixed working charge ``_WORK_BITS`` for the run.  The forward direction
+is prefix doubling by position with resolved records set aside
 (Dementiev, Kärkkäinen, Mehnert & Sanders, "Better external memory suffix
 array construction", ACM JEA 12, 2008).  Position i of x = s+sentinel
 (length m) is the record (tag i+1, next char x[i+1 mod m], pending flag,
@@ -54,10 +56,9 @@ slices, ``map``s over ``add``, ``compress`` and ``accumulate``, and one
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, gt, itemgetter, ne, sub
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .machine import INPUT, WRITE, Machine, MachineConfig, ModelKind, held, tape_merge_sort
 from .transforms import _validate_ranks, bwt
@@ -77,31 +78,26 @@ def default_rw_machine(input_data: bytes = b"") -> Machine:
     return Machine(cfg, input_data)
 
 
-@contextmanager
-def _working(machine: Optional[Machine], symbols: Sequence[int], shift: int,
-             check: Callable[[bytes], None]) -> Iterator[Machine]:
-    """The checked read-write machine of one run, holding the working charge.
+def _checked_machine(machine: Optional[Machine], symbols: Sequence[int], shift: int,
+                     sigma: Optional[int] = None) -> Machine:
+    """The read-write machine of one run, refused before any pass or charge
+    unless its input tape holds ``len(symbols)`` symbols below ``sigma``.
 
     Builds the default machine over ``symbols`` shifted by ``shift`` only
-    when none is given, after refusing a symbol no byte can hold; a given
-    machine is checked against ``len(symbols)`` alone.  ``check`` then reads
-    the input tape's symbols as bytes, before any pass or charge.  The
-    charge is released however the run ends.
+    when none is given, after refusing a symbol no byte can hold.
     """
     if machine is None:
         _validate_ranks(symbols, 256 - shift, low=-shift)  # before bytes() refuses it in its own words
         machine = default_rw_machine(bytes(c + shift for c in symbols))
-    machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols))
-    check(machine.input_symbols())
-    with held(machine, _WORK_BITS):
-        yield machine
+    machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols), sigma=sigma)
+    return machine
 
 
 # Fields of a ranked record (tag, char, pending flag, value) and of a joined
 # record (rank, partner rank, tag, next char).  Tags are distinct and joined
-# records are written in tag order, so whole-record order is tag order on
-# ranked records and the stable order by rank pair on joined ones.
-_record_key = itemgetter(slice(None))
+# records are written in tag order, so whole-record order (a sort with no
+# key) is tag order on ranked records and the stable order by rank pair on
+# joined ones.
 _tag_and_char = itemgetter(slice(0, 5))
 _char = itemgetter(slice(4, 5))
 _id = itemgetter(slice(0, 4))
@@ -129,7 +125,7 @@ def _merge_back(machine: Machine, tape: str, renewed: str, flags: Sequence[int],
                 out: str, spare: str) -> None:
     """Sort the records on ``renewed`` back by tag and write ``tape`` to
     ``out`` with them in its pending slots, those whose ``flags`` are set."""
-    tape_merge_sort(machine, renewed, _record_key, out, spare)
+    tape_merge_sort(machine, renewed, None, out, spare)
     with machine.begin_pass(tape) as rp, machine.begin_pass(renewed) as rn, \
             machine.begin_pass(out, mode=WRITE) as w:
         recs = rp.read_all()
@@ -144,7 +140,8 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
     """Run the forward rounds, sort the tape by rank, and write ``output`` of
     the (tag, next char) fields, in rank order, to the output tape; returns it."""
     m = len(s) + 1
-    with _working(machine, s, 0, lambda tape: _validate_ranks(tape, None)) as machine:
+    machine = _checked_machine(machine, s, 0, sigma=255)  # rank 255 would overflow its shift
+    with held(machine, _WORK_BITS):
         with machine.begin_pass(INPUT) as src, machine.begin_pass("work0", mode=WRITE) as dst:
             chars = [rec[0] + 1 for rec in src.read_all()] + [0]  # shifted; sentinel is 0
             dst.write_many(list(map(_RANKED.pack, count(1), chars[1:] + chars[:1], repeat(1), chars)))
@@ -164,7 +161,7 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
                 partners = map(_rank_key, compress(chain(repeat(bytes(10), h), lag.read_all()), flags))
                 out.write_many(list(map(add, map(add, map(_rank_key, pending), partners),
                                         map(_tag_and_char, pending))))
-            tape_merge_sort(machine, joined, _record_key, copy, spare)
+            tape_merge_sort(machine, joined, None, copy, spare)
             with machine.begin_pass(joined) as rp, machine.begin_pass(copy, mode=WRITE) as out:
                 pairs = rp.read_all()
                 sigs = list(map(_pair_key, pairs))
@@ -225,13 +222,12 @@ def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,
     ``on_round`` receives each round's tape as :func:`_decode_ranked`
     tuples (row, position or None while pending, char).
     """
-    def one_sentinel(tape: bytes) -> None:
-        if tape.count(0) != 1:
-            raise ValueError("expected exactly one sentinel")
-
     m = len(t)
+    machine = _checked_machine(machine, t, 1)
+    if bytes(map(itemgetter(0), machine.tapes[INPUT].records)).count(0) != 1:
+        raise ValueError("expected exactly one sentinel")
     tape, copy, joined, spare = "work0", "work1", "work2", "work3"
-    with _working(machine, t, 1, one_sentinel) as machine:
+    with held(machine, _WORK_BITS):
         # The stable sort of the transform puts, at index r, the row whose
         # position is one before row r's; row 0 holds position 0.
         with machine.begin_pass(INPUT) as src, machine.begin_pass(copy, mode=WRITE) as dst:

@@ -65,8 +65,7 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *
     if machine is None:
         _validate_ranks(s, sigma)  # before bytes(s) refuses a symbol in its own words
         machine = default_streamsort_machine(bytes(s))
-    machine.require(ModelKind.STREAM_SORT, length=n)
-    _validate_ranks(machine.input_symbols(), sigma)
+    machine.require(ModelKind.STREAM_SORT, length=n, sigma=sigma)
 
     char_width = max(1, sigma.bit_length())  # shifted values 0..sigma need this many bits
     key_bits = k * char_width

@@ -328,8 +328,11 @@ def faithful_tape_merge_sort(machine, tape_id, key, scratch_a, scratch_b):
 
     The library sorted this way before it charged the same sweeps and
     computed the tapes with one host sort; its tapes, ledger and trace
-    lines are what ``sbc.machine.tape_merge_sort`` must reproduce.
+    lines are what ``sbc.machine.tape_merge_sort`` must reproduce.  A
+    ``key`` of None compares whole records.
     """
+    if key is None:
+        key = lambda rec: rec
     n = len(machine.tapes[tape_id].records)
     if n <= 1:
         return

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -70,6 +71,29 @@ def test_context_stats_mass():
         for k in range(3):
             stats = context_stats(s, k)
             assert sum(sum(c.values()) for c in stats.table.values()) == max(0, n - k)
+
+
+def brute_cyclic_contexts(s, k):
+    """Each character's cyclic context, read off enough copies of ``s`` laid end to end."""
+    n = len(s)
+    copies = list(s) * (k // max(n, 1) + 2)
+    table = {}
+    for j in range(len(copies) - n, len(copies)):
+        table.setdefault(tuple(copies[j - k:j]), Counter())[copies[j]] += 1
+    return table
+
+
+def test_cyclic_context_stats_match_brute_force():
+    rng = random.Random(7)
+    cases = [("", 3), ("ab", 5), ("mississippi", 2), ("mississippi", 23), ([0, 1, 1], 0)]
+    for _ in range(300):
+        n = rng.randrange(0, 9)
+        s = [rng.randrange(3) for _ in range(n)]
+        cases.append((s if rng.randrange(2) else "".join("abc"[c] for c in s), rng.randrange(12)))
+    for s, k in cases:
+        stats = context_stats(s, k, cyclic=True)
+        assert (stats.k, stats.n) == (k, len(s))
+        assert stats.table == brute_cyclic_contexts(s, k), (s, k)
 
 
 def test_deterministic_contexts_give_zero():

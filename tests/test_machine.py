@@ -25,7 +25,6 @@ from sbc.pipelines import BlockPlan, block_encode, dc_ac_encode_stream, encode_k
 from sbc.stream_bwt import (
     _char,
     _rank_key,
-    _record_key,
     rw_bwt_encode,
     rw_bwt_invert,
     rw_suffix_array,
@@ -289,16 +288,16 @@ def test_tape_merge_sort_matches_faithful_merge():
 
 
 def test_tape_merge_sort_matches_faithful_merge_on_doubling_keys():
-    # The prefix-doubling sorts' own keys.  Every other record copies its key
-    # fields from an earlier one, so keys repeat; a whole-record key repeats
-    # whole records.
+    # The prefix-doubling sorts' own keys, None for whole records.  Every
+    # other record copies its key fields from an earlier one, so keys repeat;
+    # a whole-record sort repeats whole records.
     # Sizes around powers of two make the last level split off a one-record
     # run.
     rng = random.Random(23)
     cases = [
         (5, _char, [slice(4, 5)]),
-        (10, _record_key, [slice(0, 10)]),
-        (13, _record_key, [slice(0, 13)]),
+        (10, None, [slice(0, 10)]),
+        (13, None, [slice(0, 13)]),
         (10, _rank_key, [slice(6, 10)]),
     ]
     for j in range(1, 8):
@@ -312,7 +311,7 @@ def test_tape_merge_sort_matches_faithful_merge_on_doubling_keys():
                         for field in fields:
                             rec[field] = earlier[field]
                     records.append(bytes(rec))
-                assert n < 2 or len(set(map(key, records))) < n
+                assert n < 2 or len(set(map(key or bytes, records))) < n
                 new, old = _sorted_twice(records, key, scratch_records=[b"junk"])
                 assert new == old, (n, width)
                 assert new[0]["work0"][0] == sorted(records, key=key)
@@ -484,3 +483,21 @@ def test_every_stage_refuses_a_machine_before_it_runs(stage):
         # No pass ran and nothing stays charged.
         assert machine.ledger() == MachineLedger(), (model, work_tapes)
         machine.charge_memory(machine.config.memory_budget_bits)
+
+
+def test_require_refuses_a_tape_symbol_outside_sigma():
+    m = Machine(cfg(ModelKind.STANDARD), bytes([1, 0, 7, 3, 9]))
+    m.require(length=5, sigma=10)
+    # The first symbol not below sigma is named; a wrong length comes first.
+    with pytest.raises(ValueError, match="^symbol 7 out of alphabet$"):
+        m.require(length=5, sigma=5)
+    with pytest.raises(ValueError, match="machine input does not match"):
+        m.require(length=4, sigma=5)
+    assert m.ledger() == MachineLedger()
+    # A symbol is a record's first byte.
+    m.tapes[INPUT].records = [b"\x01\xff", b"\x00\x09"]
+    m.require(sigma=2)
+    # With no sigma nothing is read: a record with no first byte passes.
+    m.tapes[INPUT].records = [b"", b"\x07"]
+    m.require(length=2)
+    assert m.ledger() == MachineLedger()

@@ -379,8 +379,10 @@ def test_stage_refuses_a_tape_outside_its_alphabet(name):
     machine = Machine(MachineConfig(model, memory_budget_bits=1 << 20, work_tapes=work_tapes), tape)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run(machine)
-    # The stage reads its tape before the first pass and leaves nothing charged.
+    # The stage reads its tape before its first pass or charge, and leaves
+    # nothing charged.
     assert machine.ledger().passes == 0
+    assert machine.ledger().peak_memory_bits == 0
     machine.charge_memory(machine.config.memory_budget_bits)
 
 
