@@ -22,11 +22,11 @@ deliberately not counted; the budget models algorithmic state only.
 
 A pass is one whole one-directional sweep of one tape head: a pass reads
 the tape with one :meth:`TapePass.read_all` and writes it with
-:meth:`TapePass.write_many`.  In the read-write model every sweep of every
-tape is counted; in the other models the write-only output head is free
-(output is produced "on the way" during the single data pass).  Passes are
-numbered in the order they close, so the N-th trace line describes the
-N-th entry of the ledger's ``per_pass_tape_bits``.  A rewrite pass in
+:meth:`TapePass.write_many`.  In every model the write-only output head is
+free: :meth:`Machine.write_output` opens no pass, and the output tape's
+size is the ledger's ``total_output_bits``.  Passes are counted and
+numbered as they close, so the N-th trace line describes the N-th entry of
+the ledger's ``per_pass_tape_bits``.  A rewrite pass in
 wstreams/streamsort may grow the tape by at most ``EXPANSION_FACTOR``
 times, plus a one-record allowance so that boundary markers (for example
 an appended terminator) are expressible on tiny tapes.
@@ -110,20 +110,20 @@ class MachineConfig:
 
 @dataclass
 class MachineLedger:
+    """What a machine spent, read off it by :meth:`Machine.ledger`.
+
+    ``passes`` counts closed passes, sort passes included (``sort_passes``
+    of them); ``peak_memory_bits`` is the highest simultaneous charge;
+    ``total_output_bits`` is the output tape's size; ``per_pass_tape_bits``
+    is the swept tape's size after each pass, in close order, so trace line
+    N describes entry N.
+    """
+
     passes: int = 0
     sort_passes: int = 0
     peak_memory_bits: int = 0
     total_output_bits: int = 0
     per_pass_tape_bits: list = field(default_factory=list)
-
-    def snapshot(self) -> "MachineLedger":
-        return MachineLedger(
-            self.passes,
-            self.sort_passes,
-            self.peak_memory_bits,
-            self.total_output_bits,
-            list(self.per_pass_tape_bits),
-        )
 
 
 class Tape:
@@ -158,15 +158,14 @@ class TapePass:
 
     A read or rewrite pass reads the tape with :meth:`read_all`; a write or
     rewrite pass writes it with :meth:`write_many`.  Use as a context
-    manager, or call :meth:`close` explicitly; the sweep's effects (tape
-    replacement, expansion check, pass number and trace line) happen at
-    close.
+    manager, or call :meth:`close` once explicitly; the sweep's effects
+    (tape replacement, expansion check, pass count and number, trace line)
+    happen at close.  While the pass is open nothing else writes its tape.
     """
 
     __slots__ = (
         "machine", "tape_id", "direction", "mode", "_tape",
         "_swept", "_writes", "_bytes_read", "_bytes_written",
-        "_bits_before", "closed",
     )
 
     def __init__(self, machine: "Machine", tape_id: str, direction: str, mode: str):
@@ -174,14 +173,11 @@ class TapePass:
         self.tape_id = tape_id
         self.direction = direction
         self.mode = mode
-        self._tape = tape = machine.tapes[tape_id]
+        self._tape = machine.tapes[tape_id]
         self._swept = False
         self._writes: list = []
         self._bytes_read = 0
         self._bytes_written = 0
-        # Only a rewrite pass checks expansion against the size it started from.
-        self._bits_before = 8 * tape._nbytes if mode == REWRITE else 0
-        self.closed = False
 
     def read_all(self) -> list:
         """Sweep the head over the tape, returning a copy of its records in sweep order.
@@ -224,9 +220,6 @@ class TapePass:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
         machine = self.machine
         tape = self._tape
         del machine._open[self.tape_id]
@@ -235,13 +228,14 @@ class TapePass:
             ModelKind.W_STREAMS,
             ModelKind.STREAM_SORT,
         ):
+            in_bits = tape.bits()  # unchanged since the pass began
             out_bits = 8 * self._bytes_written
-            allowed = (math.ceil(EXPANSION_FACTOR * self._bits_before)
+            allowed = (math.ceil(EXPANSION_FACTOR * in_bits)
                        + 8 * max(map(len, self._writes), default=0))
             if out_bits > allowed:
                 # The pass still counts and closes; the tape keeps its records.
                 rejected = ExpansionError(
-                    f"rewrite pass wrote {out_bits} bits from {self._bits_before}; "
+                    f"rewrite pass wrote {out_bits} bits from {in_bits}; "
                     f"allowed {allowed} at factor {EXPANSION_FACTOR}"
                 )
         if self.mode != READ and rejected is None:
@@ -267,8 +261,10 @@ class Machine:
         }
         for w in range(config.work_tapes):
             self.tapes[f"work{w}"] = Tape()
-        self._ledger = MachineLedger()
+        self._pass_tape_bits: list = []  # the ledger's per_pass_tape_bits
+        self._sort_passes = 0
         self._held_bits = 0
+        self._peak_bits = 0
         self._input_reads = 0
         self._permitted: set = set()  # (tape, direction, mode) that _check_pass allowed
         self._open: dict = {}
@@ -304,7 +300,6 @@ class Machine:
             self._input_reads += 1
         if tape_id in self._open:
             raise MachineError(f"tape {tape_id!r} already has an open pass")
-        self._ledger.passes += 1
         handle = self._open[tape_id] = TapePass(self, tape_id, direction, mode)
         return handle
 
@@ -331,12 +326,10 @@ class Machine:
             raise CapabilityError(f"model {model.value} cannot rewrite tapes")
 
     def write_output(self, *recs: bytes) -> None:
-        """Append records to the write-only output tape."""
+        """Append records to the write-only output tape; no pass is counted."""
         tape = self.tapes[OUTPUT]
         tape.records.extend(recs)
-        nbytes = sum(map(len, recs))
-        tape._nbytes += nbytes
-        self._ledger.total_output_bits += 8 * nbytes
+        tape._nbytes += sum(map(len, recs))
 
     def sort_pass(self, key: Callable[[bytes], object]) -> None:
         """Stable oracle sort of the stream tape, charged as one pass (streamsort only)."""
@@ -346,22 +339,21 @@ class Machine:
             raise MachineError("cannot sort while a pass is open")
         tape = self.tapes[INPUT]
         tape.records.sort(key=key)
-        self._ledger.sort_passes += 1
-        self._ledger.passes += 1
+        self._sort_passes += 1
         self._finish_pass(INPUT, FORWARD, tape._nbytes, tape._nbytes)
 
     def _finish_pass(self, tape_id: str, direction: str, bytes_in: int, bytes_out: int) -> None:
-        """Record a finished pass: the tape's size in the ledger, and its trace line.
+        """Count a finished pass: the tape's size in the ledger, and its trace line.
 
-        Passes are numbered as they close: pass N is ``per_pass_tape_bits[N-1]``.
+        Passes are counted and numbered as they close: pass N is ``per_pass_tape_bits[N-1]``.
         """
-        tape_bits = self._ledger.per_pass_tape_bits
+        tape_bits = self._pass_tape_bits
         tape_bits.append(8 * self.tapes[tape_id]._nbytes)
         if self.trace is not None:
             self.trace(
                 f"pass={len(tape_bits)} tape={tape_id} dir={direction} "
                 f"bytes_in={bytes_in} bytes_out={bytes_out} "
-                f"mem_peak={self._ledger.peak_memory_bits}"
+                f"mem_peak={self._peak_bits}"
             )
 
     # -- memory ----------------------------------------------------------
@@ -375,8 +367,8 @@ class Machine:
                 f"charged {new} bits exceeds budget {self.config.memory_budget_bits}"
             )
         self._held_bits = new
-        if new > self._ledger.peak_memory_bits:
-            self._ledger.peak_memory_bits = new
+        if new > self._peak_bits:
+            self._peak_bits = new
 
     def release_memory(self, bits: int) -> None:
         if bits < 0:
@@ -388,7 +380,10 @@ class Machine:
     # -- inspection --------------------------------------------------------
 
     def ledger(self) -> MachineLedger:
-        return self._ledger.snapshot()
+        """A new ledger read off the machine; a pass still open is not counted."""
+        tape_bits = self._pass_tape_bits
+        return MachineLedger(len(tape_bits), self._sort_passes, self._peak_bits,
+                             self.tapes[OUTPUT].bits(), list(tape_bits))
 
 
 @contextmanager

@@ -121,7 +121,9 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     :func:`default_streamsort_machine`.  The sort rewrites the input tape
     and the model cannot restore it, so ``s`` is loaded onto the input tape
     again before each k; that load is host work, not a pass.  The ledger
-    sums the passes of every k, and its peak is the largest of any k.
+    sums the passes of every k, and its peak is the largest of any k.  The
+    coder's forward pass is charged σ+1 registers but codes every first
+    occurrence before any look-ahead gap, so it must buffer the tape.
     """
     s = list(s)
     _validate_ranks(s, sigma)  # s is loaded onto the tape before each k

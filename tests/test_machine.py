@@ -181,6 +181,16 @@ def test_ledger_snapshots_are_independent():
     assert a == b  # old snapshots unaffected
 
 
+def test_pass_counts_when_it_closes():
+    m = Machine(cfg(ModelKind.MULTIPASS), b"ab")
+    with m.begin_pass(INPUT) as p:
+        p.read_all()
+        led = m.ledger()
+        assert led.passes == 0 and led.per_pass_tape_bits == []
+    led = m.ledger()
+    assert led.passes == 1 and led.per_pass_tape_bits == [16]
+
+
 def test_reverse_read_only_in_read_write():
     m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=1), b"abc")
     with m.begin_pass(INPUT, direction="rev") as p:
@@ -382,6 +392,9 @@ def test_tape_bits_track_every_change():
     def check(machine):
         for tape in machine.tapes.values():
             assert tape.bits() == 8 * sum(map(len, tape.records))
+        led = machine.ledger()
+        assert led.passes == len(led.per_pass_tape_bits)
+        assert led.total_output_bits == machine.tapes[OUTPUT].bits()
 
     m = Machine(cfg(ModelKind.READ_WRITE, work_tapes=3), b"abcde")
     lines = []
@@ -404,6 +417,7 @@ def test_tape_bits_track_every_change():
         p.write_many([rec * 2 for rec in p.read_all()])
     check(m)
     m.write_output(b"out")
+    check(m)
     m.write_output(b"")
     check(m)
     m.tapes["work1"].records = [b"zz", b"y", b"xxx"]
