@@ -89,9 +89,10 @@ def _emit_json(args, payload: dict) -> None:
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _machine_for(model: ModelKind, data: bytes, work_tapes: int, budget_bits: Optional[int],
-                 trace: bool) -> Machine:
-    """A machine over ``data``; no budget means 2^40 bits, ``trace`` writes pass lines to stderr."""
+def _machine_for(model: ModelKind, data: bytes, budget_bits: Optional[int], trace: bool) -> Machine:
+    """A machine over ``data``, with the transform's work tapes if read-write; no
+    budget means 2^40 bits, ``trace`` writes pass lines to stderr."""
+    work_tapes = sbwt.RW_WORK_TAPES if model is ModelKind.READ_WRITE else 0
     machine = Machine(MachineConfig(model, budget_bits or _DEFAULT_BUDGET, work_tapes), data)
     if trace:
         machine.trace = lambda line: sys.stderr.write(line + "\n")
@@ -147,15 +148,16 @@ def _compress(entry: pl.Pipeline, ranks: List[int], sigma: int, alphabet: bytes,
 def _cmd_compress(args) -> int:
     if not args.model:
         _reject_flags(args, _MACHINE_FLAGS, "needs --model: without it no machine runs")
+    entry = pl.PIPELINES[args.pipeline]
+    if entry.default_k(0) == pl.K_AUTO:  # K_AUTO at any length: the pipeline takes no k
+        _reject_flags(args, ("k",), f"has no effect: {entry.name} takes no context length")
     _check_exponents(args.c, args.epsilon)
     data = _read_input(args.input)
     ranks, sigma, alphabet = _ranks_of(data, args.sigma)
-    entry = pl.PIPELINES[args.pipeline]
     machine = None
     if args.model:
         entry.check_model(ModelKind(args.model))
-        machine = _machine_for(entry.model, bytes(ranks), entry.work_tapes,
-                               args.memory_budget_bits, args.trace)
+        machine = _machine_for(entry.model, bytes(ranks), args.memory_budget_bits, args.trace)
     k = args.k if args.k is not None else entry.default_k(len(ranks))
     container, report = _compress(entry, ranks, sigma, alphabet, k, args.c, args.epsilon, machine)
     _write_output(args.output, container)
@@ -191,6 +193,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    if args.op != "st":
+        _reject_flags(args, ("k",), f"has no effect: {args.op} takes no context length")
     data = _read_input(args.input)
     if args.op == "bwt":
         body = tr.bwt(list(data))
@@ -240,18 +244,18 @@ def _cmd_simulate(args) -> int:
     on_round = (lambda rows: out_lines.extend((_render_ranked(rows), ""))) if args.trace else None
 
     if args.algo == "rw-bwt":
-        machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
+        machine = _machine_for(ModelKind.READ_WRITE, data, args.memory_budget_bits, args.trace)
         result = sbwt.rw_bwt_encode(list(data), machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-unbwt":
         marker = 0xFF if 0xFF in data else ord("#")
         body = [tr.SENTINEL if b == marker else b for b in data]
-        machine = _machine_for(ModelKind.READ_WRITE, bytes(c + 1 for c in body), 4,
+        machine = _machine_for(ModelKind.READ_WRITE, bytes(c + 1 for c in body),
                                args.memory_budget_bits, args.trace)
         result = sbwt.rw_bwt_invert(body, machine, on_round=on_round)
         out_lines.append("".join(_render_char(c) for c in result))
     elif args.algo == "rw-sa":
-        machine = _machine_for(ModelKind.READ_WRITE, data, 4, args.memory_budget_bits, args.trace)
+        machine = _machine_for(ModelKind.READ_WRITE, data, args.memory_budget_bits, args.trace)
         result = sbwt.rw_suffix_array(list(data), machine)
         out_lines.append(" ".join(map(str, result)))
     elif args.algo == "sort-chars":
@@ -308,9 +312,10 @@ _BENCH_COLUMNS = [
 
 def _bench_cell(ranks: List[int], sigma: int, alphabet: bytes, entry: pl.Pipeline,
                 k: Optional[int], c: float, epsilon: float) -> dict:
-    if k is None:
-        k = entry.default_k(len(ranks))
-    machine = _machine_for(entry.model, bytes(ranks), entry.work_tapes, None, False)
+    default_k = entry.default_k(len(ranks))
+    if k is None or default_k == pl.K_AUTO:  # the k the container carries
+        k = default_k
+    machine = _machine_for(entry.model, bytes(ranks), None, False)
     started = time.perf_counter()
     _, report = _compress(entry, ranks, sigma, alphabet, k, c, epsilon, machine)
     wall = time.perf_counter() - started

@@ -37,6 +37,7 @@ from .coders import (
     kth_order_encode,
 )
 from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind, held
+from .stream_bwt import rw_bwt_onto_input
 from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, mtf_encode, st
 
 
@@ -230,7 +231,8 @@ def _mtf_rle_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int
 
 
 def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
-    """Standard-model pass over an already-transformed stream on the input tape.
+    """One read pass over an already-transformed stream on the input tape,
+    on a machine of any model: the last pass of the read-write pipeline.
 
     Tape records are single shifted symbols (end marker 0, rank r at r+1).
     The payload is written to the output tape and returned.
@@ -316,8 +318,9 @@ def encode_st_dc_ac(s: Sequence[int], sigma: int, k_max: int,
                     alphabet: Optional[bytes] = None) -> bytes:
     """Try every context length up to k_max and keep the shortest payload.
 
-    Encode-only: the length-k sort has no known inverse in these models, so
-    no decode procedure exists for this pipeline.
+    Encode-only: the length-k sort has an inverse (Schindler, DCC 1997;
+    Nong & Zhang, IEEE Trans. Computers 56(11), 2007), but sbc has no
+    decoder for it yet.
     """
     best_k, payload = _best_k(k_max, lambda k: _dc_ac_payload([c + 1 for c in st(s, k, sigma)],
                                                               sigma + 1))
@@ -453,8 +456,9 @@ class Pipeline:
 
     ``encode(s, sigma, alphabet, k, c, epsilon, machine)`` returns the
     container.  The caller owns the machine: None runs the pipeline in
-    memory; otherwise it is a machine of ``model`` with ``work_tapes`` work
-    tapes over ``bytes(s)``, and the pipeline streams on it.
+    memory; otherwise it is a machine of ``model`` over ``bytes(s)`` (with
+    ``stream_bwt.RW_WORK_TAPES`` work tapes if read-write), and the
+    pipeline streams on it.
     ``decode(header, payload)`` returns the ranks; it is None for
     encode-only pipelines.  ``host_stages`` names the work the encoder does
     on the host, outside the machine's ledger, when it streams on a machine.
@@ -463,7 +467,6 @@ class Pipeline:
     id: PipelineId
     name: str
     model: ModelKind
-    work_tapes: int
     default_k: Callable[[int], int]  # input length -> k for ``sbc compress``; 255: none
     encode: Callable[..., bytes]
     decode: Optional[Callable[[ContainerHeader, bytes], List[int]]]
@@ -475,11 +478,11 @@ class Pipeline:
 
 
 def _run_bwt(pipeline, encode, encode_stream, s, sigma, alphabet, k, c, epsilon, machine):
-    """Encoder of a transform pipeline; its machine streams the host transform."""
+    """Encoder of a transform pipeline; on a machine, the transform replaces
+    the input on the input tape and ``encode_stream`` codes it there."""
     if machine is None:
         return encode(s, sigma, alphabet)
-    # Host stage: the transform replaces the input on the tape, end marker 0.
-    machine.tapes[INPUT].records = [bytes((x + 1,)) for x in bwt(s, sigma)]
+    rw_bwt_onto_input(s, machine)
     payload = encode_stream(machine, sigma)
     return _container(pipeline, sigma, K_AUTO, len(s), payload, alphabet)
 
@@ -508,21 +511,19 @@ def _decode_kth_order(header: ContainerHeader, payload: bytes) -> List[int]:
 
 #: The pipelines by CLI name.
 PIPELINES: Dict[str, Pipeline] = {p.name: p for p in (
-    Pipeline(PipelineId.BWT_MTF_RLE_AC, "bwt-mtf-rle-ac", ModelKind.STANDARD, 0,
-             lambda n: K_AUTO,
+    Pipeline(PipelineId.BWT_MTF_RLE_AC, "bwt-mtf-rle-ac", ModelKind.READ_WRITE, lambda n: K_AUTO,
              functools.partial(_run_bwt, PipelineId.BWT_MTF_RLE_AC, encode_bwt_mtf_rle_ac,
                                mtf_rle_ac_encode_stream),
-             lambda h, payload: _bwt_decode(_mtf_rle_ac_decode, payload, h.n, h.sigma),
-             ("bwt",)),
-    Pipeline(PipelineId.BWT_DC_AC, "bwt-dc-ac", ModelKind.READ_WRITE, 1, lambda n: K_AUTO,
+             lambda h, payload: _bwt_decode(_mtf_rle_ac_decode, payload, h.n, h.sigma)),
+    Pipeline(PipelineId.BWT_DC_AC, "bwt-dc-ac", ModelKind.READ_WRITE, lambda n: K_AUTO,
              functools.partial(_run_bwt, PipelineId.BWT_DC_AC, encode_bwt_dc_ac,
                                dc_ac_encode_stream),
-             lambda h, payload: _bwt_decode(_dc_ac_decode, payload, h.n, h.sigma), ("bwt",)),
-    Pipeline(PipelineId.ST_DC_AC, "st-dc-ac", ModelKind.STREAM_SORT, 0,
+             lambda h, payload: _bwt_decode(_dc_ac_decode, payload, h.n, h.sigma)),
+    Pipeline(PipelineId.ST_DC_AC, "st-dc-ac", ModelKind.STREAM_SORT,
              lambda n: min(4, max(1, n).bit_length()), _run_st_dc_ac, None, ("input-reload",)),
-    Pipeline(PipelineId.BLOCK_KTH, "block-kth", ModelKind.STANDARD, 0, lambda n: K_AUTO,
+    Pipeline(PipelineId.BLOCK_KTH, "block-kth", ModelKind.STANDARD, lambda n: K_AUTO,
              _run_block_kth, _decode_block_kth),
-    Pipeline(PipelineId.KTH_ORDER, "kth-order", ModelKind.STANDARD, 0, lambda n: 2,
+    Pipeline(PipelineId.KTH_ORDER, "kth-order", ModelKind.STANDARD, lambda n: 2,
              _run_kth_order, _decode_kth_order),
 )}
 PIPELINES_BY_ID = {p.id: p for p in PIPELINES.values()}

@@ -22,7 +22,7 @@ resolved.  They are sorted back by position and merged into the tape in one
 pass.  Strings of length m-1 are unique, so nothing is pending after at
 most max(1, ceil(log2(m-1))) rounds; one sort by rank then puts the next
 chars (the transform) or the tags mod m (the suffix array) on the output
-tape.
+tape, or the transform back on the input tape for a stage that sweeps it.
 
 Inversion ranks the predecessor list by pointer jumping (Chiang et al.,
 "External-memory graph algorithms", SODA 1995) on the same records, one
@@ -58,7 +58,7 @@ from __future__ import annotations
 import struct
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, gt, itemgetter, ne, sub
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .machine import INPUT, WRITE, Machine, MachineConfig, ModelKind, held, tape_merge_sort
 from .transforms import _validate_ranks, bwt
@@ -66,16 +66,20 @@ from .transforms import _validate_ranks, bwt
 _RANKED = struct.Struct(">IBBI")  # tag, char, pending flag, value (a rank, link or position)
 _FLAG_AND_RANK = struct.Struct(">BI")
 _ID = struct.Struct(">I")
+_T = TypeVar("_T")
 
 # Fixed working-register charge, pinned at 2,496 bits: a few ranked (10-byte)
 # and joined (13-byte) records plus counters.
 _WORK_BITS = 2496
 
+#: Work tapes of every read-write machine: the tape, its copy, the joined
+#: records and the sort's spare.
+RW_WORK_TAPES = 4
+
 
 def default_rw_machine(input_data: bytes = b"") -> Machine:
     budget_bits = 8192 + 64 * max(1, len(input_data)).bit_length()
-    cfg = MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=budget_bits, work_tapes=4)
-    return Machine(cfg, input_data)
+    return Machine(MachineConfig(ModelKind.READ_WRITE, budget_bits, RW_WORK_TAPES), input_data)
 
 
 def _checked_machine(machine: Optional[Machine], symbols: Sequence[int], shift: int,
@@ -89,7 +93,7 @@ def _checked_machine(machine: Optional[Machine], symbols: Sequence[int], shift: 
     if machine is None:
         _validate_ranks(symbols, 256 - shift, low=-shift)  # before bytes() refuses it in its own words
         machine = default_rw_machine(bytes(c + shift for c in symbols))
-    machine.require(ModelKind.READ_WRITE, work_tapes=4, length=len(symbols), sigma=sigma)
+    machine.require(ModelKind.READ_WRITE, RW_WORK_TAPES, len(symbols), sigma)
     return machine
 
 
@@ -136,9 +140,10 @@ def _merge_back(machine: Machine, tape: str, renewed: str, flags: Sequence[int],
 
 def _encode(s: Sequence[int], machine: Optional[Machine],
             on_round: Optional[Callable[[List[tuple]], None]],
-            output: Callable[[List[bytes]], List[bytes]]) -> List[bytes]:
-    """Run the forward rounds, sort the tape by rank, and write ``output`` of
-    the (tag, next char) fields, in rank order, to the output tape; returns it."""
+            output: Callable[[Machine, List[bytes]], _T]) -> _T:
+    """Run the forward rounds, sort the tape by rank, and read it in one last
+    pass, inside which ``output`` gets the machine and the (tag, next char)
+    fields in rank order and writes the result; returns what ``output`` does."""
     m = len(s) + 1
     machine = _checked_machine(machine, s, 0, sigma=255)  # rank 255 would overflow its shift
     with held(machine, _WORK_BITS):
@@ -186,9 +191,18 @@ def _encode(s: Sequence[int], machine: Optional[Machine],
                 break
         tape_merge_sort(machine, tape, _rank_key, copy, spare)
         with machine.begin_pass(tape) as rp:
-            fields = output(list(map(_tag_and_char, rp.read_all())))
-            machine.write_output(*fields)
-        return fields
+            return output(machine, list(map(_tag_and_char, rp.read_all())))
+
+
+def _onto_output(machine: Machine, fields: List[bytes]) -> List[int]:
+    next_chars = list(map(_char, fields))  # shifted; the sentinel is 0
+    machine.write_output(*next_chars)
+    return [c - 1 for c in b"".join(next_chars)]
+
+
+def _onto_input(machine: Machine, fields: List[bytes]) -> None:
+    with machine.begin_pass(INPUT, mode=WRITE) as w:
+        w.write_many(list(map(_char, fields)))
 
 
 def rw_bwt_encode(s: Sequence[int], machine: Optional[Machine] = None,
@@ -198,8 +212,15 @@ def rw_bwt_encode(s: Sequence[int], machine: Optional[Machine] = None,
     A given machine's input tape is the input; ``s`` gives only its length.
     ``on_round`` receives each round's tape as :func:`_decode_ranked` tuples.
     """
-    next_chars = _encode(s, machine, on_round, lambda tails: [t[4:5] for t in tails])
-    return [c - 1 for c in b"".join(next_chars)]
+    return _encode(s, machine, on_round, _onto_output)
+
+
+def rw_bwt_onto_input(s: Sequence[int], machine: Machine) -> None:
+    """Run :func:`rw_bwt_encode` on ``machine`` but end with one write pass
+    that leaves the transform on the input tape, as the output tape would
+    get it (end marker 0, rank r as r+1), for a stage that sweeps that tape.
+    """
+    _encode(s, machine, None, _onto_input)
 
 
 def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List[int]:
@@ -208,9 +229,13 @@ def rw_suffix_array(s: Sequence[int], machine: Optional[Machine] = None) -> List
     A given machine's input tape is the input; ``s`` gives only its length.
     """
     m = len(s) + 1  # record i ranks the context of position i+1 mod m, its tag mod m
-    positions = _encode(s, machine, None, lambda tails: [
-        _ID.pack(int.from_bytes(t[:4], "big") % m) for t in tails])
-    return [int.from_bytes(p, "big") for p in positions]
+
+    def onto_output(machine: Machine, fields: List[bytes]) -> List[int]:
+        positions = [tag % m for tag in _ints(fields, _id)]
+        machine.write_output(*map(_ID.pack, positions))
+        return positions
+
+    return _encode(s, machine, None, onto_output)
 
 
 def rw_bwt_invert(t: Sequence[int], machine: Optional[Machine] = None,

@@ -84,8 +84,8 @@ def test_host_work_reports_host_stages():
 
 
 @pytest.mark.parametrize("pipeline, model, host_stages", [
-    ("bwt-mtf-rle-ac", "standard", ["bwt"]),
-    ("bwt-dc-ac", "readwrite", ["bwt"]),
+    ("bwt-mtf-rle-ac", "readwrite", None),
+    ("bwt-dc-ac", "readwrite", None),
     ("st-dc-ac", "streamsort", ["input-reload"]),
     ("kth-order", "standard", None),
 ])
@@ -441,6 +441,29 @@ def test_bad_numeric_flags_are_usage_errors(argv):
     assert out.stdout == b""
 
 
+# A --k that nothing reads is refused before any input is read, in the words
+# of the other flags that have no effect; the input named here does not exist.
+K_WITHOUT_A_CONTEXT = [
+    (["compress", "--pipeline", "bwt-dc-ac", "--k", "3"], "bwt-dc-ac"),
+    (["compress", "--pipeline", "bwt-mtf-rle-ac", "--k", "0", "--model", "readwrite"],
+     "bwt-mtf-rle-ac"),
+    (["compress", "--pipeline", "block-kth", "--k", "3"], "block-kth"),
+    (["transform", "--op", "mtf", "--k", "3"], "mtf"),
+    (["transform", "--op", "bwt", "--k", "0"], "bwt"),
+    (["transform", "--op", "unbwt", "--k", "1"], "unbwt"),
+    (["transform", "--op", "dc", "--k", "2"], "dc"),
+]
+
+
+@pytest.mark.parametrize("argv, name", K_WITHOUT_A_CONTEXT,
+                         ids=[" ".join(argv) for argv, _ in K_WITHOUT_A_CONTEXT])
+def test_k_that_nothing_reads_is_a_usage_error(argv, name, tmp_path, capsys):
+    assert main([*argv, str(tmp_path / "missing")]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"usage error: --k has no effect: {name} takes no context length\n"
+    assert out == ""
+
+
 # A pair of exponents that are each finite but break 0 < epsilon < c < 1 - epsilon
 # is refused before any input is read: the input named here does not exist.
 @pytest.mark.parametrize("argv", [
@@ -523,8 +546,10 @@ def test_bench_csv(tmp_path):
     for row in lines[1:]:
         cells = row.split(",")
         assert len(cells) == 20
+        # The k the container carries: 255 where the pipeline takes none.
+        assert cells[2] == {"bwt-dc-ac": "255", "kth-order": "1"}[cells[1]]
         # The JSON report's host_stages, joined by "+"; empty where none ran.
-        assert cells[-1] == {"bwt-dc-ac": "bwt", "kth-order": ""}[cells[1]]
+        assert cells[-1] == ""
 
 
 def test_bench_reproduces_experiment_sizes(tmp_path):

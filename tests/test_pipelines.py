@@ -8,14 +8,16 @@ import pytest
 
 from conftest import CORPUS_DIR, ranks_of
 from sbc.adversary import db_power, de_bruijn
+from sbc.cli import _machine_for
 from sbc.cli import main as cli_main
 from sbc.entropy import hk
-from sbc.machine import Machine, MachineConfig, ModelKind
+from sbc.machine import INPUT, OUTPUT, Machine, MachineConfig, ModelKind
 from sbc.pipelines import (
     BlockPlan,
     ContainerHeader,
     PIPELINES,
     FormatError,
+    K_AUTO,
     PipelineId,
     block_boundaries,
     block_encode,
@@ -309,6 +311,31 @@ def test_mtf_rle_stream_runs_in_one_standard_pass():
     assert payload == plain  # machine path and pure path agree bit for bit
 
 
+@pytest.mark.parametrize("name, code", [("bwt-mtf-rle-ac", mtf_rle_ac_encode_stream),
+                                        ("bwt-dc-ac", dc_ac_encode_stream)])
+def test_transform_and_coder_compose_on_one_machine(name, code, corpus):
+    # A transform pipeline's machine runs rw_bwt_encode, one write pass that
+    # leaves the transform on the input tape, then the coder.  Each stage on
+    # its own machine gives the same tape and payload; the passes add up, and
+    # the peak is the larger of the two.
+    for fname, data in corpus.items():
+        s, alphabet = ranks_of(data)
+        composed = _machine_for(ModelKind.READ_WRITE, bytes(s), 1 << 40, False)
+        container = PIPELINES[name].encode(s, len(alphabet), bytes(alphabet), K_AUTO, 0.5, 0.25,
+                                           composed)
+        forward = _machine_for(ModelKind.READ_WRITE, bytes(s), 1 << 40, False)
+        transformed = bytes(c + 1 for c in rw_bwt_encode(s, forward))
+        assert composed.tapes[INPUT].records == forward.tapes[OUTPUT].records
+        coder = _machine_for(ModelKind.READ_WRITE, transformed, 1 << 40, False)
+        payload = code(coder, len(alphabet))
+        assert parse_container(container)[2] == payload, fname
+        got, fwd, cod = composed.ledger(), forward.ledger(), coder.ledger()
+        assert got.passes == fwd.passes + 1 + cod.passes, fname
+        assert got.sort_passes == 0
+        assert got.peak_memory_bits == max(fwd.peak_memory_bits, cod.peak_memory_bits), fname
+        assert got.total_output_bits == 8 * len(payload), fname
+
+
 def _standard(data: bytes) -> Machine:
     return Machine(MachineConfig(ModelKind.STANDARD, memory_budget_bits=1 << 20), data)
 
@@ -406,8 +433,7 @@ def test_every_pipeline_releases_what_it_charged(name):
     entry = PIPELINES[name]
     with open(os.path.join(CORPUS_DIR, "english.txt"), "rb") as fh:
         s, alphabet = ranks_of(fh.read())
-    machine = Machine(MachineConfig(entry.model, memory_budget_bits=1 << 40,
-                                    work_tapes=entry.work_tapes), bytes(s))
+    machine = _machine_for(entry.model, bytes(s), 1 << 40, False)
     entry.encode(s, len(alphabet), bytes(alphabet), entry.default_k(len(s)), 0.5, 0.25, machine)
     machine.charge_memory(machine.config.memory_budget_bits)
 
@@ -555,52 +581,54 @@ def test_containers_are_pinned(corpus):
 # computed on the code as it stood before the range coder was folded into
 # SymbolEncoder and SymbolDecoder; the tape-bit sums on the code as it
 # stood before best-k ran every k on one machine; the trace hashes on the
-# code as it stood before passes were numbered as they close.
+# code as it stood before passes were numbered as they close.  The bwt-*
+# rows were recomputed when their transform moved from the host onto the
+# machine; their output bits did not move.
 MODEL_LEDGER_PINS = {
-    ("covering.txt", "bwt-mtf-rle-ac"): (1, 0, 310, 1624, 16392,
-        "6f29fa72da55c33834d5b568f89c6fad46d8e54bf124f896647df19ffe9de6cb"),
-    ("covering.txt", "bwt-dc-ac"): (3, 0, 328, 1424, 19464,
-        "3ed047fe5d4bdeea6ae6fbfab351f95d956fe87067014b12ad6c65a70a19c6f9"),
+    ("covering.txt", "bwt-mtf-rle-ac"): (1651, 0, 2496, 1624, 194024704,
+        "2f524c5f8b155fa2bee6f5fd22ff83d538a0e7f44bac799a41b837310b0ff134"),
+    ("covering.txt", "bwt-dc-ac"): (1653, 0, 2496, 1424, 194027776,
+        "5345dac8dd2709aa0cfd6c80a1fa9b61e8ba77dd7693c0aa2336192afb3fc305"),
     ("covering.txt", "st-dc-ac"): (25, 5, 284, 4480, 786736,
         "d704b0c2e42f3d9899e43133429c67799bbc37187e2ee9970697600a9a1cc17d"),
     ("covering.txt", "block-kth"): (1, 0, 457, 11976, 16384,
         "64d71c917c8ced597756946bda84cd78f7bc3d510ce1df0e98f532f3ec25ce70"),
     ("covering.txt", "kth-order"): (1, 0, 392, 2104, 16384,
         "211a800404270fce6a8be495947f9e2e0ac6dd5078d151af52c2e3b6a7ff0da5"),
-    ("english.txt", "bwt-mtf-rle-ac"): (1, 0, 1048, 8336, 22856,
-        "c7bcc1bb1c3c881e33eb92b37fdbcb494a47121c862241d631716ce4c91df16b"),
-    ("english.txt", "bwt-dc-ac"): (3, 0, 1120, 8672, 40728,
-        "9a594a496540f1e61d67a392201f8785f7dc6b2a22190a97fd9d1d5be4720bc8"),
+    ("english.txt", "bwt-mtf-rle-ac"): (1735, 0, 2496, 8336, 275650176,
+        "ab1f9193616e87e6beae64dd947788f76426dce08ce9928ee62ef92b1ee3c74d"),
+    ("english.txt", "bwt-dc-ac"): (1737, 0, 2496, 8672, 275668048,
+        "4dee60d51675b7a99da88d13a474d3c68acf97047e75969be5f2305eb41b9795"),
     ("english.txt", "st-dc-ac"): (27, 5, 680, 9928, 1691200,
         "659e39dc6fa4f96a18c721063a25e17d10be7ce967294506ebbb16f4c8cb8ed8"),
     ("english.txt", "block-kth"): (1, 0, 744, 31976, 22848,
         "f230a8eb27b67ff4283ea05ff1e5a07c520a7d756f2f557e686c4c343cc2955b"),
     ("english.txt", "kth-order"): (1, 0, 173592, 11528, 22848,
         "5b867e6bae2a33fc28087630ae2ad22cad8e83fea714d6bc4ccf59907da03c40"),
-    ("mixed.bin", "bwt-mtf-rle-ac"): (1, 0, 351, 5752, 16392,
-        "5e61112eff416bc1a9cf5626eebbbc8956f53667630208e94162dff9ddd317a7"),
-    ("mixed.bin", "bwt-dc-ac"): (3, 0, 376, 8424, 41160,
-        "7847aaa297ef42c12855af02e1f1cf7f9f77ea00522fc02fa3a1aa1e9f4cfd5d"),
+    ("mixed.bin", "bwt-mtf-rle-ac"): (597, 0, 2496, 5752, 65895472,
+        "bcc83a8c57d2979d4a85e9091ba837c394ad22196b47e12c4f685d10440bb62f"),
+    ("mixed.bin", "bwt-dc-ac"): (599, 0, 2496, 8424, 65920240,
+        "aa2e7ed5ad9e2410946c6cc85f7e5006a8db1e1c736357dc81026e1457ad4cbb"),
     ("mixed.bin", "st-dc-ac"): (25, 5, 308, 8312, 852304,
         "1d7da906fd8f7be5419a4a031a67c08e25e6df4a6950c2a8f9cd29b668fec2c0"),
     ("mixed.bin", "block-kth"): (1, 0, 485, 15880, 16384,
         "b70dd778d4e3ec2f92aa037e03c4156667b9d35713450d2def4b5decbeab2c8f"),
     ("mixed.bin", "kth-order"): (1, 0, 1568, 4224, 16384,
         "51d5125ff77931612dd52787913fb3714a47a340ec8de4a94763376a0a678da4"),
-    ("periodic.txt", "bwt-mtf-rle-ac"): (1, 0, 370, 192, 17608,
-        "850a82298698996459d80214f08c0ce880936c5af5244bd722469b1d5d547ac8"),
-    ("periodic.txt", "bwt-dc-ac"): (3, 0, 400, 160, 17800,
-        "4f6df2b4141320b6b98106117ce95730e71584d84c5a45966597285cd1895eaa"),
+    ("periodic.txt", "bwt-mtf-rle-ac"): (1841, 0, 2496, 192, 222868848,
+        "daac140577d60ce67d00f82d9015d72a9bf4bbdd42482adf45dfc9221e56f233"),
+    ("periodic.txt", "bwt-dc-ac"): (1843, 0, 2496, 160, 222869040,
+        "c0b24ace807d30ec96bf3c88c9e68145c2523b5847aeac3f163f89aaf3e39bea"),
     ("periodic.txt", "st-dc-ac"): (25, 5, 320, 1752, 915536,
         "a3e57aedeac1c6c26bdbed0198148e389ba297b16e24f1971212742ea9676f86"),
     ("periodic.txt", "block-kth"): (1, 0, 508, 14104, 17600,
         "0bf5dcf26fbc80b8e8439f55949ae614deb3d7d5b5a923b193be922153a3244a"),
     ("periodic.txt", "kth-order"): (1, 0, 1056, 656, 17600,
         "f95a63712da15ddc8fa5f2bc2a06f1b8bd657837a46dd7de176fa1bc4218ae14"),
-    ("service.log", "bwt-mtf-rle-ac"): (1, 0, 1268, 5432, 33712,
-        "428d9135935e33a7062abaa9f9f2ca550e0539e3a99f38bc056c5d7c2f0b8784"),
-    ("service.log", "bwt-dc-ac"): (3, 0, 1452, 5920, 46416,
-        "b8c263bdfff481b47db75fd0f9eabbbf678bf61a4ccfaa92518e49820acabdd9"),
+    ("service.log", "bwt-mtf-rle-ac"): (995, 0, 2496, 5432, 201850072,
+        "aa09a3acc4e23a1509945b7bd059ec1e983821c5214b85bd257ec0f02b75a1bd"),
+    ("service.log", "bwt-dc-ac"): (997, 0, 2496, 5920, 201862776,
+        "be8dc81983d439a45b30c89dff8f93d107a2d82d88ac450fd3f671c296588346"),
     ("service.log", "st-dc-ac"): (27, 5, 848, 5624, 2494544,
         "b8938e0d8fb7ade57c9c47c636224858ff0152808c5d613fb043d8a2891afab0"),
     ("service.log", "block-kth"): (1, 0, 842, 47688, 33704,
@@ -616,8 +644,7 @@ def test_model_ledgers_are_pinned(corpus):
         s, alphabet = ranks_of(data)
         sigma, alphabet = len(alphabet), bytes(alphabet)
         for entry in PIPELINES.values():
-            machine = Machine(MachineConfig(entry.model, 1 << 40, work_tapes=entry.work_tapes),
-                              bytes(s))
+            machine = _machine_for(entry.model, bytes(s), 1 << 40, False)
             lines = []
             machine.trace = lines.append
             entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, machine)
