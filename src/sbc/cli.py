@@ -156,8 +156,7 @@ def _cmd_compress(args) -> int:
     ranks, sigma, alphabet = _ranks_of(data, args.sigma)
     machine = None
     if args.model:
-        entry.check_model(ModelKind(args.model))
-        machine = _machine_for(entry.model, bytes(ranks), args.memory_budget_bits, args.trace)
+        machine = _machine_for(ModelKind(args.model), bytes(ranks), args.memory_budget_bits, args.trace)
     k = args.k if args.k is not None else entry.default_k(len(ranks))
     container, report = _compress(entry, ranks, sigma, alphabet, k, args.c, args.epsilon, machine)
     _write_output(args.output, container)
@@ -419,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="redundancy exponent for block-kth")
     p.add_argument("--memory-budget-bits", type=positive_int, default=None)
     p.add_argument("--model", choices=sorted(m.value for m in ModelKind), default=None,
-                   help="run the streaming variant on this machine model")
+                   help="run the pipeline's stages on a machine of this model")
     p.add_argument("--sigma", type=int, default=None,
                    help="declare the alphabet size instead of inferring it")
 

@@ -36,7 +36,7 @@ from .coders import (
     kth_order_decode,
     kth_order_encode,
 )
-from .machine import INPUT, REVERSE, WRITE, CapabilityError, Machine, ModelKind, held
+from .machine import INPUT, REVERSE, WRITE, Machine, ModelKind, held
 from .stream_bwt import rw_bwt_onto_input
 from .transforms import _dc_reconstruct, bwt, bwt_inverse, dc_encode, mtf_encode, st
 
@@ -452,13 +452,13 @@ def _decode_block_kth(header: ContainerHeader, payload: bytes) -> List[int]:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """One compressor: its name, streaming machine, encoder and decoder.
+    """One compressor: its name, home model, encoder and decoder.
 
     ``encode(s, sigma, alphabet, k, c, epsilon, machine)`` returns the
     container.  The caller owns the machine: None runs the pipeline in
-    memory; otherwise it is a machine of ``model`` over ``bytes(s)`` (with
-    ``stream_bwt.RW_WORK_TAPES`` work tapes if read-write), and the
-    pipeline streams on it.
+    memory; otherwise it streams on a machine over ``bytes(s)`` (with
+    ``stream_bwt.RW_WORK_TAPES`` work tapes if read-write), if its stages
+    accept it.  ``model`` is the home model that ``bench`` and the pins use.
     ``decode(header, payload)`` returns the ranks; it is None for
     encode-only pipelines.  ``host_stages`` names the work the encoder does
     on the host, outside the machine's ledger, when it streams on a machine.
@@ -471,10 +471,6 @@ class Pipeline:
     encode: Callable[..., bytes]
     decode: Optional[Callable[[ContainerHeader, bytes], List[int]]]
     host_stages: Tuple[str, ...] = ()
-
-    def check_model(self, model: ModelKind) -> None:
-        if model is not self.model:
-            raise CapabilityError(f"{self.name} streams on the {self.model.value} model")
 
 
 def _run_bwt(pipeline, encode, encode_stream, s, sigma, alphabet, k, c, epsilon, machine):

@@ -47,6 +47,12 @@ def default_streamsort_machine(input_data: bytes = b"") -> Machine:
     return Machine(cfg, input_data)
 
 
+def _check_key_width(n: int, k: int, sigma: int) -> None:
+    # Keys stay logarithmic, a bound that grows with k; its floor of 8 keeps tiny inputs usable.
+    if k * _ceil_log2(max(sigma, 2)) > max(8, 4 * _ceil_log2(max(n, 2))):
+        raise ValueError("context length too large for a logarithmic key")
+
+
 def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *,
                   sigma: int, stats: Optional[Dict] = None) -> List[int]:
     """Compute the length-k context sort of s+sentinel on a streamsort tape.
@@ -58,10 +64,7 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *
     n = len(s)
     if k < 0:
         raise ValueError("context length must be >= 0")
-    # Context keys must stay logarithmic; the floor of 8 keeps tiny inputs
-    # usable by the exhaustive tests without loosening the asymptotic guard.
-    if k * _ceil_log2(max(sigma, 2)) > max(8, 4 * _ceil_log2(max(n, 2))):
-        raise ValueError("context length too large for a logarithmic key")
+    _check_key_width(n, k, sigma)
     if machine is None:
         _validate_ranks(s, sigma)  # before bytes(s) refuses a symbol in its own words
         machine = default_streamsort_machine(bytes(s))
@@ -130,6 +133,7 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     if machine is None:
         machine = default_streamsort_machine(bytes(s))
     machine.require(ModelKind.STREAM_SORT)
+    _check_key_width(len(s), k_max, sigma)  # the widest key, before any k runs
 
     def payload_for(k: int) -> bytes:
         machine.tapes[INPUT].records = [bytes((c,)) for c in s]

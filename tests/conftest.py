@@ -5,10 +5,21 @@ import random
 import pytest
 
 from sbc.coders import RESCALE_TOTAL, FreqModel, SymbolEncoder, _ceil_log2
-from sbc.machine import WRITE
+from sbc.machine import WRITE, ModelKind
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CORPUS_DIR = os.path.join(FIXTURES, "corpus")
+
+# The models whose machines each pipeline's stages accept: the one-pass
+# coders run on every model, the transform pipelines only on the model
+# whose operations they use.
+ACCEPTING_MODELS = {
+    "bwt-mtf-rle-ac": {ModelKind.READ_WRITE},
+    "bwt-dc-ac": {ModelKind.READ_WRITE},
+    "st-dc-ac": {ModelKind.STREAM_SORT},
+    "block-kth": set(ModelKind),
+    "kth-order": set(ModelKind),
+}
 
 
 def ranks_of(text):

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from conftest import ACCEPTING_MODELS
 from sbc.cli import build_parser, main
+from sbc.machine import ModelKind
 from sbc.pipelines import (
     PIPELINES,
     BlockPlan,
@@ -87,7 +89,9 @@ def test_host_work_reports_host_stages():
     ("bwt-mtf-rle-ac", "readwrite", None),
     ("bwt-dc-ac", "readwrite", None),
     ("st-dc-ac", "streamsort", ["input-reload"]),
+    ("block-kth", "standard", None),
     ("kth-order", "standard", None),
+    ("kth-order", "multipass", None),
 ])
 def test_machine_reports_name_host_stages(pipeline, model, host_stages):
     # A machine run names the stages its ledger leaves out, beside the ledger.
@@ -203,28 +207,42 @@ def test_pipeline_table_is_complete():
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY))
-def test_pipeline_model_matches_library(name, tmp_path):
+def test_pipeline_model_matches_library(name, tmp_path, capsys):
+    # Every model that the pipeline's stages accept gives the library's
+    # container and the home model's ledger and trace; every other model is
+    # a usage error that leaves no output file.
     entry = PIPELINES[name]
+    home = entry.model.value
     inputs = [open(os.path.join(CORPUS, f), "rb").read() for f in sorted(os.listdir(CORPUS))]
     src, plain, streamed = tmp_path / "in", tmp_path / "plain", tmp_path / "streamed"
     for data in inputs + [b"", b"x"]:
         src.write_bytes(data)
         assert main(["compress", "--pipeline", name, str(src), "-o", str(plain)]) == 0
-        assert main(["compress", "--pipeline", name, "--model", entry.model.value,
-                     str(src), "-o", str(streamed)]) == 0
         alphabet = bytes(sorted(set(data)))
         ranks = [alphabet.index(b) for b in data]
         container = LIBRARY[name](ranks, len(alphabet), alphabet)
-        assert plain.read_bytes() == streamed.read_bytes() == container
+        assert plain.read_bytes() == container
         if entry.decode is None:
             with pytest.raises(FormatError):
                 decode_container(container)
         else:
             assert decode_container(container)[0] == ranks
-    for model in MODELS:
-        if model != entry.model.value:
-            assert main(["compress", "--pipeline", name, "--model", model,
-                         str(src), "-o", str(streamed)]) == 1
+        capsys.readouterr()
+        assert main(["compress", "--pipeline", name, "--model", home, "--json", "--trace",
+                     str(src), "-o", str(streamed)]) == 0
+        home_report = capsys.readouterr().err
+        for model in MODELS:
+            streamed.unlink(missing_ok=True)
+            code = main(["compress", "--pipeline", name, "--model", model, "--json", "--trace",
+                         str(src), "-o", str(streamed)])
+            err = capsys.readouterr().err
+            if ModelKind(model) in ACCEPTING_MODELS[name]:
+                assert (code, err) == (0, home_report), model
+                assert streamed.read_bytes() == container, model
+            else:
+                assert (code, err) == (1, f"usage error: this stage needs the {home} model, "
+                                          f"not {model}\n")
+                assert not streamed.exists(), model
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINES))

@@ -6,12 +6,20 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS_DIR, ranks_of
+from conftest import ACCEPTING_MODELS, CORPUS_DIR, ranks_of
 from sbc.adversary import db_power, de_bruijn
 from sbc.cli import _machine_for
 from sbc.cli import main as cli_main
 from sbc.entropy import hk
-from sbc.machine import INPUT, OUTPUT, Machine, MachineConfig, ModelKind
+from sbc.machine import (
+    INPUT,
+    OUTPUT,
+    CapabilityError,
+    Machine,
+    MachineConfig,
+    MachineLedger,
+    ModelKind,
+)
 from sbc.pipelines import (
     BlockPlan,
     ContainerHeader,
@@ -639,20 +647,30 @@ MODEL_LEDGER_PINS = {
 
 
 def test_model_ledgers_are_pinned(corpus):
+    # Every model that a pipeline's stages accept gives its one pinned row;
+    # every other is refused before any pass.
     got = {}
     for name, data in corpus.items():
         s, alphabet = ranks_of(data)
         sigma, alphabet = len(alphabet), bytes(alphabet)
-        for entry in PIPELINES.values():
-            machine = _machine_for(entry.model, bytes(s), 1 << 40, False)
+        for entry, model in product(PIPELINES.values(), ModelKind):
+            machine = _machine_for(model, bytes(s), 1 << 40, False)
             lines = []
             machine.trace = lines.append
-            entry.encode(s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, machine)
+            args = (s, sigma, alphabet, entry.default_k(len(s)), 0.5, 0.25, machine)
+            if model not in ACCEPTING_MODELS[entry.name]:
+                with pytest.raises(CapabilityError, match=f"needs the {entry.model.value} model"):
+                    entry.encode(*args)
+                assert machine.ledger() == MachineLedger(), (name, entry.name, model)
+                continue
+            entry.encode(*args)
             led = machine.ledger()
-            got[name, entry.name] = (led.passes, led.sort_passes, led.peak_memory_bits,
-                                     led.total_output_bits, sum(led.per_pass_tape_bits),
-                                     hashlib.sha256("\n".join(lines).encode()).hexdigest())
-    assert got == MODEL_LEDGER_PINS
+            got[name, entry.name, model] = (led.passes, led.sort_passes, led.peak_memory_bits,
+                                            led.total_output_bits, sum(led.per_pass_tape_bits),
+                                            hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    assert got == {(name, pipeline, model): pin
+                   for (name, pipeline), pin in MODEL_LEDGER_PINS.items()
+                   for model in ACCEPTING_MODELS[pipeline]}
 
 
 def test_bench_rows_match_model_ledger_pins(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import os
 import random
 from itertools import product
 
 import pytest
 
+from conftest import CORPUS_DIR, ranks_of
 from sbc.machine import INPUT, CapabilityError, Machine, MachineConfig, MachineLedger, ModelKind
 from sbc.pipelines import parse_container
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
@@ -115,6 +117,14 @@ def test_peak_memory_logarithmic(calibration):
 def test_key_width_guard():
     with pytest.raises(ValueError):
         streamsort_st([0, 1] * 8, 40, sigma=2)
+    # The guard grows with k, so best-k checks k_max once, before any pass,
+    # instead of running every smaller k first.
+    with open(os.path.join(CORPUS_DIR, "english.txt"), "rb") as fh:
+        s, alphabet = ranks_of(fh.read())
+    machine = default_streamsort_machine(bytes(s))
+    with pytest.raises(ValueError, match="^context length too large for a logarithmic key$"):
+        streamsort_st_best_k(s, 20, machine=machine, sigma=len(alphabet))
+    assert machine.ledger() == MachineLedger()
 
 
 def test_wrong_model_rejected():
