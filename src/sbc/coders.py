@@ -280,6 +280,13 @@ class SymbolEncoder:
             model.counts = [c0, c1]
             model.total = total
 
+    def min_length(self) -> int:
+        """The fewest bytes ``finish()`` can still return: it never falls, and is exact at the end.
+
+        Every renormalisation writes or holds one byte, and ``finish`` adds four.
+        """
+        return len(self._out) + self._cache_size + 4
+
     def finish(self) -> bytes:
         for _ in range(5):
             self._shift_low()

@@ -25,7 +25,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coders import (
@@ -163,11 +163,23 @@ def ranks_of(data: bytes) -> Tuple[List[int], int, bytes]:
     return list(ranks), len(alphabet), alphabet
 
 
-def _best_k(k_max: int, payload_for: Callable[[int], bytes]) -> Tuple[int, bytes]:
-    """The shortest payload_for(k) over k = 0..k_max; the smallest k wins ties."""
+def _best_k(k_max: int, payload_for: Callable[[int, Optional[int]], Optional[bytes]]
+            ) -> Tuple[int, bytes]:
+    """The shortest payload over k = 0..k_max; the smallest k wins ties.
+
+    ``payload_for(k, limit)`` runs from k = k_max down, ``limit`` the best
+    length so far (None at k_max), and may give up with None once it must
+    be longer.  Giving up skips only coding, so a machine's ledger is that
+    of every k coded in full.  Going down, a tie is kept: the smallest k wins.
+    """
     if not 0 <= k_max < K_AUTO:
         raise ValueError("k_max must be in 0..254")
-    return min(((k, payload_for(k)) for k in range(k_max + 1)), key=lambda kp: len(kp[1]))
+    best_k, best = k_max, payload_for(k_max, None)
+    for k in range(k_max - 1, -1, -1):
+        payload = payload_for(k, len(best))
+        if payload is not None and len(payload) <= len(best):
+            best_k, best = k, payload
+    return best_k, best
 
 
 def _code_tape(code: Callable[[List[int]], bytes], machine: Optional[Machine], sigma: int,
@@ -244,21 +256,37 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
 # -- distance coding + adaptive payload ------------------------------------
 
 
-def _dc_ac_code(first: Iterable[Optional[int]], gaps: Iterable[int]) -> bytes:
-    """First-occurrence table then per-run gaps, all delta-coded adaptively."""
+_GAP_CHUNK = 1024  # gaps coded between two looks at _dc_ac_code's limit
+
+
+def _dc_ac_code(first: Iterable[Optional[int]], gaps: Iterable[int],
+                limit: Optional[int] = None) -> Optional[bytes]:
+    """First-occurrence table then per-run gaps, all delta-coded adaptively.
+
+    Gaps are coded ``_GAP_CHUNK`` at a time, which changes no bit.  With a
+    ``limit``, None comes back after the first chunk that leaves the
+    payload sure to be longer than ``limit`` bytes (``min_length``).
+    """
     enc = SymbolEncoder()
     enc.put_deltas(FreqModel(2), (1 if pos is None else pos + 2 for pos in first))
-    enc.put_deltas(FreqModel(2), (gap + 1 for gap in gaps))
+    gap_model = FreqModel(2)
+    gaps = iter(gaps)
+    for chunk in iter(lambda: [gap + 1 for gap in islice(gaps, _GAP_CHUNK)], []):
+        enc.put_deltas(gap_model, chunk)
+        if limit is not None and enc.min_length() > limit:
+            return None
     return enc.finish()
 
 
-def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None) -> bytes:
+def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None,
+                   limit: Optional[int] = None) -> Optional[bytes]:
     n = len(body_shifted)
     with held(machine, 2 * FreqModel(2).state_bits()  # the two models of _dc_ac_code
               + sigma_total * _ceil_log2(n + 2)  # last-occurrence register per symbol
               + 2 * _ceil_log2(n + 2) + 128):
         stream = dc_encode(body_shifted, alphabet=range(sigma_total))
-        return _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)), stream.gaps)
+        first = map(stream.first_occurrence.get, range(sigma_total))
+        return _dc_ac_code(first, stream.gaps, limit)
 
 
 def _dc_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
@@ -318,12 +346,15 @@ def encode_st_dc_ac(s: Sequence[int], sigma: int, k_max: int,
                     alphabet: Optional[bytes] = None) -> bytes:
     """Try every context length up to k_max and keep the shortest payload.
 
+    From k_max down, each k is coded only until it must lose to the best
+    so far (:func:`_best_k`); the container is the one a full search picks.
+
     Encode-only: the length-k sort has an inverse (Schindler, DCC 1997;
     Nong & Zhang, IEEE Trans. Computers 56(11), 2007), but sbc has no
     decoder for it yet.
     """
-    best_k, payload = _best_k(k_max, lambda k: _dc_ac_payload([c + 1 for c in st(s, k, sigma)],
-                                                              sigma + 1))
+    best_k, payload = _best_k(k_max, lambda k, limit: _dc_ac_payload(
+        [c + 1 for c in st(s, k, sigma)], sigma + 1, limit=limit))
     return _container(PipelineId.ST_DC_AC, sigma, best_k, len(s), payload, alphabet)
 
 

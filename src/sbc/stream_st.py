@@ -123,8 +123,11 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     Every k runs on one streamsort machine: the caller's, or else a
     :func:`default_streamsort_machine`.  The sort rewrites the input tape
     and the model cannot restore it, so ``s`` is loaded onto the input tape
-    again before each k; that load is host work, not a pass.  The ledger
-    sums the passes of every k, and its peak is the largest of any k.  The
+    again before each k; that load is host work, not a pass.  The trace
+    lists k from k_max down (:func:`_best_k`).  A k that must lose is not
+    coded to the end, but its coder pass still sweeps the whole tape under
+    the same charge: the ledger sums the passes of every k, and its peak is
+    the largest of any k.  The
     coder's forward pass is charged σ+1 registers but codes every first
     occurrence before any look-ahead gap, so it must buffer the tape.
     """
@@ -135,12 +138,12 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     machine.require(ModelKind.STREAM_SORT)
     _check_key_width(len(s), k_max, sigma)  # the widest key, before any k runs
 
-    def payload_for(k: int) -> bytes:
+    def payload_for(k: int, limit: Optional[int]) -> Optional[bytes]:
         machine.tapes[INPUT].records = [bytes((c,)) for c in s]
         streamsort_st(s, k, machine=machine, sigma=sigma)
         # One more sweep feeds the transformed tape through the coder.
         with machine.begin_pass(INPUT) as p:
-            return _dc_ac_payload([rec[0] for rec in p.read_all()], sigma + 1, machine)
+            return _dc_ac_payload([rec[0] for rec in p.read_all()], sigma + 1, machine, limit)
 
     best_k, payload = _best_k(k_max, payload_for)
     machine.write_output(payload)

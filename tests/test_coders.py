@@ -431,6 +431,39 @@ def test_put_deltas_takes_both_byte_paths(monkeypatch):
     assert fast.finish() == generic.finish()
 
 
+def test_min_length_bounds_finish_from_below(monkeypatch):
+    # After every put_deltas call min_length() never falls and is at most
+    # len(finish()); just before finish it is exact.  The values are those
+    # of test_put_deltas_takes_both_byte_paths, so bytes are written inline
+    # and through _shift_low, carries and pending 0xFF bytes among them.
+    seen = {"shift": 0, "carry": 0, "pending": 0}
+    shift_low = SymbolEncoder._shift_low
+
+    def counting_shift_low(enc):
+        seen["shift"] += 1
+        seen["carry"] += enc._low > 0xFFFFFFFF
+        seen["pending"] += enc._cache_size > 1
+        shift_low(enc)
+
+    monkeypatch.setattr(SymbolEncoder, "_shift_low", counting_shift_low)
+    rng = random.Random(22)
+    renormalisations = 0
+    for _ in range(20):
+        enc, model = SymbolEncoder(), FreqModel(2)
+        bounds = [enc.min_length()]
+        for _ in range(rng.randrange(1, 40)):
+            enc.put_deltas(model, [rng.choice((1, 1, 1, 2, rng.randrange(1, 300),
+                                               rng.randrange(1, 1 << 20)))
+                                   for _ in range(rng.randrange(0, 300))])
+            bounds.append(enc.min_length())
+        renormalisations += bounds[-1] - bounds[0]  # one byte each, written or held
+        payload = enc.finish()
+        assert bounds == sorted(bounds)
+        assert bounds[-1] == len(payload)
+    assert 0 < seen["shift"] - 5 * 20 < renormalisations  # finish shifts five times
+    assert seen["carry"] > 0 and seen["pending"] > 0
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 def test_put_deltas_error_keeps_the_codes_before_it(bad):
     # A value < 1 at position i raises, and the model and coder hold the

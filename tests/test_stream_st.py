@@ -6,9 +6,15 @@ from itertools import product
 import pytest
 
 from conftest import CORPUS_DIR, ranks_of
+from sbc import pipelines
 from sbc.machine import INPUT, CapabilityError, Machine, MachineConfig, MachineLedger, ModelKind
-from sbc.pipelines import parse_container
-from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
+from sbc.pipelines import _dc_ac_payload, encode_st_dc_ac, parse_container
+from sbc.stream_st import (
+    _check_key_width,
+    default_streamsort_machine,
+    streamsort_st,
+    streamsort_st_best_k,
+)
 from sbc.transforms import st
 
 
@@ -150,7 +156,6 @@ def test_sort_pass_counted_once_per_run():
 def test_best_k_is_min_over_candidates():
     rng = random.Random(2)
     s = [rng.randrange(2) for _ in range(300)]
-    from sbc.pipelines import _dc_ac_payload
     per_k = {k: len(_dc_ac_payload([c + 1 for c in st(s, k)], 3)) for k in range(4)}
     container = streamsort_st_best_k(s, 3, sigma=2)
     header, _, payload = parse_container(container)
@@ -159,6 +164,63 @@ def test_best_k_is_min_over_candidates():
     for k_max in (-1, 255):
         with pytest.raises(ValueError):
             streamsort_st_best_k(s, k_max, sigma=2)
+
+
+def test_best_k_selection_matches_the_all_k_oracle():
+    # Both best-k paths give the oracle's (k, payload), ties included:
+    # sigma = 1, and every k >= n, which all give the transform.
+    rng = random.Random(28)
+    cases = [(1, n, k_max) for n in (0, 1, 5, 40) for k_max in range(6)]
+    cases += [(rng.randint(1, 4), n, 5) for n in range(4)]
+    cases += [(rng.randint(1, 4), rng.randint(0, 80), rng.randint(0, 5)) for _ in range(150)]
+    ties = 0
+    for sigma, n, k_max in cases:
+        s = [rng.randrange(sigma) for _ in range(n)]
+        # The oracle codes every k in full; index() takes the smallest k.
+        sizes = [len(_dc_ac_payload([c + 1 for c in st(s, k, sigma)], sigma + 1))
+                 for k in range(k_max + 1)]
+        k = sizes.index(min(sizes))
+        want = (k, _dc_ac_payload([c + 1 for c in st(s, k, sigma)], sigma + 1))
+        ties += sizes.count(sizes[k]) > 1
+        paths = [encode_st_dc_ac(s, sigma, k_max)]
+        try:
+            _check_key_width(n, k_max, sigma)
+        except ValueError:
+            pass  # the machine path refuses such a k_max before any pass
+        else:
+            paths.append(streamsort_st_best_k(s, k_max, sigma=sigma))
+        for container in paths:
+            header, _, payload = parse_container(container)
+            assert (header.k, payload) == want, (sigma, s, k_max)
+    assert ties > 20
+
+
+def test_an_abandoned_candidate_leaves_the_machine_clean(monkeypatch):
+    # On english.txt at k_max = 4, k = 4 wins and every other k is
+    # abandoned before its payload is finished; each still runs all its
+    # passes, so the ledger totals are those the all-k search gave when it
+    # coded every k in full: (passes, sort_passes, peak_memory_bits,
+    # total_output_bits, summed tape bits).
+    with open(os.path.join(CORPUS_DIR, "english.txt"), "rb") as fh:
+        s, alphabet = ranks_of(fh.read())
+    abandoned = []
+    code = pipelines._dc_ac_code
+
+    def recording_code(*args):
+        payload = code(*args)
+        abandoned.append(payload is None)
+        return payload
+
+    monkeypatch.setattr(pipelines, "_dc_ac_code", recording_code)
+    budget = 1 << 16
+    machine = Machine(MachineConfig(ModelKind.STREAM_SORT, memory_budget_bits=budget), bytes(s))
+    streamsort_st_best_k(s, 4, machine=machine, sigma=len(alphabet))
+    assert abandoned == [False, True, True, True, True]
+    led = machine.ledger()
+    assert led.sort_passes == 4 + 1
+    assert (led.passes, led.sort_passes, led.peak_memory_bits, led.total_output_bits,
+            sum(led.per_pass_tape_bits)) == (27, 5, 680, 9928, 1691200)
+    machine.charge_memory(budget)  # nothing stays charged
 
 
 def test_best_k_loads_the_string_onto_an_empty_machine():
