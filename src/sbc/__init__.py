@@ -52,7 +52,6 @@ from .stream_bwt import (
 from .stream_st import streamsort_st, streamsort_st_best_k
 from .transforms import (
     SENTINEL,
-    DcStream,
     bwt,
     bwt_inverse,
     dc_encode,

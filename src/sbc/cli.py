@@ -79,8 +79,7 @@ def _ranks_of(data: bytes, sigma: Optional[int]):
         return pl.ranks_of(data)
     if not 1 <= sigma <= 255:
         raise _UsageError("sigma must be in 1..255")
-    if data and max(data) >= sigma:
-        raise ValueError("input byte outside the declared alphabet")
+    tr._validate_ranks(data, sigma)
     return list(data), sigma, bytes(range(sigma))
 
 
@@ -207,12 +206,11 @@ def _cmd_transform(args) -> int:
     elif args.op == "mtf":
         out = bytes(tr.mtf_encode(data, list(range(256))))
     elif args.op == "dc":
-        stream = tr.dc_encode(list(data), alphabet=range(256))
-        parts = [pl.write_varint(stream.length)]
-        parts += [pl.write_varint(0 if stream.first_occurrence[a] is None
-                                  else stream.first_occurrence[a] + 1) for a in range(256)]
-        parts.append(pl.write_varint(len(stream.gaps)))
-        parts += [pl.write_varint(g) for g in stream.gaps]
+        first, gaps = tr.dc_encode(data, 256)
+        parts = [pl.write_varint(len(data))]
+        parts += [pl.write_varint(0 if pos is None else pos + 1) for pos in first]
+        parts.append(pl.write_varint(len(gaps)))
+        parts += [pl.write_varint(g) for g in gaps]
         out = b"".join(parts)
     else:  # pragma: no cover
         raise _UsageError(f"unknown op {args.op}")

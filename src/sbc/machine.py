@@ -265,7 +265,6 @@ class Machine:
         self._sort_passes = 0
         self._held_bits = 0
         self._peak_bits = 0
-        self._input_reads = 0
         self._permitted: set = set()  # (tape, direction, mode) that _check_pass allowed
         self._open: dict = {}
         self.trace: Optional[Callable[[str], None]] = None
@@ -294,10 +293,9 @@ class Machine:
         if (tape_id, direction, mode) not in self._permitted:
             self._check_pass(tape_id, direction, mode)
             self._permitted.add((tape_id, direction, mode))
-        if mode == READ and tape_id == INPUT:
-            if self._input_reads and self.config.model is ModelKind.STANDARD:
-                raise CapabilityError("standard model permits exactly one input pass")
-            self._input_reads += 1
+        # _check_pass lets a standard machine read only its input, so any pass so far was one.
+        if self.config.model is ModelKind.STANDARD and (self._pass_tape_bits or self._open):
+            raise CapabilityError("standard model permits exactly one input pass")
         if tape_id in self._open:
             raise MachineError(f"tape {tape_id!r} already has an open pass")
         handle = self._open[tape_id] = TapePass(self, tape_id, direction, mode)

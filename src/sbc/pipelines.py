@@ -284,19 +284,15 @@ def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None,
     with held(machine, 2 * FreqModel(2).state_bits()  # the two models of _dc_ac_code
               + sigma_total * _ceil_log2(n + 2)  # last-occurrence register per symbol
               + 2 * _ceil_log2(n + 2) + 128):
-        stream = dc_encode(body_shifted, alphabet=range(sigma_total))
-        first = map(stream.first_occurrence.get, range(sigma_total))
-        return _dc_ac_code(first, stream.gaps, limit)
+        return _dc_ac_code(*dc_encode(body_shifted, sigma_total), limit)
 
 
 def _dc_ac_decode(payload: bytes, count: int, sigma_total: int) -> List[int]:
     dec = SymbolDecoder(payload)
     fo_model = FreqModel(2)
     gap_model = FreqModel(2)
-    first = {}
-    for sym in range(sigma_total):
-        v = dec.get_delta(fo_model) - 1
-        first[sym] = None if v == 0 else v - 1
+    deltas = (dec.get_delta(fo_model) for _ in range(sigma_total))
+    first = [None if d == 1 else d - 2 for d in deltas]
     return _dc_reconstruct(first, count, lambda: dec.get_delta(gap_model) - 1)
 
 
@@ -316,13 +312,11 @@ def dc_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
     with held(machine, sigma_total * _ceil_log2(n + 2) * 2 + 256):
         with machine.begin_pass(INPUT, direction=REVERSE) as rp, \
                 machine.begin_pass("work0", mode=WRITE) as wp:
-            stream = dc_encode([rec[0] for rec in reversed(rp.read_all())],
-                               alphabet=range(sigma_total))
-            wp.write_many([write_varint(g) for g in reversed(stream.gaps)])
+            first, gaps = dc_encode([rec[0] for rec in reversed(rp.read_all())], sigma_total)
+            wp.write_many([write_varint(g) for g in reversed(gaps)])
         # Replay the gaps forward and code everything.
         with machine.begin_pass("work0", direction=REVERSE) as rp:
-            payload = _dc_ac_code(map(stream.first_occurrence.get, range(sigma_total)),
-                                  (read_varint(rec, 0)[0] for rec in rp.read_all()))
+            payload = _dc_ac_code(first, (read_varint(rec, 0)[0] for rec in rp.read_all()))
     machine.write_output(payload)
     return payload
 

@@ -27,11 +27,10 @@ neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress
 from operator import ne
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 SENTINEL = -1
 
@@ -206,39 +205,26 @@ def mtf_encode(seq: Iterable, table: Sequence) -> List[int]:
 # -- distance coding -----------------------------------------------------
 
 
-@dataclass
-class DcStream:
-    """Run-aware distance coding of a string.
+def dc_encode(seq: Sequence[int], sigma: int) -> Tuple[List[Optional[int]], List[int]]:
+    """Run-aware distance coding of a string of ranks below ``sigma``.
 
-    ``gaps`` holds one entry per maximal run, in run order: the distance
-    from the run's last position to the symbol's next occurrence, or 0 when
-    the symbol never recurs.  A gap of 1 cannot occur (the run would have
-    extended), which is what lets the decoder treat runs implicitly: a run
-    lasts until the smallest pending next-occurrence of another symbol.
+    Returns ``(first, gaps)``.  ``first[r]`` is the first position of rank
+    r, or None when r never occurs.  ``gaps`` holds one entry per maximal
+    run, in run order: the distance from the run's last position to the
+    rank's next occurrence, or 0 when the rank never recurs.  A gap of 1
+    cannot occur (the run would have extended), which is what lets the
+    decoder treat runs implicitly: a run lasts until the smallest pending
+    next-occurrence of another rank.
     """
-
-    first_occurrence: Dict
-    length: int
-    gaps: List[int]
-
-
-def dc_encode(seq: Sequence, alphabet: Optional[Iterable] = None) -> DcStream:
     seq = list(seq)
-    if alphabet is None:
-        alphabet = sorted(set(seq))
-    alphabet = list(alphabet)
-    allowed = set(alphabet)
-    if not allowed.issuperset(seq):
-        bad = next(c for c in seq if c not in allowed)
-        raise ValueError(f"symbol {bad!r} not in alphabet")
-
+    _validate_ranks(seq, sigma)
     n = len(seq)
     starts = [0] if n else []  # the start of every maximal run
     starts.extend(compress(range(1, n), map(ne, seq[1:], seq)))
 
     # Walking the runs backwards, first[sym] is the start of sym's next run;
     # once every run is seen, it is sym's first occurrence.
-    first: Dict = dict.fromkeys(alphabet)
+    first: List[Optional[int]] = [None] * sigma
     gaps: List[int] = []
     end = n  # one past the current run
     for start in reversed(starts):
@@ -248,35 +234,35 @@ def dc_encode(seq: Sequence, alphabet: Optional[Iterable] = None) -> DcStream:
         first[sym] = start
         end = start
     gaps.reverse()
-    return DcStream(first, n, gaps)
+    return first, gaps
 
 
-def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
-    """Rebuild a string from first occurrences and a gap source.
+def _dc_reconstruct(first: Sequence[Optional[int]], n: int, next_gap) -> List[int]:
+    """Rebuild a string from the first occurrence of each rank and a gap source.
 
     ``next_gap`` is called once per maximal run, in run order.  Raises
     ValueError on any malformed stream (gap of 1, colliding or out-of-range
     positions, missing run owner).  Pending next occurrences sit in a heap
-    keyed by position, so each run costs O(log sigma); every pending
+    of (position, rank), so each run costs O(log sigma); every pending
     position is at least the current one, so a run's owner is the heap's
     top and a second entry there is a collision.  Every pending position is
     also below n, so the loop ends only once nothing is pending: no
     occurrence is left dangling.
     """
-    pending = []  # (position, index, symbol): the index keeps symbols from being compared
-    for index, (sym, pos) in enumerate(first_occurrence.items()):
+    pending = []  # (position, rank)
+    for sym, pos in enumerate(first):
         if pos is None:
             continue
         if not 0 <= pos < n:
             raise ValueError("first occurrence out of range")
-        pending.append((pos, index, sym))
+        pending.append((pos, sym))
     heapify(pending)
-    out: List = []
+    out: List[int] = []
     pos = 0
     while pos < n:
         if not pending or pending[0][0] != pos:
             raise ValueError("malformed distance stream")
-        _, index, sym = heappop(pending)
+        _, sym = heappop(pending)
         nxt = pending[0][0] if pending else n
         if nxt == pos:
             raise ValueError("malformed distance stream")
@@ -288,6 +274,6 @@ def _dc_reconstruct(first_occurrence: Dict, n: int, next_gap) -> List:
             target = (nxt - 1) + gap
             if target >= n:
                 raise ValueError("gap points past the end")
-            heappush(pending, (target, index, sym))
+            heappush(pending, (target, sym))
         pos = nxt
     return out

@@ -183,28 +183,24 @@ def oracle_st(s, k):
     return [extended[i] for i in order]
 
 
-def oracle_dc_encode(seq, alphabet=None):
-    """The distance encoder by building one (symbol, start, end) run per character.
+def oracle_dc_encode(seq, sigma):
+    """The distance encoder by building one (rank, start, end) run per character.
 
     ``sbc.transforms.dc_encode`` worked this way before it found run starts
-    with one scan; it must give the same first occurrences, length and gaps,
-    and name the same offending symbol.
+    with one scan; it must give the same first occurrences and gaps, and
+    name the same offending rank.
     """
     seq = list(seq)
-    if alphabet is None:
-        alphabet = sorted(set(seq))
-    alphabet = list(alphabet)
-    allowed = set(alphabet)
     for c in seq:
-        if c not in allowed:
-            raise ValueError(f"symbol {c!r} not in alphabet")
+        if not 0 <= c < sigma:
+            raise ValueError(f"symbol {c!r} out of alphabet")
     runs = []  # (symbol, start, end) inclusive
     for i, c in enumerate(seq):
         if runs and runs[-1][0] == c and runs[-1][2] == i - 1:
             runs[-1] = (c, runs[-1][1], i)
         else:
             runs.append((c, i, i))
-    first = {a: None for a in alphabet}
+    first = [None] * sigma
     next_start = {}
     gaps_rev = []
     for sym, start, end in reversed(runs):
@@ -214,7 +210,7 @@ def oracle_dc_encode(seq, alphabet=None):
     for sym, start, _ in runs:
         if first[sym] is None:
             first[sym] = start
-    return first, len(seq), gaps_rev[::-1]
+    return first, gaps_rev[::-1]
 
 
 def _charge(machine, bits):
@@ -269,15 +265,15 @@ def oracle_kth_order_encode(symbols, sigma, k, machine=None):
     return enc.finish()
 
 
-def oracle_dc_reconstruct(first_occurrence, n, next_gap):
-    """The distance decoder by scanning every pending symbol per run.
+def oracle_dc_reconstruct(first, n, next_gap):
+    """The distance decoder by scanning every pending rank per run.
 
     The library decoded this way before it kept pending occurrences in a
     heap; ``sbc.transforms._dc_reconstruct`` must return the same string or
     raise the same message, after the same ``next_gap`` calls.
     """
     pending = {}
-    for sym, pos in first_occurrence.items():
+    for sym, pos in enumerate(first):
         if pos is None:
             continue
         if not 0 <= pos < n:

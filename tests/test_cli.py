@@ -165,7 +165,9 @@ def test_declared_sigma():
     comp = run_cli(["compress", "--sigma", "120"], b"abc")
     assert comp.returncode == 0
     assert run_cli(["decompress"], comp.stdout).stdout == b"abc"
-    assert run_cli(["compress", "--sigma", "2"], b"abc").returncode == 2
+    narrow = run_cli(["compress", "--sigma", "2"], b"abc")
+    assert narrow.returncode == 2
+    assert narrow.stderr.decode().splitlines() == ["input error: symbol 97 out of alphabet"]
     assert run_cli(["compress", "--sigma", "300"], b"abc").returncode == 1
 
 

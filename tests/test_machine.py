@@ -369,6 +369,13 @@ def test_cached_pass_checks_still_refuse():
     assert m.ledger().passes == 1
 
 
+def test_standard_model_refuses_a_second_input_pass_while_the_first_is_open():
+    m = Machine(cfg(ModelKind.STANDARD), b"ab")
+    with m.begin_pass(INPUT):
+        assert _refusal(m, INPUT) == (CapabilityError, "standard model permits exactly one input pass")
+    assert m.ledger().passes == 1
+
+
 def test_pass_checks_are_per_machine():
     # What a read-write machine was permitted, a machine of another model is not.
     rw = Machine(cfg(ModelKind.READ_WRITE, work_tapes=1), b"ab")

@@ -475,7 +475,7 @@ def test_dc_stream_matches_pure_path():
 
 def test_dc_stream_rejects_symbol_outside_alphabet():
     # Tape symbol 9 is outside sigma + 1 = 3: the stage refuses the tape
-    # before its first pass, and the in-memory coder refuses it too.
+    # before its first pass, and the in-memory coder refuses it in the same words.
     from sbc.pipelines import _dc_ac_payload
     machine = Machine(
         MachineConfig(ModelKind.READ_WRITE, memory_budget_bits=1 << 16, work_tapes=1),
@@ -483,7 +483,7 @@ def test_dc_stream_rejects_symbol_outside_alphabet():
     )
     with pytest.raises(ValueError, match="^symbol 9 out of alphabet$"):
         dc_ac_encode_stream(machine, 2)
-    with pytest.raises(ValueError, match="not in alphabet"):
+    with pytest.raises(ValueError, match="^symbol 9 out of alphabet$"):
         _dc_ac_payload([1, 2, 9, 1, 0], 3)
 
 

@@ -21,7 +21,6 @@ from sbc.pipelines import _mtf_rle_ac_decode, _mtf_rle_ac_payload
 from sbc.stream_st import streamsort_st
 from sbc.transforms import (
     SENTINEL,
-    DcStream,
     _dc_reconstruct,
     _suffix_array,
     bwt,
@@ -52,7 +51,7 @@ def test_bwt_rejects_bad_symbols():
 def test_alphabet_check_names_the_first_symbol_out_of_alphabet():
     s = [0, 1, 7, -1]
     for run in (lambda: bwt(s, 3), lambda: st(s, 2, 3), lambda: streamsort_st(s, 1, sigma=3),
-                lambda: kth_order_encode(s, 3, 2)):
+                lambda: kth_order_encode(s, 3, 2), lambda: dc_encode(s, 3)):
         with pytest.raises(ValueError, match="^symbol 7 out of alphabet$"):
             run()
 
@@ -212,86 +211,94 @@ def test_mtf_roundtrip_random():
         assert _mtf_rle_ac_decode(_mtf_rle_ac_payload(s, sigma), len(s), sigma) == s
 
 
-def reconstruct(stream):
+def reconstruct(stream, n):
     """Run the live distance decoder on a stream; it must use up every gap."""
-    gaps = iter(stream.gaps)
-    out = _dc_reconstruct(stream.first_occurrence, stream.length, lambda: next(gaps, None))
+    first, gaps = stream
+    gaps = iter(gaps)
+    out = _dc_reconstruct(first, n, lambda: next(gaps, None))
     assert next(gaps, None) is None
     return out
 
 
 def test_dc_single_run():
-    stream = dc_encode("aaaa")
-    assert stream.first_occurrence == {"a": 0}
-    assert stream.gaps == [0]
-    assert stream.length == 4
+    assert dc_encode([0] * 4, 1) == ([0], [0])
+    assert reconstruct(([0], [0]), 4) == [0] * 4
 
 
 def test_dc_alternating():
-    stream = dc_encode("abab")
-    assert stream.first_occurrence == {"a": 0, "b": 1}
-    assert stream.gaps == [2, 2, 0, 0]
-    assert reconstruct(stream) == list("abab")
+    stream = dc_encode([0, 1, 0, 1], 2)
+    assert stream == ([0, 1], [2, 2, 0, 0])
+    assert reconstruct(stream, 4) == [0, 1, 0, 1]
+
+
+def test_dc_absent_ranks_start_no_run():
+    # Ranks below sigma that never occur keep None and are never pending.
+    stream = dc_encode([2, 2, 0, 2], 5)
+    assert stream == ([2, None, 0, None, None], [2, 0, 0])
+    assert reconstruct(stream, 4) == [2, 2, 0, 2]
+
+
+def test_dc_empty_string():
+    for sigma in (1, 3):
+        assert dc_encode([], sigma) == ([None] * sigma, [])
+        assert reconstruct(([None] * sigma, []), 0) == []
 
 
 def test_dc_gaps_never_one():
     rng = random.Random(7)
     for _ in range(300):
         s = [rng.randrange(3) for _ in range(rng.randrange(0, 50))]
-        stream = dc_encode(s)
-        assert 1 not in stream.gaps
-        assert reconstruct(stream) == s
+        stream = dc_encode(s, 3)
+        assert 1 not in stream[1]
+        assert reconstruct(stream, len(s)) == s
 
 
 def test_dc_roundtrip_exhaustive():
     for length in range(0, 11):
         for bits in product(range(2), repeat=length):
             s = list(bits)
-            assert reconstruct(dc_encode(s)) == s
+            assert reconstruct(dc_encode(s, 2), length) == s
     for length in range(0, 8):
         for trits in product(range(3), repeat=length):
             s = list(trits)
-            assert reconstruct(dc_encode(s)) == s
+            assert reconstruct(dc_encode(s, 3), length) == s
 
 
 def test_dc_encode_matches_per_character_oracle():
     rng = random.Random(13)
-    cases = [([], None), ([], range(3)), ([4] * 9, None), (list(range(12)), None),
-             (list(range(12))[::-1], range(15)), (["a"], ["b", "a"])]
+    cases = [([], 1), ([], 3), ([4] * 9, 5), (list(range(12)), 12),
+             (list(range(12))[::-1], 15), ([1], 2)]
     for _ in range(400):
         sigma = rng.randrange(1, 8)
         s = [rng.randrange(sigma) for _ in range(rng.randrange(0, 60))]
-        cases.append((s, rng.choice([None, range(sigma), range(sigma + 3)])))
-    # The mixed hashable symbols of the decoder tests, none comparable.
-    symbols = ["a", 1, ("t",), "b", 2.5, frozenset({3}), None, "c"]
-    for _ in range(400):
-        alphabet = rng.sample(symbols, rng.randrange(1, len(symbols) + 1))
-        used = alphabet[:rng.randrange(1, len(alphabet) + 1)]
-        cases.append(([rng.choice(used) for _ in range(rng.randrange(0, 40))], alphabet))
-    for s, alphabet in cases:
-        stream = dc_encode(s, alphabet=alphabet)
-        first, n, gaps = oracle_dc_encode(s, alphabet=alphabet)
-        assert list(stream.first_occurrence.items()) == list(first.items()), (s, alphabet)
-        assert (stream.length, stream.gaps) == (n, gaps), (s, alphabet)
+        cases.append((s, rng.choice([sigma, sigma + 3])))
+    for _ in range(400):  # a subset of the ranks in use, the rest absent
+        sigma = rng.randrange(1, 9)
+        used = rng.sample(range(sigma), rng.randrange(1, sigma + 1))
+        cases.append(([rng.choice(used) for _ in range(rng.randrange(0, 40))], sigma))
+    for s, sigma in cases:
+        assert dc_encode(s, sigma) == oracle_dc_encode(s, sigma), (s, sigma)
 
 
 def test_dc_encode_names_the_first_symbol_out_of_alphabet():
-    for s, alphabet, bad in (([0, 5, 7], range(3), 5), ([7, 0, 5], range(3), 7),
-                             (["a", "z", "y", "z"], ["a", "b"], "z"), ([2, 2, None], [2], None)):
+    for s, sigma, bad in (([0, 5, 7], 3, 5), ([7, 0, 5], 3, 7), ([0, 3, 1], 3, 3),
+                          ([2, -1, 5], 3, -1), ([1, 1, 1], 1, 1)):
         for encode in (dc_encode, oracle_dc_encode):
-            with pytest.raises(ValueError, match=f"^symbol {bad!r} not in alphabet$"):
-                encode(s, alphabet=alphabet)
+            with pytest.raises(ValueError, match=f"^symbol {bad} out of alphabet$"):
+                encode(s, sigma)
 
 
 def test_dc_decode_rejects_malformed():
     with pytest.raises(ValueError):
-        reconstruct(DcStream({"a": 0}, 3, [1]))  # gap of one is impossible
+        reconstruct(([0], [1]), 3)  # gap of one is impossible
     with pytest.raises(ValueError):
-        reconstruct(DcStream({"a": 0, "b": 0}, 2, [0, 0]))  # colliding positions
+        reconstruct(([0, 0], [0, 0]), 2)  # colliding positions
     with pytest.raises(ValueError):
-        reconstruct(DcStream({"a": 0}, 2, [5]))  # gap past the end
+        reconstruct(([0], [5]), 2)  # gap past the end
     with pytest.raises(ValueError):
-        reconstruct(DcStream({"a": 1}, 2, [0]))  # nothing starts the string
+        reconstruct(([1], [0]), 2)  # nothing starts the string
+    with pytest.raises(ValueError):
+        reconstruct(([0, 2], [0]), 2)  # first occurrence out of range
 
 
 def dc_outcome(decode, first, n, gaps):
@@ -304,13 +311,13 @@ def dc_outcome(decode, first, n, gaps):
         return reads[-1]
 
     try:
-        return decode(dict(first), n, next_gap), reads
+        return decode(list(first), n, next_gap), reads
     except ValueError as exc:
         return str(exc), reads
 
 
 def _runs(s):
-    """Maximal runs of s as (symbol, start, end) with end inclusive."""
+    """Maximal runs of s as (rank, start, end) with end inclusive."""
     runs = []
     for i, c in enumerate(s):
         if runs and runs[-1][0] == c:
@@ -320,11 +327,18 @@ def _runs(s):
     return runs
 
 
-def dc_mutations(rng, s, stream):
+def _set(first, rank, pos):
+    """A copy of the first-occurrence list with one entry replaced."""
+    first = list(first)
+    first[rank] = pos
+    return first
+
+
+def dc_mutations(rng, s, first, gaps):
     """Malformed variants (first occurrences, length, gaps) of a valid stream."""
-    first, n, gaps = stream.first_occurrence, stream.length, stream.gaps
-    present = [a for a in first if first[a] is not None]
-    absent = [a for a in first if first[a] is None]
+    n = len(s)
+    present = [r for r, pos in enumerate(first) if pos is not None]
+    absent = [r for r, pos in enumerate(first) if pos is None]
     out = []
     if gaps:
         j = rng.randrange(len(gaps))
@@ -334,16 +348,16 @@ def dc_mutations(rng, s, stream):
         out.append((first, n, gaps[:j]))  # the gap source runs dry
     if len(present) >= 2:  # two first occurrences collide
         a, b = rng.sample(present, 2)
-        out.append(({**first, a: first[b]}, n, gaps))
+        out.append((_set(first, a, first[b]), n, gaps))
     if present:  # no owner at position 0
-        out.append(({**first, s[0]: None}, n, gaps))
-        out.append(({**first, s[0]: rng.randrange(n)}, n, gaps))
-    if absent and n:  # a symbol that never occurs is left pending
-        out.append(({**first, rng.choice(absent): rng.randrange(n)}, n, gaps))
+        out.append((_set(first, s[0], None), n, gaps))
+        out.append((_set(first, s[0], rng.randrange(n)), n, gaps))
+    if absent and n:  # a rank that never occurs is left pending
+        out.append((_set(first, rng.choice(absent), rng.randrange(n)), n, gaps))
     if n:
         out.append((first, n - 1, gaps))
-    # A gap landing on another symbol's pending position: the next run of
-    # another symbol after run j is exactly what is pending for it there.
+    # A gap landing on another rank's pending position: the next run of
+    # another rank after run j is exactly what is pending for it there.
     runs = _runs(s)
     for j, (sym, _, end) in enumerate(runs):
         later = {}
@@ -356,30 +370,26 @@ def dc_mutations(rng, s, stream):
 
 
 def test_dc_reconstruct_matches_scan_oracle():
-    # Symbols of mixed, mutually incomparable types: heap entries must never
-    # compare two symbols, also when two of them collide on one position.
     rng = random.Random(12)
-    symbols = ["a", 1, ("t",), "b", 2.5, frozenset({3}), None, "c"]
     malformed = 0
     for _ in range(1500):
-        alphabet = rng.sample(symbols, rng.randrange(1, len(symbols) + 1))
-        used = alphabet[:rng.randrange(1, len(alphabet) + 1)]
+        sigma = rng.randrange(1, 9)
+        used = rng.sample(range(sigma), rng.randrange(1, sigma + 1))
         s = [rng.choice(used) for _ in range(rng.randrange(0, 40))]
-        stream = dc_encode(s, alphabet=alphabet)
-        cases = [(stream.first_occurrence, stream.length, stream.gaps)]
-        cases += dc_mutations(rng, s, stream)
-        for first, n, gaps in cases:
-            expected = dc_outcome(oracle_dc_reconstruct, first, n, gaps)
-            assert dc_outcome(_dc_reconstruct, first, n, gaps) == expected, (first, n, gaps)
+        first, gaps = dc_encode(s, sigma)
+        cases = [(first, len(s), gaps)] + dc_mutations(rng, s, first, gaps)
+        for case in cases:
+            expected = dc_outcome(oracle_dc_reconstruct, *case)
+            assert dc_outcome(_dc_reconstruct, *case) == expected, case
             malformed += isinstance(expected[0], str)
-        assert dc_outcome(_dc_reconstruct, *cases[0]) == (s, stream.gaps)
+        assert dc_outcome(_dc_reconstruct, *cases[0]) == (s, gaps)
     assert malformed > 10000
 
 
-def test_dc_reconstruct_collision_of_string_symbols():
-    first = {"b": 0, "a": 2, ("x",): 2}
+def test_dc_reconstruct_collision_of_two_ranks():
+    # Rank 1 starts the string; ranks 0 and 2 both claim position 2.
     for decode in (_dc_reconstruct, oracle_dc_reconstruct):
-        assert dc_outcome(decode, first, 4, [0, 0, 0]) == \
+        assert dc_outcome(decode, [2, 0, 2], 4, [0, 0, 0]) == \
             ("malformed distance stream", [0])
 
 
