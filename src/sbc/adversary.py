@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from .entropy import _window_counts
 from .machine import Machine, MachineConfig, ModelKind
 from .pipelines import BlockPlan, block_encode, check_exponents, encode_bwt_dc_ac
 
@@ -76,18 +77,13 @@ def de_bruijn(sigma: int, k: int) -> DeBruijnPrefix:
 
 def verify_de_bruijn(d: Sequence[int], k: int) -> bool:
     """Whether every k-tuple over the observed alphabet occurs exactly once cyclically."""
+    if k < 1:
+        raise ValueError("order must be >= 1")
     d = list(d)
     sigma = len(set(d))
     if sigma == 0 or len(d) != sigma ** k:
         raise ValueError("length must equal sigma**k")
-    seen = set()
-    m = len(d)
-    for i in range(m):
-        window = tuple(d[(i + j) % m] for j in range(k))
-        if window in seen:
-            return False
-        seen.add(window)
-    return len(seen) == m
+    return len(_window_counts(d, k - 1, cyclic=True)) == len(d)
 
 
 def db_power(prefix: DeBruijnPrefix, i: int) -> List[int]:

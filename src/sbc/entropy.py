@@ -2,10 +2,19 @@
 
 The order-k value partitions a string's characters by the length-k context
 that precedes them and averages the order-0 entropy of each partition,
-weighted by its size.  Contexts are scanned linearly by default (positions
-k+1..n; the first k characters contribute no context), so the partition
-sizes sum to n-k.  A cyclic variant wraps contexts around the string end,
-which is what makes powers of De Bruijn prefixes hit exactly zero.
+weighted by its size.  By default contexts are linear (positions k+1..n;
+the first k characters contribute no context), so the partition sizes sum
+to n-k.  A cyclic variant wraps contexts around the string end, which is
+what makes powers of De Bruijn prefixes hit exactly zero.
+
+Every (k+1)-window, its context followed by its character, is counted in
+one C-level pass (``Counter`` over ``zip`` of shifted ``islice`` views), so
+Python works once per distinct window rather than once per character.  The
+counter keeps windows in order of first occurrence.  Grouping them by
+context therefore orders contexts by first occurrence, and the characters
+inside a context by first occurrence after it: the order a per-position
+scan would build.  :func:`hk` sums ``c * log2(m / c)`` in that order, so
+its float is the same, bit for bit, as that scan gives.
 
 All logarithms are base 2 and 0*log(.) terms are 0 by convention.  Inputs
 may be any sequence of hashable symbols (str, bytes, lists of ints).
@@ -14,8 +23,9 @@ may be any sequence of hashable symbols (str, bytes, lists of ints).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Sequence
 
 
@@ -45,20 +55,27 @@ def h0(s: Sequence) -> float:
     return sum(c * math.log2(n / c) for c in counts.values()) / n
 
 
-def context_stats(s: Sequence, k: int, cyclic: bool = False) -> ContextStats:
+def _window_counts(s: Sequence, k: int, cyclic: bool = False) -> Counter:
+    """Occurrences of each (k+1)-window, as a tuple, in order of first occurrence."""
     if k < 0:
         raise ValueError("context length must be >= 0")
-    n = len(s)
     if cyclic:  # a linear scan with the string's cyclic last k characters in front
+        n = len(s)
         s = [s[(j - k) % n] for j in range(k) if n] + list(s)
-    table: Dict[tuple, Counter] = {}
-    for i in range(k, len(s)):
-        w = tuple(s[i - k:i])
-        bucket = table.get(w)
-        if bucket is None:
-            bucket = table[w] = Counter()
-        bucket[s[i]] += 1
-    return ContextStats(k, table, n)
+    return Counter(zip(*(islice(s, j, None) for j in range(k + 1))))
+
+
+def context_stats(s: Sequence, k: int, cyclic: bool = False) -> ContextStats:
+    """Count the characters that follow each length-k context.
+
+    ``table`` lists contexts in order of their first occurrence, and each
+    context's ``Counter`` lists its characters in order of their first
+    occurrence after that context.
+    """
+    table: Dict[tuple, Counter] = defaultdict(Counter)
+    for w, c in _window_counts(s, k, cyclic).items():
+        table[w[:-1]][w[-1]] = c
+    return ContextStats(k, dict(table), len(s))
 
 
 def hk(s: Sequence, k: int, cyclic: bool = False) -> float:
@@ -72,11 +89,13 @@ def hk(s: Sequence, k: int, cyclic: bool = False) -> float:
         raise ValueError("entropy of the empty string is undefined")
     if k == 0:
         return h0(s)
-    stats = context_stats(s, k, cyclic=cyclic)
+    groups = defaultdict(list)  # plain count lists: a Counter per context costs more memory
+    for w, c in _window_counts(s, k, cyclic).items():
+        groups[w[:-1]].append(c)
     total = 0.0
-    for bucket in stats.table.values():
-        m = sum(bucket.values())
-        total += sum(c * math.log2(m / c) for c in bucket.values())
+    for counts in groups.values():
+        m = sum(counts)
+        total += sum(c * math.log2(m / c) for c in counts)
     return total / n
 
 

@@ -26,6 +26,7 @@ digit: the tail's digits would never affect the order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from .coders import _ceil_log2
@@ -105,11 +106,11 @@ def streamsort_st(s: Sequence[int], k: int, machine: Optional[Machine] = None, *
             new.append(tracker.to_bytes(key_bytes, "big") + b"\x00" * width_bytes)  # the end marker's record
             p.write_many(new)
 
-        machine.sort_pass(key=lambda rec: rec[:key_bytes])
+        machine.sort_pass(key=itemgetter(slice(0, key_bytes)))
 
         with machine.begin_pass(INPUT, mode=REWRITE) as p:
             recs = p.read_all()
-            p.write_many([rec[key_bytes:key_bytes + 1] for rec in recs])
+            p.write_many(list(map(itemgetter(slice(key_bytes, key_bytes + 1)), recs)))
 
     if stats is not None:
         stats["pad_passes"] = pad_passes

@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import random
+from collections import Counter
 
 import pytest
 
 from sbc.coders import RESCALE_TOTAL, FreqModel, SymbolEncoder, _ceil_log2
+from sbc.entropy import ContextStats
 from sbc.machine import WRITE, ModelKind
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -181,6 +184,38 @@ def oracle_st(s, k):
         return tuple(extended[(i - 1 - j) % m] for j in range(k))
     order = sorted(range(m), key=lambda i: (context(i), i))
     return [extended[i] for i in order]
+
+
+def oracle_context_stats(s, k, cyclic=False):
+    """Order-k context counts by one tuple slice and one lookup per position.
+
+    ``sbc.entropy.context_stats`` scanned this way before it counted whole
+    windows at once; it must give the same table, in the same key order and
+    the same order inside each context.
+    """
+    if k < 0:
+        raise ValueError("context length must be >= 0")
+    n = len(s)
+    if cyclic:  # a linear scan with the string's cyclic last k characters in front
+        s = [s[(j - k) % n] for j in range(k) if n] + list(s)
+    table = {}
+    for i in range(k, len(s)):
+        w = tuple(s[i - k:i])
+        bucket = table.get(w)
+        if bucket is None:
+            bucket = table[w] = Counter()
+        bucket[s[i]] += 1
+    return ContextStats(k, table, n)
+
+
+def oracle_hk(s, k, cyclic=False):
+    """Order-k entropy summed over :func:`oracle_context_stats`, contexts in table order."""
+    stats = oracle_context_stats(s, k, cyclic=cyclic)
+    total = 0.0
+    for bucket in stats.table.values():
+        m = sum(bucket.values())
+        total += sum(c * math.log2(m / c) for c in bucket.values())
+    return total / len(s)
 
 
 def oracle_dc_encode(seq, sigma):

@@ -40,6 +40,8 @@ def test_verify_rejects_non_covering():
     assert verify_de_bruijn([0, 1, 0, 1], 2) is False  # the (0,0) pair never occurs
     with pytest.raises(ValueError):
         verify_de_bruijn([0, 1, 0], 2)  # wrong length
+    with pytest.raises(ValueError):
+        verify_de_bruijn([0], 0)  # orders start at 1, as in de_bruijn
 
 
 def test_power_properties():

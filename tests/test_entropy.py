@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import oracle_context_stats, oracle_hk
 from sbc.adversary import db_power, de_bruijn
 from sbc.entropy import context_stats, entropy_report, h0, hk, superadditive_check
 
@@ -94,6 +95,25 @@ def test_cyclic_context_stats_match_brute_force():
         stats = context_stats(s, k, cyclic=True)
         assert (stats.k, stats.n) == (k, len(s))
         assert stats.table == brute_cyclic_contexts(s, k), (s, k)
+
+
+def test_window_counts_match_the_per_position_scan(corpus):
+    rng = random.Random(8)
+    cases = []
+    for i in range(600):
+        ranks = [rng.randrange(i % 6 + 1) for _ in range(rng.randrange(60))]
+        cases.append((ranks, "".join("abcdef"[c] for c in ranks), bytes(ranks))[i % 3])
+    cases = [(s, k) for s in cases for k in range(7)]
+    cases += [(data, k) for data in corpus.values() for k in range(5)]
+    for s, k in cases:
+        for cyclic in (False, True):
+            stats = context_stats(s, k, cyclic=cyclic)
+            want = oracle_context_stats(s, k, cyclic=cyclic)
+            assert (stats.k, stats.n) == (want.k, want.n)
+            assert [(w, list(c.items())) for w, c in stats.table.items()] == \
+                [(w, list(c.items())) for w, c in want.table.items()], (s, k, cyclic)
+            if s:
+                assert hk(s, k, cyclic=cyclic) == oracle_hk(s, k, cyclic=cyclic), (s, k, cyclic)
 
 
 def test_deterministic_contexts_give_zero():
