@@ -38,6 +38,24 @@ The block sums are a host-side index derived from the counts: intervals,
 rescale points and outputs are those of one flat list of counts, and
 ``state_bits`` and every ledger charge are unchanged.
 
+The ideal length of a sequence of delta codes, -log2 P under a fresh binary
+model, has a closed form (``delta_code_bits``).  Between two rescales the
+model is the Laplace estimator started from its counts (c0, c1), so the
+probability of a segment of s bits with z zeros and o ones does not depend
+on their order: it is Gamma(c0 + z) / Gamma(c0) * Gamma(c1 + o) / Gamma(c1)
+* Gamma(T) / Gamma(T + s) with T = c0 + c1 (the Krichevsky-Trofimov/Laplace
+product; Willems, Shtarkov & Tjalkens, IEEE Trans. IT 41(3), 1995).  A
+segment ends when the total reaches 2^15, so its end is known from its
+start, and only its count of ones is needed; the counts are then halved,
+rounding up, as the coder does.  The range coder cannot beat that length.
+``r = range // total`` never widens an interval beyond ``range * count /
+total``, so with P the product of every coded symbol's probability and m
+renormalisations, the final range is at most 2^32 * P * 2^(8m); it is also
+at least 2^24, so m > (ideal bits) / 8 - 1.  The payload is the leading
+dummy byte, one byte per renormalisation and four of ``finish``'s five
+shifts, m + 5 bytes: one ``SymbolEncoder``'s payload is more than (the
+ideal bits of all the models it coded through) / 8 + 4 bytes.
+
 The order-k coder keeps one adaptive model per observed length-k context,
 keyed by the context read as one base-sigma integer, and creates models
 lazily so the memory charge grows with the number of contexts actually
@@ -46,6 +64,7 @@ seen, bounded by sigma^k; at k = 0 it is the order-0 coder.
 
 from __future__ import annotations
 
+from math import lgamma, log
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .machine import held
@@ -66,6 +85,8 @@ _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def _delta_bits(value: int) -> bytes:
     """The delta code of value >= 1, one byte of 0 or 1 per bit, most significant first."""
+    if value < 1:
+        raise ValueError("delta codes represent integers >= 1")
     nbits = value.bit_length()
     lbits = nbits.bit_length() - 1
     # lbits zeros, the lbits + 1 bits of nbits, the low nbits - 1 bits of value
@@ -77,6 +98,33 @@ def _delta_bits(value: int) -> bytes:
 # small, about 13 KiB, because every import of the module builds it.
 _DELTA_TABLE = 256
 _DELTA_BITS = (b"",) + tuple(_delta_bits(v) for v in range(1, _DELTA_TABLE))
+
+
+def delta_code_bits(values: Iterable[int]) -> float:
+    """-log2 P that a fresh ``FreqModel(2)`` gives the delta codes of values >= 1.
+
+    That is the ideal length in bits of ``put_deltas`` on a fresh model,
+    rescales included: one segment per rescale, each costed by its count
+    of ones (the module docstring has the derivation).
+    """
+    bits = bytearray()  # b"".join would hold a buffer record of about 80 bytes per value
+    for v in values:
+        bits += _DELTA_BITS[v] if 0 < v < _DELTA_TABLE else _delta_bits(v)
+    c0 = c1 = 1
+    nats = 0.0
+    start = 0
+    while start < len(bits):
+        total = c0 + c1
+        end = min(len(bits), start + RESCALE_TOTAL - total)
+        ones = bits.count(1, start, end)
+        zeros = end - start - ones
+        nats += (lgamma(total + end - start) - lgamma(total)
+                 - lgamma(c0 + zeros) + lgamma(c0) - lgamma(c1 + ones) + lgamma(c1))
+        # The rescale; after a last, partial segment nothing reads the counts.
+        c0 = (c0 + zeros + 1) >> 1
+        c1 = (c1 + ones + 1) >> 1
+        start = end
+    return nats / log(2)
 
 
 class FreqModel:
@@ -279,13 +327,6 @@ class SymbolEncoder:
             self._cache_size = pending
             model.counts = [c0, c1]
             model.total = total
-
-    def min_length(self) -> int:
-        """The fewest bytes ``finish()`` can still return: it never falls, and is exact at the end.
-
-        Every renormalisation writes or holds one byte, and ``finish`` adds four.
-        """
-        return len(self._out) + self._cache_size + 4
 
     def finish(self) -> bytes:
         for _ in range(5):

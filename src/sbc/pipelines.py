@@ -25,7 +25,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, groupby
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coders import (
@@ -33,6 +33,7 @@ from .coders import (
     SymbolDecoder,
     SymbolEncoder,
     _ceil_log2,
+    delta_code_bits,
     kth_order_decode,
     kth_order_encode,
 )
@@ -168,9 +169,10 @@ def _best_k(k_max: int, payload_for: Callable[[int, Optional[int]], Optional[byt
     """The shortest payload over k = 0..k_max; the smallest k wins ties.
 
     ``payload_for(k, limit)`` runs from k = k_max down, ``limit`` the best
-    length so far (None at k_max), and may give up with None once it must
-    be longer.  Giving up skips only coding, so a machine's ledger is that
-    of every k coded in full.  Going down, a tie is kept: the smallest k wins.
+    length so far (None at k_max), and gives None for a payload longer than
+    that, which a floor on its length may show without coding it.  Giving
+    up skips only coding, so a machine's ledger is that of every k coded in
+    full.  Going down, a tie is kept: the smallest k wins.
     """
     if not 0 <= k_max < K_AUTO:
         raise ValueError("k_max must be in 0..254")
@@ -256,30 +258,38 @@ def mtf_rle_ac_encode_stream(machine: Machine, sigma: int) -> bytes:
 # -- distance coding + adaptive payload ------------------------------------
 
 
-_GAP_CHUNK = 1024  # gaps coded between two looks at _dc_ac_code's limit
-
-
 def _dc_ac_code(first: Iterable[Optional[int]], gaps: Iterable[int],
                 limit: Optional[int] = None) -> Optional[bytes]:
     """First-occurrence table then per-run gaps, all delta-coded adaptively.
 
-    Gaps are coded ``_GAP_CHUNK`` at a time, which changes no bit.  With a
-    ``limit``, None comes back after the first chunk that leaves the
-    payload sure to be longer than ``limit`` bytes (``min_length``).
+    With a ``limit``, None comes back for a payload longer than ``limit``
+    bytes.  The payload's floor, (``delta_code_bits`` of both tables) / 8 + 4
+    bytes (the ``sbc.coders`` docstring derives it), rules most of those out
+    before any coding: a floor more than one byte above ``limit`` returns
+    None at once.  Any other payload is coded in full.
     """
-    enc = SymbolEncoder()
-    enc.put_deltas(FreqModel(2), (1 if pos is None else pos + 2 for pos in first))
-    gap_model = FreqModel(2)
-    gaps = iter(gaps)
-    for chunk in iter(lambda: [gap + 1 for gap in islice(gaps, _GAP_CHUNK)], []):
-        enc.put_deltas(gap_model, chunk)
-        if limit is not None and enc.min_length() > limit:
+    firsts = (1 if pos is None else pos + 2 for pos in first)
+    deltas = (gap + 1 for gap in gaps)
+    if limit is not None:
+        firsts, deltas = list(firsts), list(deltas)  # read by the floor, then the coder
+        floor = (delta_code_bits(firsts) + delta_code_bits(deltas)) / 8 + 4
+        if floor - 1 > limit:  # one byte for float rounding
             return None
-    return enc.finish()
+    enc = SymbolEncoder()
+    enc.put_deltas(FreqModel(2), firsts)
+    enc.put_deltas(FreqModel(2), deltas)
+    payload = enc.finish()
+    return None if limit is not None and len(payload) > limit else payload
 
 
 def _dc_ac_payload(body_shifted: Sequence[int], sigma_total: int, machine=None,
                    limit: Optional[int] = None) -> Optional[bytes]:
+    """``_dc_ac_code`` of the distance code of ``body_shifted``, under one charge.
+
+    The floor a ``limit`` asks for reads the same two tables and keeps the
+    two models' counts over again and a position in the bits: O(log n)
+    counters, inside the same charge.
+    """
     n = len(body_shifted)
     with held(machine, 2 * FreqModel(2).state_bits()  # the two models of _dc_ac_code
               + sigma_total * _ceil_log2(n + 2)  # last-occurrence register per symbol
@@ -340,8 +350,9 @@ def encode_st_dc_ac(s: Sequence[int], sigma: int, k_max: int,
                     alphabet: Optional[bytes] = None) -> bytes:
     """Try every context length up to k_max and keep the shortest payload.
 
-    From k_max down, each k is coded only until it must lose to the best
-    so far (:func:`_best_k`); the container is the one a full search picks.
+    From k_max down, a k whose payload's floor is more than a byte over the
+    best so far is not coded (:func:`_best_k`, :func:`_dc_ac_code`); the
+    container is the one a full search picks.
 
     Encode-only: the length-k sort has an inverse (Schindler, DCC 1997;
     Nong & Zhang, IEEE Trans. Computers 56(11), 2007), but sbc has no

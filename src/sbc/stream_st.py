@@ -125,12 +125,13 @@ def streamsort_st_best_k(s: Sequence[int], k_max: int, machine: Optional[Machine
     :func:`default_streamsort_machine`.  The sort rewrites the input tape
     and the model cannot restore it, so ``s`` is loaded onto the input tape
     again before each k; that load is host work, not a pass.  The trace
-    lists k from k_max down (:func:`_best_k`).  A k that must lose is not
-    coded to the end, but its coder pass still sweeps the whole tape under
-    the same charge: the ledger sums the passes of every k, and its peak is
-    the largest of any k.  The
-    coder's forward pass is charged σ+1 registers but codes every first
-    occurrence before any look-ahead gap, so it must buffer the tape.
+    lists k from k_max down (:func:`_best_k`).  A k whose payload's floor
+    is more than a byte over the best so far is not coded at all
+    (:func:`_dc_ac_code`), but its coder pass still sweeps the whole tape
+    under the same charge: the ledger sums the passes of every k, and its
+    peak is the largest of any k.  The coder's forward pass is charged σ+1
+    registers but codes every first occurrence before any look-ahead gap,
+    so it must buffer the tape.
     """
     s = list(s)
     _validate_ranks(s, sigma)  # s is loaded onto the tape before each k

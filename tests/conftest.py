@@ -100,6 +100,21 @@ def delta_code(value):
     return "0" * lbits + format(nbits, "b") + format(value, "b")[1:]
 
 
+def oracle_delta_code_bits(values):
+    """-log2 P of the delta codes of values through a fresh two-symbol model.
+
+    One bit at a time: the sum of -log2(count / total) before each
+    ``FreqModel(2).update``, so every rescale is the model's own.
+    """
+    model = FreqModel(2)
+    bits = 0.0
+    for value in values:
+        for bit in map(int, delta_code(value)):
+            bits -= math.log2(model.counts[bit] / model.total)
+            model.update(bit)
+    return bits
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

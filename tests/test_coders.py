@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import FlatFreqModel, delta_code, oracle_kth_order_encode
+from conftest import FlatFreqModel, delta_code, oracle_delta_code_bits, oracle_kth_order_encode
 from sbc.coders import (
     _BLOCK,
     _DELTA_BITS,
@@ -12,6 +12,7 @@ from sbc.coders import (
     FreqModel,
     SymbolDecoder,
     SymbolEncoder,
+    delta_code_bits,
     kth_order_decode,
     kth_order_encode,
 )
@@ -431,37 +432,55 @@ def test_put_deltas_takes_both_byte_paths(monkeypatch):
     assert fast.finish() == generic.finish()
 
 
-def test_min_length_bounds_finish_from_below(monkeypatch):
-    # After every put_deltas call min_length() never falls and is at most
-    # len(finish()); just before finish it is exact.  The values are those
-    # of test_put_deltas_takes_both_byte_paths, so bytes are written inline
-    # and through _shift_low, carries and pending 0xFF bytes among them.
-    seen = {"shift": 0, "carry": 0, "pending": 0}
-    shift_low = SymbolEncoder._shift_low
+def _delta_values(rng, count):
+    """Seeded values >= 1: mostly short codes, some of 256 and above, up to 2^40."""
+    return [rng.choice((1, 1, 1, 2, 3, rng.randrange(1, 256), rng.randrange(256, 1 << 12),
+                        rng.randrange(1, (1 << 40) + 1)))
+            for _ in range(count)]
 
-    def counting_shift_low(enc):
-        seen["shift"] += 1
-        seen["carry"] += enc._low > 0xFFFFFFFF
-        seen["pending"] += enc._cache_size > 1
-        shift_low(enc)
 
-    monkeypatch.setattr(SymbolEncoder, "_shift_low", counting_shift_low)
-    rng = random.Random(22)
-    renormalisations = 0
-    for _ in range(20):
-        enc, model = SymbolEncoder(), FreqModel(2)
-        bounds = [enc.min_length()]
-        for _ in range(rng.randrange(1, 40)):
-            enc.put_deltas(model, [rng.choice((1, 1, 1, 2, rng.randrange(1, 300),
-                                               rng.randrange(1, 1 << 20)))
-                                   for _ in range(rng.randrange(0, 300))])
-            bounds.append(enc.min_length())
-        renormalisations += bounds[-1] - bounds[0]  # one byte each, written or held
+def test_delta_code_bits_is_the_per_bit_sum():
+    # The closed form equals the per-bit oracle, rescales included.
+    rng = random.Random(31)
+    rescale_bits = RESCALE_TOTAL - 2  # the bits before a fresh model's first rescale
+    cases = [[], [1], [1 << 40], [256], [255, 256, 257]]
+    cases += [_delta_values(rng, rng.randrange(1, 200)) for _ in range(20)]
+    long = _delta_values(rng, 12000)  # crosses at least two rescales
+    assert len("".join(map(delta_code, long))) > 3 * RESCALE_TOTAL
+    cases.append(long)
+    cases.append([rng.randrange(1, 1 << 12) for _ in range(9000)] + [1 << 40])
+    # Ends exactly at the first rescale: random codes, then 1s (one bit each).
+    exact = _delta_values(rng, 2000)
+    exact += [1] * (rescale_bits - len("".join(map(delta_code, exact))))
+    model = FreqModel(2)
+    for value in exact:
+        for bit in map(int, delta_code(value)):
+            model.update(bit)
+    assert model.total < RESCALE_TOTAL // 2 + 2  # the last bit rescaled
+    cases.append(exact)
+    for values in cases:
+        assert delta_code_bits(values) == pytest.approx(oracle_delta_code_bits(values), rel=1e-9)
+    assert delta_code_bits([]) == 0
+    for bad in (0, -1, -300):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            delta_code_bits([3, bad])
+
+
+def test_delta_code_bits_floors_the_payload():
+    # One encoder's payload is at least (the ideal bits of its models) / 8
+    # + 4 bytes, with no rounding: one sequence or two, empty ones among them.
+    rng = random.Random(32)
+    slack = []
+    for _ in range(300):
+        tables = [_delta_values(rng, rng.choice((0, rng.randrange(1, 50), rng.randrange(1, 3000))))
+                  for _ in range(rng.choice((1, 2)))]
+        enc = SymbolEncoder()
+        for values in tables:
+            enc.put_deltas(FreqModel(2), values)
         payload = enc.finish()
-        assert bounds == sorted(bounds)
-        assert bounds[-1] == len(payload)
-    assert 0 < seen["shift"] - 5 * 20 < renormalisations  # finish shifts five times
-    assert seen["carry"] > 0 and seen["pending"] > 0
+        slack.append(len(payload) - (sum(map(delta_code_bits, tables)) / 8 + 4))
+    assert min(slack) >= 0
+    assert min(slack) < 0.1  # close, so a floor that is off by a byte shows
 
 
 @pytest.mark.parametrize("bad", [0, -1])

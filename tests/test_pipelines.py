@@ -10,6 +10,7 @@ from conftest import ACCEPTING_MODELS, CORPUS_DIR, ranks_of
 from sbc.adversary import db_power, de_bruijn
 from sbc.cli import _machine_for
 from sbc.cli import main as cli_main
+from sbc.coders import delta_code_bits
 from sbc.entropy import hk
 from sbc.machine import (
     INPUT,
@@ -43,7 +44,7 @@ from sbc.pipelines import (
 )
 from sbc.stream_bwt import default_rw_machine, rw_bwt_encode, rw_bwt_invert, rw_suffix_array
 from sbc.stream_st import default_streamsort_machine, streamsort_st, streamsort_st_best_k
-from sbc.transforms import bwt, st
+from sbc.transforms import bwt, dc_encode, st
 
 
 def test_varint_roundtrip():
@@ -288,6 +289,24 @@ def test_st_dc_ac_prefers_higher_order_on_markov_input():
     container = encode_st_dc_ac(s, 3, 3)
     header, _, _ = parse_container(container)
     assert header.k >= 1
+
+
+def test_dc_ac_payload_is_at_least_its_floor(corpus):
+    # Every corpus file through st at k = 0..4 and through bwt: the payload
+    # is at least (delta_code_bits of both tables) / 8 + 4 bytes, with no
+    # rounding, so _dc_ac_code's floor never rules out a winner.
+    from sbc.pipelines import _dc_ac_payload
+    slack = []
+    for data in corpus.values():
+        s, alphabet = ranks_of(data)
+        sigma = len(alphabet)
+        for body in [st(s, k, sigma) for k in range(5)] + [bwt(s, sigma)]:
+            shifted = [c + 1 for c in body]
+            first, gaps = dc_encode(shifted, sigma + 1)
+            floor = (delta_code_bits([1 if pos is None else pos + 2 for pos in first])
+                     + delta_code_bits([gap + 1 for gap in gaps])) / 8 + 4
+            slack.append(len(_dc_ac_payload(shifted, sigma + 1)) - floor)
+    assert 0 <= min(slack) and max(slack) < 2
 
 
 def test_st_dc_ac_selection_is_min_over_k():

@@ -166,9 +166,29 @@ def test_best_k_is_min_over_candidates():
             streamsort_st_best_k(s, k_max, sigma=2)
 
 
-def test_best_k_selection_matches_the_all_k_oracle():
+def test_best_k_selection_matches_the_all_k_oracle(monkeypatch):
     # Both best-k paths give the oracle's (k, payload), ties included:
-    # sigma = 1, and every k >= n, which all give the transform.
+    # sigma = 1, and every k >= n, which all give the transform.  A losing
+    # k takes both of _dc_ac_code's branches: ruled out by its floor before
+    # any coding, and coded in full to a payload longer than the limit.
+    branches = {"floor": 0, "coded": 0}
+    encoders = []
+    code = pipelines._dc_ac_code
+
+    class CountingEncoder(pipelines.SymbolEncoder):
+        def __init__(self):
+            super().__init__()
+            encoders.append(self)
+
+    def counting_code(first, gaps, limit=None):
+        before = len(encoders)
+        payload = code(first, gaps, limit)
+        if payload is None:
+            branches["coded" if len(encoders) > before else "floor"] += 1
+        return payload
+
+    monkeypatch.setattr(pipelines, "SymbolEncoder", CountingEncoder)
+    monkeypatch.setattr(pipelines, "_dc_ac_code", counting_code)
     rng = random.Random(28)
     cases = [(1, n, k_max) for n in (0, 1, 5, 40) for k_max in range(6)]
     cases += [(rng.randint(1, 4), n, 5) for n in range(4)]
@@ -193,14 +213,16 @@ def test_best_k_selection_matches_the_all_k_oracle():
             header, _, payload = parse_container(container)
             assert (header.k, payload) == want, (sigma, s, k_max)
     assert ties > 20
+    assert branches["floor"] > 0 and branches["coded"] > 0, branches
 
 
 def test_an_abandoned_candidate_leaves_the_machine_clean(monkeypatch):
     # On english.txt at k_max = 4, k = 4 wins and every other k is
-    # abandoned before its payload is finished; each still runs all its
-    # passes, so the ledger totals are those the all-k search gave when it
-    # coded every k in full: (passes, sort_passes, peak_memory_bits,
-    # total_output_bits, summed tape bits).
+    # abandoned without a payload, whether its floor ruled it out or it was
+    # coded and came out longer; each still runs all its passes, so the
+    # ledger totals are those the all-k search gave when it coded every k
+    # in full: (passes, sort_passes, peak_memory_bits, total_output_bits,
+    # summed tape bits).
     with open(os.path.join(CORPUS_DIR, "english.txt"), "rb") as fh:
         s, alphabet = ranks_of(fh.read())
     abandoned = []
